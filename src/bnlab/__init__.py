@@ -49,17 +49,16 @@ from .errors import (
 )
 from .linearization import (
     ModeOperator,
-    SpectrumReport,
     build_mode_operator,
     eigenvalues_near_zero,
     nondegeneracy_certificate,
-    spectrum,
 )
 from .solver import (
     RadialSolution,
     ShootResult,
     scale_to_unit_ball,
     shoot,
+    solution_at,
     solve_for_eps,
 )
 
@@ -80,6 +79,7 @@ __all__ = [
     "RadialSolution",
     "shoot",
     "scale_to_unit_ball",
+    "solution_at",
     "solve_for_eps",
     "SweepRecord",
     "FitReport",
@@ -99,9 +99,7 @@ __all__ = [
     "perturbation_order_fit",
     "w_decay_exponent",
     "ModeOperator",
-    "SpectrumReport",
     "build_mode_operator",
-    "spectrum",
     "eigenvalues_near_zero",
     "nondegeneracy_certificate",
     "BnlabError",

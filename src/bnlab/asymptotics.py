@@ -6,16 +6,17 @@ three-dimensional solution fold.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bubbles import eval_normalized
+from .bubbles import normalized_bubble_r2
 from .constants import Params, alpha_n, alpha_nq, omega_n, sobolev_sn2_exact
 from .errors import DomainError, FitFailureError
 from .green import BallGreen, green
-from .solver import RadialSolution, scale_to_unit_ball, shoot
+from .solver import RadialSolution, solution_at
 
 __all__ = [
     "SweepRecord",
@@ -89,14 +90,6 @@ def blowup_target(p: Params) -> float:
     return alpha_nq(p) * robin(g, np.zeros(p.N))
 
 
-def _solve_one(args):
-    p, et, r_max = args
-    s = shoot(p, et, r_max)
-    if s.first_zero is None:
-        return None
-    return scale_to_unit_ball(p, s)
-
-
 def _record(p: Params, sol: RadialSolution, sn2: float) -> SweepRecord:
     power = p.q + 2.0 - p.two_star
     return SweepRecord(
@@ -118,22 +111,24 @@ def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
     """Run the continuation and return (records, solutions), grid-ordered.
 
     Failures at individual grid points (no first zero within the span) are
-    skipped, not fatal.
+    skipped, not fatal.  jobs > 1 solves the grid points in that many worker
+    processes.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     p.require_regime()
     grid = default_grid() if eps_tilde_grid is None else np.asarray(
         eps_tilde_grid, dtype=float
     )
     if np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
         raise DomainError("eps_tilde grid must be positive, strictly decreasing")
-    from .solver import _estimate_r_max
-
-    tasks = [(p, float(et), _estimate_r_max(p, float(et))) for et in grid]
+    solve = functools.partial(solution_at, p)
+    ets = [float(et) for et in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sols = list(pool.map(_solve_one, tasks))
+            sols = list(pool.map(solve, ets))
     else:
-        sols = [_solve_one(t) for t in tasks]
+        sols = list(map(solve, ets))
     sn2 = sobolev_sn2_exact(p.N)
     records, kept = [], []
     for sol in sols:
@@ -224,9 +219,7 @@ def profile_distance(p: Params, sol: RadialSolution, grid=None) -> float:
     s = np.linspace(0.0, 10.0, 512) if grid is None else np.asarray(grid)
     s = s[s <= sol.R_tilde]
     u, _ = sol.shoot_result.eval(s)
-    k = p.N * (p.N - 2.0)
-    U = (k / (k + s * s)) ** ((p.N - 2.0) / 2.0)
-    return float(np.max(np.abs(u - U)))
+    return float(np.max(np.abs(u - normalized_bubble_r2(p.N, s * s))))
 
 
 def upper_bound_check(p: Params, sol: RadialSolution, n_pts: int = 2048) -> float:
@@ -238,9 +231,7 @@ def upper_bound_check(p: Params, sol: RadialSolution, n_pts: int = 2048) -> floa
     Rt = sol.R_tilde
     s = np.concatenate(([0.0], np.geomspace(1e-3, Rt, n_pts)))
     u, _ = sol.shoot_result.eval(s)
-    k = p.N * (p.N - 2.0)
-    U = (k / (k + s * s)) ** ((p.N - 2.0) / 2.0)
-    return float(np.max(u / U))
+    return float(np.max(u / normalized_bubble_r2(p.N, s * s)))
 
 
 def boundary_green_limit(p: Params, solutions, band=(0.7, 0.95),
@@ -288,15 +279,12 @@ def branch_map(p: Params, eps_tilde_grid=None) -> dict:
         if eps_tilde_grid is None
         else np.asarray(eps_tilde_grid, dtype=float)
     )
-    from .solver import _estimate_r_max
-
     mu, eps, ets = [], [], []
     for et in grid:
-        s = shoot(p, float(et), _estimate_r_max(p, float(et)))
-        if s.first_zero is None:
+        sol = solution_at(p, float(et))
+        if sol is None:
             continue
-        sol = scale_to_unit_ball(p, s)
-        ets.append(float(et))
+        ets.append(sol.eps_tilde)
         mu.append(sol.mu)
         eps.append(sol.eps)
     mu = np.array(mu)

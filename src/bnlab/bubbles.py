@@ -21,6 +21,7 @@ __all__ = [
     "Bubble",
     "eval_bubble",
     "eval_normalized",
+    "normalized_bubble_r2",
     "bubble_derivatives",
     "kernel_eval",
     "harmonic_correction",
@@ -59,8 +60,12 @@ def eval_normalized(N: int, x) -> float:
     """(N(N-2) / (N(N-2) + |x|^2))^{(N-2)/2}; equals 1 at the origin."""
     if N < 3:
         raise DomainError(f"eval_normalized requires N >= 3, got {N}")
+    return normalized_bubble_r2(N, float(np.sum(np.asarray(x, dtype=float) ** 2)))
+
+
+def normalized_bubble_r2(N: int, r2):
+    """The normalized bubble at squared radius r2 (scalar or array)."""
     k = N * (N - 2.0)
-    r2 = float(np.sum(np.asarray(x, dtype=float) ** 2))
     return (k / (k + r2)) ** ((N - 2.0) / 2.0)
 
 

@@ -128,21 +128,19 @@ def _solution_doc(p: Params, sol) -> dict:
 
 
 def _solve_solution(p: Params, args):
-    from .solver import _estimate_r_max, scale_to_unit_ball, shoot, solve_for_eps
+    from .solver import solution_at, solve_for_eps
 
     if (args.eps is None) == (args.eps_tilde is None):
         raise DomainError("exactly one of --eps / --eps-tilde is required")
     if args.eps is not None:
         return solve_for_eps(p, args.eps)
-    et = args.eps_tilde
-    if et <= 0:
-        raise DomainError(f"eps_tilde must be positive, got {et}")
-    s = shoot(p, et, _estimate_r_max(p, et))
-    if s.first_zero is None:
+    sol = solution_at(p, args.eps_tilde)
+    if sol is None:
         raise UnreachableEpsError(
-            f"no first zero for eps_tilde={et}; no ball solution there"
+            f"no first zero for eps_tilde={args.eps_tilde}; "
+            "no ball solution there"
         )
-    return scale_to_unit_ball(p, s)
+    return sol
 
 
 def cmd_solve(args) -> int:
@@ -150,8 +148,7 @@ def cmd_solve(args) -> int:
     sol = _solve_solution(p, args)
     rows = [PROFILE_HEADER]
     rows += [
-        f"{_fmt(r)},{_fmt(u)},{_fmt(du)}"
-        for r, u, du in zip(sol.profile_r, sol.profile_u, sol.profile_du)
+        f"{_fmt(r)},{_fmt(u)},{_fmt(du)}" for r, u, du in zip(*sol.profile())
     ]
     _emit("\n".join(rows) + "\n", args.profile)
     _emit(_json(_solution_doc(p, sol)) + "\n", args.output)
@@ -247,28 +244,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .linearization import (
-        build_mode_operator,
-        eigenvalues_near_zero,
-        nondegeneracy_certificate,
-    )
+    from .linearization import nondegeneracy_certificate
 
     p = _params(args)
     sol = _solve_solution(p, args)
-    modes = []
-    for ell in range(args.ell_max + 1):
-        op = build_mode_operator(p, sol, ell,
-                                 potential_scale=args.potential_scale)
-        below, above, m0 = eigenvalues_near_zero(op)
-        modes.append({
-            "ell": ell,
-            "n_negative": m0,
-            "nearest_below_zero": below,
-            "nearest_above_zero": above,
-            "min_abs": min(abs(above), abs(below)) if below is not None
-            else abs(above),
-        })
-    ok = all(m["min_abs"] >= args.tol for m in modes)
+    ok, rep = nondegeneracy_certificate(p, sol, ell_max=args.ell_max,
+                                        tol=args.tol,
+                                        potential_scale=args.potential_scale)
+    modes = [{"ell": ell, "n_negative": m["n_negative"],
+              "nearest_below_zero": m["nearest_below"],
+              "nearest_above_zero": m["nearest_above"],
+              "min_abs": m["min_abs"]}
+             for ell, m in rep["per_mode"].items()]
     doc = _solution_doc(p, sol)
     doc.update({
         "potential_scale": args.potential_scale,
@@ -511,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="mode eigenvalues nearest zero")
     _add_common(sp, with_eps=True)
-    sp.add_argument("--ell-max", type=int, default=4)
+    sp.add_argument("--ell-max", type=int, default=4,
+                    help="highest mode; at least 2")
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--potential-scale", type=float, default=1.0)
     sp.set_defaults(fn=cmd_spectrum)

@@ -9,20 +9,19 @@ The mode-ell operator on the unit ball is
 whose eigenvalues equal R_tilde^2 times those of the same operator written
 in the scaled variable s = R_tilde * r on (0, R_tilde) with the height-1
 profile.  Eigenvalues are computed by Sturm shooting in the scaled variable:
-the base profile is re-integrated jointly with the linearized equation, the
-oscillation count of the shooting solution brackets each eigenvalue by
-index, and a sign root solve on the renormalized boundary value refines it.
-Shooting keeps the near-zero eigenvalues at full relative accuracy, which a
-fixed mesh cannot do once the potential concentrates at scale 1/R_tilde.
+the base profile is re-integrated jointly with the linearized equation, and
+bisection on the oscillation count of the shooting solution finds each
+eigenvalue by index.  Accuracy near zero is that of the shooting: a scaled
+eigenvalue below ~1e-14 (rtol = 1e-12) is lost, which the ell = 1 eigenvalue
+(~ mu^{-2}) reaches at the deep end of the default sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .constants import Params
 from .errors import DomainError, IntegrationFailureError
@@ -30,9 +29,7 @@ from .solver import RadialSolution, _series_coeffs
 
 __all__ = [
     "ModeOperator",
-    "SpectrumReport",
     "build_mode_operator",
-    "spectrum",
     "eigenvalues_near_zero",
     "nondegeneracy_certificate",
 ]
@@ -58,17 +55,6 @@ class ModeOperator:
         return self.ell * (self.ell + self.params.N - 2.0)
 
 
-@dataclass
-class SpectrumReport:
-    """Smallest eigenvalues of one mode operator, in unit-ball units."""
-
-    ell: int
-    eigenvalues: np.ndarray
-    min_abs: float
-    converged: bool = True
-    details: dict = field(default_factory=dict)
-
-
 def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
                         potential_scale: float = 1.0) -> ModeOperator:
     if ell < 0:
@@ -82,13 +68,12 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
     )
 
 
-def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12):
-    """Integrate base profile + mode equation; return (nodes, sign, logmag).
+def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:
+    """Integrate base profile + mode equation; return the node count.
 
-    nodes is the number of interior zeros of the mode solution v on
+    The count is the number of interior zeros of the mode solution v on
     (0, R_tilde); by Sturm oscillation it equals the number of Dirichlet
-    eigenvalues below nu.  sign and logmag describe v(R_tilde) up to the
-    positive renormalization factors applied to dodge overflow.
+    eigenvalues below nu.
     """
     p = op.params
     N, q, p2 = p.N, p.q, p.two_star
@@ -130,7 +115,6 @@ def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12):
     else:
         edges = [s0, op.R_tilde]
     nodes = 0
-    logmag = 0.0
     prev_sign = np.sign(y[2]) if y[2] != 0 else 1.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=rtol,
@@ -153,56 +137,39 @@ def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12):
                 nodes += 1
             nodes += int(np.sum(sgn[1:] != sgn[:-1]))
             prev_sign = sgn[-1]
+        # v is linear: a positive rescale keeps the node count and keeps
+        # the next segment away from overflow and underflow
         y = sol.y[:, -1].copy()
         m = max(abs(y[2]), abs(y[3]))
         if m > _RESCALE_THRESHOLD or (0.0 < m < 1.0 / _RESCALE_THRESHOLD):
-            logmag += np.log(m)
             y[2] /= m
             y[3] /= m
-    v_end = y[2]
-    # the final sampled sign change already counted a node at the endpoint
-    # if v crosses there; the boundary value itself is not an interior node
-    sign = np.sign(v_end) if v_end != 0 else 0.0
-    mag = max(abs(v_end), 1e-300)
-    return nodes, float(sign), logmag + np.log(mag)
+    return nodes
 
 
-def _count_below(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:
-    return _shoot_mode(op, nu, rtol=rtol)[0]
-
-
-def _eigenvalue_by_index(op: ModeOperator, j: int, rtol: float = 1e-12,
-                         xtol_rel: float = 1e-8, known=None) -> float:
+def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int,
+                         rtol: float = 1e-12, xtol_rel: float = 1e-8) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    `known` optionally carries an already-counted point (nu, count) to seed
-    the bracket; passing (0, count_below(0)) anchors the search at zero,
-    which keeps the bisection in the cheap non-oscillatory regime for the
+    m0 is the number of eigenvalues below zero.  Anchoring the bracket at
+    zero keeps the bisection in the cheap non-oscillatory regime for the
     eigenvalues adjacent to zero.
     """
-    # lower bound: the operator is bounded below by -max potential
-    lo = -1.1 * (op.potential_scale
-                 * ((op.params.two_star - 1.0) + op.eps_tilde
-                    * (op.params.q - 1.0))) - 1e-6
-    a, ca = lo, 0
-    step = 4.0 / op.R_tilde**2
-    if known is not None:
-        nu0, c0 = known
-        if c0 <= j:
-            a, ca = nu0, c0
-        b, cb = nu0, c0
-        while cb <= j:
-            b = b + step if b >= 0 else b / 4.0
-            step *= 4.0
-            cb = _count_below(op, b, rtol)
-            if b > 1e8:
-                raise IntegrationFailureError("eigenvalue search did not bracket")
+    if m0 <= j:
+        a = 0.0
     else:
-        b = 4.0 / op.R_tilde**2
-        while (cb := _count_below(op, b, rtol)) <= j:
-            b *= 4.0
-            if b > 1e8:
-                raise IntegrationFailureError("eigenvalue search did not bracket")
+        # lower bound: the operator is bounded below by -max potential
+        a = -1.1 * (op.potential_scale
+                    * ((op.params.two_star - 1.0) + op.eps_tilde
+                       * (op.params.q - 1.0))) - 1e-6
+    b, cb = 0.0, m0
+    step = 4.0 / op.R_tilde**2
+    while cb <= j:
+        b += step
+        step *= 4.0
+        cb = _shoot_mode(op, b, rtol)
+        if b > 1e8:
+            raise IntegrationFailureError("eigenvalue search did not bracket")
     # pure bisection on the Sturm count: the count jumps j -> j+1 exactly at
     # the eigenvalue, so this is sign bisection in disguise and needs no
     # magnitude information (which spans thousands of orders here)
@@ -210,38 +177,11 @@ def _eigenvalue_by_index(op: ModeOperator, j: int, rtol: float = 1e-12,
         if b - a <= xtol_rel * max(abs(a), abs(b)) + 1e-18:
             break
         mid = 0.5 * (a + b)
-        if _count_below(op, mid, rtol) <= j:
+        if _shoot_mode(op, mid, rtol) <= j:
             a = mid
         else:
             b = mid
     return 0.5 * (a + b)
-
-
-def spectrum(op: ModeOperator, k: int = 2, rtol: float = 1e-12) -> SpectrumReport:
-    """k smallest eigenvalues in unit-ball units, with a convergence check.
-
-    Convergence is validated by recomputing the eigenvalue nearest zero at a
-    coarser integration tolerance and requiring a small shift.
-    """
-    if k < 2:
-        raise DomainError(f"spectrum needs k >= 2, got {k}")
-    scale = op.R_tilde**2
-    m0 = _count_below(op, 0.0, rtol=rtol)
-    eigs_scaled = [
-        _eigenvalue_by_index(op, j, rtol=rtol, known=(0.0, m0))
-        for j in range(k)
-    ]
-    eigs = np.array(eigs_scaled) * scale
-    j_near = int(np.argmin(np.abs(eigs)))
-    check = _eigenvalue_by_index(op, j_near, rtol=1e-9, known=(0.0, m0)) * scale
-    shift = abs(check - eigs[j_near]) / max(abs(eigs[j_near]), 1e-30)
-    return SpectrumReport(
-        ell=op.ell,
-        eigenvalues=eigs,
-        min_abs=float(np.min(np.abs(eigs))),
-        converged=bool(shift <= 1e-4),
-        details={"tolerance_shift": float(shift)},
-    )
 
 
 def eigenvalues_near_zero(op: ModeOperator, rtol: float = 1e-12,
@@ -251,14 +191,14 @@ def eigenvalues_near_zero(op: ModeOperator, rtol: float = 1e-12,
     Returns (below, above, n_negative); below is None when the spectrum is
     entirely positive.
     """
-    m0 = _count_below(op, 0.0, rtol=rtol)
+    m0 = _shoot_mode(op, 0.0, rtol=rtol)
     above = _eigenvalue_by_index(
-        op, m0, rtol=rtol, xtol_rel=xtol_rel, known=(0.0, m0)
+        op, m0, m0, rtol=rtol, xtol_rel=xtol_rel
     ) * op.R_tilde**2
     below = None
     if m0 > 0:
         below = _eigenvalue_by_index(
-            op, m0 - 1, rtol=rtol, xtol_rel=xtol_rel, known=(0.0, m0)
+            op, m0 - 1, m0, rtol=rtol, xtol_rel=xtol_rel
         ) * op.R_tilde**2
     return below, above, m0
 

@@ -32,9 +32,8 @@ __all__ = [
     "RadialSolution",
     "shoot",
     "scale_to_unit_ball",
+    "solution_at",
     "solve_for_eps",
-    "energy_functionals",
-    "pohozaev_residual",
 ]
 
 _R_START = 1e-4
@@ -49,8 +48,6 @@ class ShootResult:
     eps_tilde: float
     first_zero: Optional[float]
     r_grid: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
     # scaled-variable quadratures accumulated by the integrator:
     # grad2 = int u'^2 r^{N-1}, mass_crit = int u^{2*} r^{N-1},
     # mass_q = int u^q r^{N-1}, all over [0, first_zero]
@@ -89,9 +86,6 @@ class RadialSolution:
     eps_tilde: float
     mu: float  # max value u(0) = ||u||_inf
     R_tilde: float
-    profile_r: np.ndarray
-    profile_u: np.ndarray
-    profile_du: np.ndarray
     grad_sq: float
     l2star_norm: float
     lq_norm_q: float
@@ -108,6 +102,13 @@ class RadialSolution:
         u, du = self.shoot_result.eval(np.asarray(r, dtype=float) * Rt)
         return Rt**half * u, Rt ** (half + 1.0) * du
 
+    def profile(self):
+        """(r, u, u') on PROFILE_POINTS equispaced unit-ball radii."""
+        r = np.linspace(0.0, 1.0, PROFILE_POINTS)
+        u, du = self.eval_unit(r)
+        u[-1] = 0.0  # Dirichlet value, within the event tolerance
+        return r, u, du
+
 
 def _series_coeffs(p: Params, eps_tilde: float):
     """u = 1 + a2 r^2 + a4 r^4 matching the ODE through order r^2 at 0."""
@@ -119,11 +120,17 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
-def shoot(p: Params, eps_tilde: float, r_max: float, tol: float = 1e-10,
-          rtol: float = 1e-13, atol: float = 1e-16) -> ShootResult:
-    """Integrate the height-normalized ODE until the first zero or r_max."""
-    if eps_tilde < 0:
-        raise DomainError(f"eps_tilde must be nonnegative, got {eps_tilde}")
+def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
+          tol: float = 1e-10, rtol: float = 1e-13,
+          atol: float = 1e-16) -> ShootResult:
+    """Integrate the height-normalized ODE until the first zero or r_max
+    (by default the blow-up estimate of _estimate_r_max)."""
+    if not 0.0 < eps_tilde < np.inf:
+        raise DomainError(
+            f"eps_tilde must be positive and finite, got {eps_tilde}"
+        )
+    if r_max is None:
+        r_max = _estimate_r_max(p, eps_tilde)
     if not r_max > _R_START:
         raise DomainError(f"r_max must exceed {_R_START}, got {r_max}")
     N, q, p2 = p.N, p.q, p.two_star
@@ -193,8 +200,6 @@ def shoot(p: Params, eps_tilde: float, r_max: float, tol: float = 1e-10,
         eps_tilde=eps_tilde,
         first_zero=first_zero,
         r_grid=sol.t,
-        u=sol.y[0],
-        du=sol.y[1],
         grad2=float(grad2),
         mass_crit=float(mass_crit),
         mass_q=float(mass_q),
@@ -204,75 +209,52 @@ def shoot(p: Params, eps_tilde: float, r_max: float, tol: float = 1e-10,
 
 
 def scale_to_unit_ball(p: Params, s: ShootResult) -> RadialSolution:
-    """Map a shooting profile with a first zero back to the unit ball."""
-    if s.first_zero is None:
-        raise DomainError("shoot result has no first zero; nothing to scale")
-    N, q = p.N, p.q
-    Rt = s.first_zero
-    half = (N - 2.0) / 2.0
-    eps = s.eps_tilde * Rt ** ((2.0 * N - (N - 2.0) * q) / 2.0)
-    mu = Rt**half
-
-    r = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    ut, dut = s.eval(r * Rt)
-    u = mu * ut
-    du = Rt ** (half + 1.0) * dut
-    u[-1] = 0.0  # Dirichlet value, within the event tolerance
-
-    sol = RadialSolution(
-        params=p,
-        eps=eps,
-        eps_tilde=s.eps_tilde,
-        mu=mu,
-        R_tilde=Rt,
-        profile_r=r,
-        profile_u=u,
-        profile_du=du,
-        grad_sq=np.nan,
-        l2star_norm=np.nan,
-        lq_norm_q=np.nan,
-        energy=np.nan,
-        nehari_residual=np.nan,
-        pohozaev_residual=np.nan,
-        du_at_boundary=Rt ** (half + 1.0) * s.du_at_zero,
-        shoot_result=s,
-    )
-    return energy_functionals(p, sol)
-
-
-def energy_functionals(p: Params, sol: RadialSolution) -> RadialSolution:
-    """Fill the quadrature fields and the Nehari/Pohozaev residuals.
+    """Map a shooting profile with a first zero back to the unit ball.
 
     The integrals are scale-invariant combinations of the quadratures
     accumulated along the shooting integration:
       int |grad u|^2      = omega_N * int u_t'^2 s^{N-1} ds
       int u^{2*}          = omega_N * int u_t^{2*} s^{N-1} ds
       int u^q             = omega_N * R^{(N-2)q/2 - N} int u_t^q s^{N-1} ds
+    The Pohozaev residual is that of
+    (omega_N/2N) u'(1)^2 = (1/q - 1/2*) eps int u^q.
     """
+    if s.first_zero is None:
+        raise DomainError("shoot result has no first zero; nothing to scale")
     N, q = p.N, p.q
-    s = sol.shoot_result
+    Rt = s.first_zero
+    half = (N - 2.0) / 2.0
+    eps = s.eps_tilde * Rt ** ((2.0 * N - (N - 2.0) * q) / 2.0)
+    du_at_boundary = Rt ** (half + 1.0) * s.du_at_zero
+
     wN = omega_n(N)
-    Rt = sol.R_tilde
-    sol.grad_sq = wN * s.grad2
-    sol.l2star_norm = wN * s.mass_crit
-    sol.lq_norm_q = wN * Rt ** ((N - 2.0) * q / 2.0 - N) * s.mass_q
-    sol.energy = (
-        0.5 * sol.grad_sq
-        - sol.l2star_norm / p.two_star
-        - sol.eps * sol.lq_norm_q / q
+    grad_sq = wN * s.grad2
+    l2star_norm = wN * s.mass_crit
+    lq_norm_q = wN * Rt ** ((N - 2.0) * q / 2.0 - N) * s.mass_q
+    pohozaev_lhs = wN / (2.0 * N) * du_at_boundary**2
+    pohozaev_rhs = (1.0 / q - 1.0 / p.two_star) * eps * lq_norm_q
+    return RadialSolution(
+        params=p,
+        eps=eps,
+        eps_tilde=s.eps_tilde,
+        mu=Rt**half,
+        R_tilde=Rt,
+        grad_sq=grad_sq,
+        l2star_norm=l2star_norm,
+        lq_norm_q=lq_norm_q,
+        energy=0.5 * grad_sq - l2star_norm / p.two_star - eps * lq_norm_q / q,
+        nehari_residual=abs(grad_sq - l2star_norm - eps * lq_norm_q) / grad_sq,
+        pohozaev_residual=abs(pohozaev_lhs - pohozaev_rhs) / abs(pohozaev_rhs),
+        du_at_boundary=du_at_boundary,
+        shoot_result=s,
     )
-    sol.nehari_residual = abs(
-        sol.grad_sq - sol.l2star_norm - sol.eps * sol.lq_norm_q
-    ) / sol.grad_sq
-    sol.pohozaev_residual = pohozaev_residual(p, sol)
-    return sol
 
 
-def pohozaev_residual(p: Params, sol: RadialSolution) -> float:
-    """Relative residual of (omega_N/2N) u'(1)^2 = (1/q - 1/2*) eps int u^q."""
-    lhs = omega_n(p.N) / (2.0 * p.N) * sol.du_at_boundary**2
-    rhs = (1.0 / p.q - 1.0 / p.two_star) * sol.eps * sol.lq_norm_q
-    return abs(lhs - rhs) / abs(rhs)
+def solution_at(p: Params, eps_tilde: float) -> Optional[RadialSolution]:
+    """The ball solution of shooting parameter eps_tilde, or None when the
+    shoot finds no first zero within its default span."""
+    s = shoot(p, eps_tilde)
+    return None if s.first_zero is None else scale_to_unit_ball(p, s)
 
 
 def _estimate_r_max(p: Params, eps_tilde: float) -> float:
@@ -288,22 +270,21 @@ def _estimate_r_max(p: Params, eps_tilde: float) -> float:
     return max(1e3, 30.0 * guess)
 
 
-def solve_for_eps(p: Params, eps_target: float, tol: float = 1e-8,
-                  r_max: Optional[float] = None) -> RadialSolution:
+def solve_for_eps(p: Params, eps_target: float,
+                  tol: float = 1e-8) -> RadialSolution:
     """Find eps_tilde with eps(eps_tilde) = eps_target on the small-eps_tilde
     (large first zero) branch by bracketing plus Brent root solve."""
-    if not eps_target > 0:
-        raise DomainError(f"eps_target must be positive, got {eps_target}")
+    if not 0.0 < eps_target < np.inf:
+        raise DomainError(
+            f"eps_target must be positive and finite, got {eps_target}"
+        )
 
     cache: dict[float, RadialSolution] = {}
 
     def eps_of(log_et: float) -> float:
-        et = float(np.exp(log_et))
-        rm = r_max if r_max is not None else _estimate_r_max(p, et)
-        s = shoot(p, et, rm)
-        if s.first_zero is None:
+        sol = solution_at(p, float(np.exp(log_et)))
+        if sol is None:
             return -np.inf
-        sol = scale_to_unit_ball(p, s)
         cache[log_et] = sol
         return sol.eps
 

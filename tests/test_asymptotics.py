@@ -34,6 +34,8 @@ def test_grid_validation():
         sweep(p, [1e-3, 1e-2, 1e-1])  # increasing
     with pytest.raises(DomainError):
         sweep(p, [1e-2, -1e-3])
+    with pytest.raises(DomainError):
+        sweep(p, [1e-2, 1e-3], jobs=0)
 
 
 def test_regime_gate():

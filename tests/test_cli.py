@@ -2,8 +2,12 @@
 fault injection."""
 
 import json
+import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnlab.cli import (
     EXIT_BAD_CONFIG,
@@ -63,6 +67,49 @@ def test_solve_requires_one_target():
     assert main(["solve", "--n", "4", "--q", "3"]) == EXIT_BAD_CONFIG
     assert main([
         "solve", "--n", "4", "--q", "3", "--eps", "0.1", "--eps-tilde", "1e-3",
+    ]) == EXIT_BAD_CONFIG
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]),
+    st.floats(-8.0, 2.0).map(lambda u: 10.0**u),
+))
+def test_solve_exit_code_contract(tmp_path_factory, eps_tilde):
+    """Any --eps-tilde ends in success, bad configuration or unreachable,
+    and a success passes the solver's identity gates."""
+    out = tmp_path_factory.mktemp("contract") / "s.json"
+    rc = main([
+        "solve", "--n", "4", "--q", "3", f"--eps-tilde={eps_tilde!r}",
+        "--profile", os.devnull, "--output", str(out),
+    ])
+    assert rc in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_UNREACHABLE)
+    if rc == EXIT_OK:
+        doc = json.loads(out.read_text())
+        assert doc["nehari_residual"] <= 1e-6
+        assert doc["pohozaev_residual"] <= 1e-6
+
+
+def test_nonfinite_eps_rejected(capsys):
+    rc = main([
+        "solve", "--n", "4", "--q", "3", "--eps", "inf",
+        "--profile", os.devnull, "--output", os.devnull,
+    ])
+    assert rc == EXIT_BAD_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_sweep_jobs_below_one_rejected():
+    assert main([
+        "sweep", "--n", "4", "--q", "3", "--jobs", "0",
+        "--records", os.devnull, "--output", os.devnull,
+    ]) == EXIT_BAD_CONFIG
+
+
+def test_spectrum_needs_ell_max_two():
+    assert main([
+        "spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+        "--ell-max", "1", "--output", os.devnull,
     ]) == EXIT_BAD_CONFIG
 
 

@@ -1,7 +1,6 @@
 """Spectrum of the mode operators by Sturm shooting: Morse index, the
 small positive eigenvalue of the translation mode, and the certificate."""
 
-import numpy as np
 import pytest
 
 from bnlab import (
@@ -12,7 +11,6 @@ from bnlab import (
     nondegeneracy_certificate,
     scale_to_unit_ball,
     shoot,
-    spectrum,
 )
 
 
@@ -59,19 +57,6 @@ def test_higher_modes_bounded_away(sol53_mid):
         vals.append(above)
     assert all(v > 10.0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
-
-
-def test_spectrum_report(sol53_mid):
-    p, sol = sol53_mid
-    op = build_mode_operator(p, sol, 0)
-    rep = spectrum(op, k=2)
-    assert rep.converged
-    assert rep.eigenvalues[0] < 0 < rep.eigenvalues[1]
-    assert rep.min_abs == pytest.approx(
-        np.min(np.abs(rep.eigenvalues)), rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        spectrum(op, k=1)
 
 
 def test_eigenvalues_bracket_zero_consistently(sol53_mid):

@@ -31,7 +31,7 @@ def test_shoot_finds_first_zero():
 
 def test_profile_monotone_decreasing(sol43):
     _, sol = sol43
-    u = sol.profile_u
+    _, u, _ = sol.profile()
     assert u[0] == pytest.approx(sol.mu, rel=1e-12)
     assert abs(u[-1]) < 1e-10
     assert np.all(np.diff(u) < 0)
@@ -41,8 +41,9 @@ def test_profile_eval_consistency(sol43):
     _, sol = sol43
     r = np.array([0.25, 0.5, 0.75])
     u, _ = sol.eval_unit(r)
-    idx = (r * (len(sol.profile_r) - 1)).astype(int)
-    assert np.allclose(u, sol.profile_u[idx], rtol=1e-9)
+    profile_r, profile_u, _ = sol.profile()
+    idx = (r * (len(profile_r) - 1)).astype(int)
+    assert np.allclose(u, profile_u[idx], rtol=1e-9)
 
 
 def test_scaling_relations(sol43):
@@ -66,8 +67,7 @@ def test_energy_below_sobolev_level(sol43):
 def test_pde_residual_on_profile(sol43):
     """Finite-difference check of -u'' - (N-1)/r u' = u^{2*-1} + eps u^{q-1}."""
     p, sol = sol43
-    r = sol.profile_r
-    u = sol.profile_u
+    r, u, _ = sol.profile()
     h = r[1] - r[0]
     i = np.arange(100, 3000, 250)
     lap = (u[i + 1] - 2 * u[i] + u[i - 1]) / h**2 + (p.N - 1) / r[i] * (
@@ -106,8 +106,5 @@ def test_estimate_r_max_grows_as_eps_shrinks():
 
 def test_deeper_eps_means_larger_first_zero():
     p = Params(4, 3.0)
-    z = [
-        shoot(p, et, _estimate_r_max(p, et)).first_zero
-        for et in (1e-2, 1e-3, 1e-4)
-    ]
+    z = [shoot(p, et).first_zero for et in (1e-2, 1e-3, 1e-4)]
     assert z[0] < z[1] < z[2]
