@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,21 +33,6 @@ __all__ = [
     "blowup_target",
 ]
 
-SWEEP_FIELDS = (
-    "eps_tilde",
-    "eps",
-    "mu",
-    "R_tilde",
-    "S_eps",
-    "blowup_product",
-    "deficit",
-    "profile_dist",
-    "upper_bound_ratio",
-    "nehari_residual",
-    "pohozaev_residual",
-)
-
-
 @dataclass
 class SweepRecord:
     """One continuation point with all scalar diagnostics."""
@@ -63,6 +48,9 @@ class SweepRecord:
     upper_bound_ratio: float  # sup u_tilde / U on [0, R_tilde]
     nehari_residual: float
     pohozaev_residual: float
+
+
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass

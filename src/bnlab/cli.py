@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import constants as cst
+from .asymptotics import SWEEP_FIELDS
 from .constants import Params
 from .errors import (
     BnlabError,
@@ -32,10 +33,7 @@ EXIT_NUMERICAL = 4
 SCHEMA_VERSION = "1"
 
 PROFILE_HEADER = "r,u,du"
-SWEEP_HEADER = (
-    "eps_tilde,eps,mu,R_tilde,S_eps,blowup_product,deficit,"
-    "profile_dist,upper_bound_ratio,nehari_residual,pohozaev_residual"
-)
+SWEEP_HEADER = ",".join(SWEEP_FIELDS)
 
 
 def _fmt(x, digits: int = 17) -> str:
@@ -165,6 +163,8 @@ def cmd_sweep(args) -> int:
     )
     if args.points < 6:
         raise DomainError("sweep needs at least 6 grid points")
+    if args.spectrum_points < 0:
+        raise DomainError("--spectrum-points must be non-negative")
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
     if len(records) < 0.8 * args.points:
         raise IntegrationFailureError(
@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
     lines = [SWEEP_HEADER]
     for r in records:
         lines.append(",".join(
-            _fmt(getattr(r, f)) for f in asy.SWEEP_FIELDS
+            _fmt(getattr(r, f)) for f in SWEEP_FIELDS
         ))
     _emit("\n".join(lines) + "\n", args.records)
 

@@ -10,14 +10,14 @@ geometric-panel quadrature is exact to machine precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .constants import Params, alpha_n, omega_n
 from .errors import DomainError, FitFailureError
-from .quadrature import geometric_panel_quad
+from .quadrature import geometric_panel_rule
 from .solver import RadialSolution
 
 __all__ = [
@@ -35,11 +35,9 @@ class DecompositionResult:
 
     alpha: float
     lam: float  # bubble height parameter in the unit-ball variable
+    lam_scaled: float  # lam / R_tilde
     w_h1_norm: float
     ortho_residuals: tuple  # (against grad PU, against grad d_lambda PU)
-    eps: float
-    mu: float
-    lam_scaled: float = field(default=float("nan"))  # lam / R_tilde
 
 
 def _du_bubble(N: int, lam: float, s: np.ndarray) -> np.ndarray:
@@ -60,13 +58,6 @@ def _du_bubble_dlam(N: int, lam: float, s: np.ndarray) -> np.ndarray:
     )
 
 
-def _grad_ip(f, g, upper: float, core: float, n: int = 48) -> float:
-    """omega_N-free gradient pairing int_0^upper f(s) g(s) s^{N-1} ds."""
-    return geometric_panel_quad(
-        lambda s: f(s) * g(s), 0.0, upper, n_per_panel=n, first=core
-    )
-
-
 def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
     """Fit (alpha, lambda) by the orthogonality conditions of the projection.
 
@@ -75,32 +66,17 @@ def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
     translation conditions hold identically for centered radial data.
     """
     N = p.N
-    Rt = sol.R_tilde
-    sr = sol.shoot_result
+    s, w = geometric_panel_rule(0.0, sol.R_tilde, n_per_panel=48,
+                                first=np.sqrt(N * (N - 2.0)))
+    du = sol.shoot_result.eval(s)[1]
 
-    def du_sol(s):
-        return sr.eval(s)[1]
-
-    core = np.sqrt(N * (N - 2.0))
-
-    def inner_products(lam_s: float):
-        a11 = _grad_ip(
-            lambda s: _du_bubble(N, lam_s, s), lambda s: _du_bubble(N, lam_s, s),
-            Rt, core,
-        )
-        a12 = _grad_ip(
-            lambda s: _du_bubble(N, lam_s, s),
-            lambda s: _du_bubble_dlam(N, lam_s, s),
-            Rt, core,
-        )
-        b1 = _grad_ip(lambda s: du_sol(s), lambda s: _du_bubble(N, lam_s, s),
-                      Rt, core)
-        b2 = _grad_ip(lambda s: du_sol(s),
-                      lambda s: _du_bubble_dlam(N, lam_s, s), Rt, core)
-        return a11, a12, b1, b2
+    def pairings(lam_s: float):
+        g = _du_bubble(N, lam_s, s)
+        h = _du_bubble_dlam(N, lam_s, s)
+        return g, h, w @ (g * g), w @ (g * h), w @ (du * g), w @ (du * h)
 
     def ortho_gap(lam_s: float) -> float:
-        a11, a12, b1, b2 = inner_products(lam_s)
+        _, _, a11, a12, b1, b2 = pairings(lam_s)
         return b2 - (b1 / a11) * a12
 
     lam0 = 1.0 / np.sqrt(N * (N - 2.0))
@@ -111,35 +87,23 @@ def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
         )
     lam_s = brentq(ortho_gap, lo, hi, xtol=1e-14, rtol=1e-14)
 
-    a11, a12, b1, b2 = inner_products(lam_s)
+    g, h, a11, a12, b1, b2 = pairings(lam_s)
     alpha = b1 / a11
     wN = omega_n(N)
-    w2 = _grad_ip(
-        lambda s: du_sol(s) - alpha * _du_bubble(N, lam_s, s),
-        lambda s: du_sol(s) - alpha * _du_bubble(N, lam_s, s),
-        Rt, core,
-    )
-    w_norm = np.sqrt(wN * max(w2, 0.0))
+    res = du - alpha * g
+    w_norm = np.sqrt(wN * max(w @ (res * res), 0.0))
     # residuals of the two defining orthogonality conditions, normalized by
-    # the norms of the factors
-    a22 = _grad_ip(
-        lambda s: _du_bubble_dlam(N, lam_s, s),
-        lambda s: _du_bubble_dlam(N, lam_s, s),
-        Rt, core,
-    )
-    # normalize by the solution and direction norms: ||w|| itself can sit at
-    # the numerical noise floor once the bubble captures the solution
+    # the solution and direction norms: ||w|| itself can sit at the
+    # numerical noise floor once the bubble captures the solution
     u_norm = np.sqrt(sol.grad_sq / wN)
     r1 = abs(b1 - alpha * a11) / (u_norm * np.sqrt(a11))
-    r2 = abs(b2 - alpha * a12) / (u_norm * np.sqrt(a22))
+    r2 = abs(b2 - alpha * a12) / (u_norm * np.sqrt(w @ (h * h)))
     return DecompositionResult(
         alpha=alpha,
-        lam=lam_s * Rt,
+        lam=lam_s * sol.R_tilde,
+        lam_scaled=lam_s,
         w_h1_norm=w_norm,
         ortho_residuals=(r1, r2),
-        eps=sol.eps,
-        mu=sol.mu,
-        lam_scaled=lam_s,
     )
 
 
@@ -153,11 +117,9 @@ def h1_norm_radial(p: Params, r: np.ndarray, f: np.ndarray) -> float:
     if abs(f[-1]) > 1e-8:
         raise DomainError("profile must vanish at the outer radius")
     df = CubicSpline(r, f).derivative()
-    val = geometric_panel_quad(
-        lambda s: df(s) ** 2 * s ** (p.N - 1), r[0], r[-1],
-        n_per_panel=48, first=(r[-1] - r[0]) / 64.0,
-    )
-    return float(np.sqrt(omega_n(p.N) * val))
+    s, w = geometric_panel_rule(r[0], r[-1], n_per_panel=48,
+                                first=(r[-1] - r[0]) / 64.0)
+    return float(np.sqrt(omega_n(p.N) * (w @ (df(s) ** 2 * s ** (p.N - 1)))))
 
 
 def w_decay_exponent(p: Params) -> float:

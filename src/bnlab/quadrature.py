@@ -14,7 +14,7 @@ import numpy as np
 __all__ = [
     "gauss_legendre",
     "improper_radial",
-    "geometric_panel_quad",
+    "geometric_panel_rule",
 ]
 
 
@@ -39,24 +39,23 @@ def improper_radial(f, n: int = 256, panels: int = 4) -> float:
     return total
 
 
-def geometric_panel_quad(f, a: float, b: float, n_per_panel: int = 32,
-                         first: float = 1.0) -> float:
-    """Composite Gauss-Legendre on panels growing geometrically from `a`.
+def geometric_panel_rule(a: float, b: float, n_per_panel: int = 32,
+                         first: float = 1.0):
+    """Composite Gauss-Legendre nodes and weights on panels growing
+    geometrically from `a`; `w @ f(x)` approximates the integral over [a, b].
 
     The first panel has width `first`; each subsequent panel doubles, so a
     domain of width W costs O(log2(W/first)) panels while still resolving
     structure of scale `first` near the left endpoint.
     """
     if b <= a:
-        return 0.0
+        return np.empty(0), np.empty(0)
     edges = [a]
     step = min(first, b - a)
     while edges[-1] + step < b:
         edges.append(edges[-1] + step)
         step *= 2.0
     edges.append(b)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(lo, hi, n_per_panel)
-        total += float(np.sum(w * f(x)))
-    return total
+    e = np.array(edges)[:, None]
+    x, w = gauss_legendre(e[:-1], e[1:], n_per_panel)
+    return x.ravel(), w.ravel()

@@ -106,6 +106,22 @@ def test_sweep_jobs_below_one_rejected():
     ]) == EXIT_BAD_CONFIG
 
 
+def test_sweep_negative_spectrum_points_rejected(capsys, tmp_path):
+    rc = main([
+        "sweep", "--n", "4", "--q", "3", "--spectrum-points", "-1",
+        "--records", os.devnull, "--output", os.devnull,
+    ])
+    assert rc == EXIT_BAD_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    out = tmp_path / "s.json"
+    assert main([
+        "sweep", "--n", "4", "--q", "3", "--points", "6",
+        "--skip-decomposition", "--spectrum-points", "0",
+        "--records", os.devnull, "--output", str(out),
+    ]) == EXIT_OK
+    assert json.loads(out.read_text())["nondegeneracy"] == []
+
+
 def test_spectrum_needs_ell_max_two():
     assert main([
         "spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
@@ -136,7 +152,10 @@ def test_sweep_outputs(tmp_path):
     ])
     assert rc == EXIT_OK
     lines = rec.read_text().splitlines()
-    assert lines[0] == SWEEP_HEADER
+    assert lines[0] == SWEEP_HEADER == (
+        "eps_tilde,eps,mu,R_tilde,S_eps,blowup_product,deficit,"
+        "profile_dist,upper_bound_ratio,nehari_residual,pohozaev_residual"
+    )
     assert len(lines) == 14
     doc = json.loads(out.read_text())
     assert doc["blowup_fit"]["rel_error"] <= 0.05

@@ -13,6 +13,7 @@ from bnlab import (
     h1_norm_radial,
     omega_n,
     perturbation_order_fit,
+    solution_at,
     w_decay_exponent,
 )
 
@@ -41,6 +42,21 @@ def test_h1_norm_requires_boundary_zero():
     r = np.linspace(0.0, 1.0, 101)
     with pytest.raises(DomainError):
         h1_norm_radial(Params(3, 5.0), r, np.ones_like(r))
+
+
+def test_fit_reads_interpolant_once(p43):
+    """One fit evaluates the shooting interpolant once, on one node set."""
+    sol = solution_at(p43, 1e-3)
+    dense = sol.shoot_result.dense
+    calls = []
+
+    def counting(s):
+        calls.append(len(s))
+        return dense(s)
+
+    sol.shoot_result.dense = counting
+    fit_decomposition(p43, sol)
+    assert len(calls) == 1
 
 
 def test_decomposition_orthogonality(decs43):
