@@ -4,8 +4,12 @@ ball for radial solutions, and the decay-order fit of the perturbation part.
 All H^1 inner products are gradient inner products (Dirichlet norm).  For a
 centered bubble the harmonic correction is the constant boundary value, so
 it drops out of every gradient; the fit then lives entirely in the scaled
-radial variable s = R_tilde * r, where the bubble core has width O(1) and
-geometric-panel quadrature is exact to machine precision.
+radial variable s = R_tilde * r, where the bubble core has width O(1).  A
+radial pairing is <f, g> = omega_N int_0^R_tilde f'(s) g'(s) s^{N-1} ds,
+which equals the unit-ball Dirichlet pairing of the unscaled functions.
+Each fit builds one geometric-panel Gauss-Legendre rule on [0, R_tilde],
+with the weight s^{N-1} folded into its weights, and reads u_tilde' on its
+nodes once; every pairing is then a weighted dot product of node values.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
     N = p.N
     s, w = geometric_panel_rule(0.0, sol.R_tilde, n_per_panel=48,
                                 first=np.sqrt(N * (N - 2.0)))
+    w = w * s ** (N - 1)
     du = sol.shoot_result.eval(s)[1]
 
     def pairings(lam_s: float):

@@ -3,6 +3,7 @@ decay order of the perturbation part."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bnlab import (
     DomainError,
@@ -57,6 +58,30 @@ def test_fit_reads_interpolant_once(p43):
     sol.shoot_result.dense = counting
     fit_decomposition(p43, sol)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_w_norm_matches_quad_oracle(N):
+    """||w||^2 = omega_N int_0^R_tilde (u_tilde' - alpha dU_lam/ds)^2 s^{N-1} ds,
+    integrated adaptively between fixed breakpoints."""
+    p = Params(N, 3.0)
+    sol = solution_at(p, 1e-2)
+    d = fit_decomposition(p, sol)
+    lam = d.lam_scaled
+
+    def integrand(s):
+        dU = -(N - 2.0) * lam ** ((N + 2.0) / 2.0) * s * (
+            1.0 + lam * lam * s * s
+        ) ** (-N / 2.0)
+        return (sol.shoot_result.eval(s)[1] - d.alpha * dU) ** 2 * s ** (N - 1)
+
+    edges = [b for b in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0) if b < sol.R_tilde]
+    edges.append(sol.R_tilde)
+    val = sum(
+        quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+    assert d.w_h1_norm == pytest.approx(np.sqrt(omega_n(N) * val), rel=1e-8)
 
 
 def test_decomposition_orthogonality(decs43):
