@@ -3,12 +3,13 @@ constants, branch-map.  All outputs are deterministic CSV/JSON for
 downstream plotting; numbers carry 17 significant digits.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 unreachable target parameter, 4 internal numerical failure.
+3 unreachable target parameter, 4 numerical or other internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -55,13 +56,13 @@ def _json(obj, digits: int = 17) -> str:
     """Minimal deterministic JSON emitter with fixed-significance floats."""
     if isinstance(obj, dict):
         items = ",".join(
-            f'"{k}":{_json(v, digits)}' for k, v in obj.items()
+            f"{json.dumps(k)}:{_json(v, digits)}" for k, v in obj.items()
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(v, digits) for v in obj) + "]"
     if isinstance(obj, str):
-        return f'"{obj}"'
+        return json.dumps(obj)
     return _fmt(obj, digits)
 
 
@@ -524,6 +525,11 @@ def main(argv=None) -> int:
         return EXIT_UNREACHABLE
     except (IntegrationFailureError, FitFailureError, BnlabError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # noqa: BLE001  (one line, never a traceback)
+        msg = " ".join(str(exc).split())
+        print(f"error: internal failure: {type(exc).__name__}: {msg}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

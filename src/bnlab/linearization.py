@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .constants import Params
 from .errors import DomainError, IntegrationFailureError
-from .solver import RadialSolution, _series_coeffs
+from .solver import RadialSolution
 
 __all__ = [
     "ModeOperator",
@@ -66,6 +66,16 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
         R_tilde=sol.R_tilde,
         potential_scale=potential_scale,
     )
+
+
+def _series_coeffs(p: Params, eps_tilde: float):
+    """u = 1 + a2 r^2 + a4 r^4 matching the ODE through order r^2 at 0."""
+    N = p.N
+    f0 = 1.0 + eps_tilde
+    f1 = (p.two_star - 1.0) + eps_tilde * (p.q - 1.0)
+    a2 = -f0 / (2.0 * N)
+    a4 = f0 * f1 / (8.0 * N * (N + 2.0))
+    return a2, a4
 
 
 def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:

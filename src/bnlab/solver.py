@@ -11,12 +11,23 @@ and its first zero R_tilde maps the profile back to the unit ball via
 u(x) = R_tilde^{(N-2)/2} u_tilde(R_tilde x) with
 eps = eps_tilde * R_tilde^{(2N-(N-2)q)/2}.
 
-The energy functionals are accumulated as extra ODE components, so their
-accuracy is the integrator tolerance rather than any resampling grid.
+The integrated unknown is the deviation v = u - U from the height-1 bubble
+U = (1 + s^2/(N(N-2)))^{-(N-2)/2}, which solves the eps_tilde = 0 equation
+exactly (the radial form of the split u = PU + w).  On the tail
+u ~ A s^{2-N} + B, and the first zero is set by the constant B, which is
+O(R_tilde^{2-N}) small; integrating u itself forms B as 1 minus an O(1)
+integral and amplifies the integration error by ~R_tilde^{N-2}, while v
+carries B at its own relative accuracy.  The energy functionals and the
+boundary flux are accumulated as extra ODE components, so their accuracy is
+the integrator tolerance rather than any resampling grid.
+
+solve_for_eps inverts eps(eps_tilde) by a secant in (log eps_tilde, log eps)
+seeded from the blow-up law eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,7 +35,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .constants import Params, omega_n
+from .bubbles import normalized_bubble_r2
+from .constants import Params, alpha_nq, omega_n
 from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
 
 __all__ = [
@@ -37,6 +49,9 @@ __all__ = [
 ]
 
 _R_START = 1e-4
+# absolute tolerance of v and v': in effect none, so they are held to rtol
+# relative to their own size, which is O(eps_tilde) like the tail constant
+_V_ATOL = 1e-300
 PROFILE_POINTS = 4097
 
 
@@ -55,25 +70,31 @@ class ShootResult:
     mass_crit: float
     mass_q: float
     du_at_zero: float
+    # interpolant of the deviation (v, v', ...) from the bubble; eval adds
+    # the bubble back
     dense: Callable = field(repr=False, default=None)
 
     def eval(self, s):
-        """(u_tilde, u_tilde') at scaled radii s, series-started near 0."""
+        """(u_tilde, u_tilde') at scaled radii s: the bubble plus the
+        deviation, series-started near 0."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        u = np.empty_like(s)
-        du = np.empty_like(s)
+        v = np.empty_like(s)
+        dv = np.empty_like(s)
         small = s < _R_START
         if np.any(small):
-            a2, a4 = _series_coeffs(self.params, self.eps_tilde)
+            c2, c4 = _deviation_series(self.params, self.eps_tilde)
             ss = s[small]
-            u[small] = 1.0 + a2 * ss**2 + a4 * ss**4
-            du[small] = 2.0 * a2 * ss + 4.0 * a4 * ss**3
+            v[small] = c2 * ss**2 + c4 * ss**4
+            dv[small] = 2.0 * c2 * ss + 4.0 * c4 * ss**3
         if np.any(~small):
             vals = self.dense(s[~small])
-            u[~small] = vals[0]
-            du[~small] = vals[1]
+            v[~small] = vals[0]
+            dv[~small] = vals[1]
+        N = self.params.N
+        U = normalized_bubble_r2(N, s * s)
+        u, du = U + v, dv - s / N * U ** (N / (N - 2.0))  # U' in closed form
         return (float(u[0]), float(du[0])) if scalar else (u, du)
 
 
@@ -110,21 +131,25 @@ class RadialSolution:
         return r, u, du
 
 
-def _series_coeffs(p: Params, eps_tilde: float):
-    """u = 1 + a2 r^2 + a4 r^4 matching the ODE through order r^2 at 0."""
-    N = p.N
-    f0 = 1.0 + eps_tilde
-    f1 = (p.two_star - 1.0) + eps_tilde * (p.q - 1.0)
-    a2 = -f0 / (2.0 * N)
-    a4 = f0 * f1 / (8.0 * N * (N + 2.0))
-    return a2, a4
+def _deviation_series(p: Params, eps_tilde: float):
+    """v = c2 s^2 + c4 s^4: the series of u minus that of U, through s^4."""
+    N, p2, q = p.N, p.two_star, p.q
+    c2 = -eps_tilde / (2.0 * N)
+    c4 = (eps_tilde * (p2 - 1.0 + q - 1.0) + eps_tilde**2 * (q - 1.0)) / (
+        8.0 * N * (N + 2.0)
+    )
+    return c2, c4
 
 
 def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
-          tol: float = 1e-10, rtol: float = 1e-13,
-          atol: float = 1e-16) -> ShootResult:
-    """Integrate the height-normalized ODE until the first zero or r_max
-    (by default the blow-up estimate of _estimate_r_max)."""
+          tol: float = 1e-10, rtol: float = 2e-12,
+          atol: float = 1e-14) -> ShootResult:
+    """Integrate the deviation from the bubble until the first zero of
+    u = U + v or r_max (by default the blow-up estimate of _estimate_r_max).
+
+    v and v' are held to rtol alone; atol applies to the accumulated
+    quadratures.
+    """
     if not 0.0 < eps_tilde < np.inf:
         raise DomainError(
             f"eps_tilde must be positive and finite, got {eps_tilde}"
@@ -134,62 +159,83 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
     if not r_max > _R_START:
         raise DomainError(f"r_max must exceed {_R_START}, got {r_max}")
     N, q, p2 = p.N, p.q, p.two_star
+    k = N * (N - 2.0)
+    half = (N - 2.0) / 2.0
 
-    def rhs(r, y):
-        u, du = y[0], y[1]
-        up = max(u, 0.0)
-        f = up ** (p2 - 1.0) + eps_tilde * up ** (q - 1.0)
-        rn = r ** (N - 1)
+    def rhs(s, y):
+        v, dv = y[0], y[1]
+        t = k / (k + s * s)
+        U = t**half
+        fU = U * t * t  # U^{2*-1}
+        x = v / U
+        if x > -1.0:
+            u = U + v
+            # u^{2*-1} - U^{2*-1}, free of cancellation for small v/U
+            df = fU * math.expm1((p2 - 1.0) * math.log1p(x))
+            uq1 = u ** (q - 1.0)
+        else:  # a stage past the zero: f(u) = f(max(u, 0))
+            u = uq1 = 0.0
+            df = -fU
+        f = fU + df  # u^{2*-1}
+        du = dv - s / N * U * t  # U' = -(s/N) U t
+        sn = s ** (N - 1)
         return (
-            du,
-            -(N - 1.0) / r * du - f,
-            du * du * rn,
-            up**p2 * rn,
-            up**q * rn,
-            f * rn,
+            dv,
+            -(N - 1.0) / s * dv - df - eps_tilde * uq1,
+            du * du * sn,
+            f * u * sn,
+            uq1 * u * sn,
+            (f + eps_tilde * uq1) * sn,
         )
 
-    def hit_zero(r, y):
-        return y[0]
+    def hit_zero(s, y):
+        return normalized_bubble_r2(N, s * s) + y[0]
 
     hit_zero.terminal = True
     hit_zero.direction = -1.0
 
-    a2, a4 = _series_coeffs(p, eps_tilde)
-    r0 = _R_START
+    c2, c4 = _deviation_series(p, eps_tilde)
+    s0 = _R_START
     y0 = (
-        1.0 + a2 * r0**2 + a4 * r0**4,
-        2.0 * a2 * r0 + 4.0 * a4 * r0**3,
-        # leading-order contributions of [0, r0] to the quadratures
-        (2.0 * a2) ** 2 * r0 ** (N + 2) / (N + 2.0),
-        r0**N / N,
-        r0**N / N,
-        (1.0 + eps_tilde) * r0**N / N,
+        c2 * s0**2 + c4 * s0**4,
+        2.0 * c2 * s0 + 4.0 * c4 * s0**3,
+        # leading-order contributions of [0, s0] to the quadratures
+        ((1.0 + eps_tilde) / N) ** 2 * s0 ** (N + 2) / (N + 2.0),
+        s0**N / N,
+        s0**N / N,
+        (1.0 + eps_tilde) * s0**N / N,
     )
-    # high order + tight tolerances matter: the first zero sits on the tail
-    # where the profile is nearly harmonic, so early integration errors are
-    # amplified by ~R_tilde^{N-2} in the zero location and hence in the
-    # Pohozaev residual
-    sol = solve_ivp(
-        rhs, (r0, r_max), y0, method="DOP853", rtol=rtol, atol=atol,
-        dense_output=True, events=hit_zero,
-    )
+    tols = dict(method="DOP853", rtol=rtol,
+                atol=(_V_ATOL, _V_ATOL, atol, atol, atol, atol))
+    sol = solve_ivp(rhs, (s0, r_max), y0, dense_output=True, events=hit_zero,
+                    **tols)
     if sol.status == -1:
         raise IntegrationFailureError(f"integrator failed: {sol.message}")
 
+    r_grid = sol.t
     if sol.status == 1 and len(sol.t_events[0]):
-        r_zero = float(sol.t_events[0][0])
-        y_end = sol.y_events[0][0]
-        if abs(y_end[0]) > tol:
+        first_zero = float(sol.t_events[0][0])
+        # the event state comes from the interpolant of the step that
+        # crosses the zero, which is less accurate than a step end point and
+        # straddles the kink of max(u, 0)^{q-1}: it put 1e-10 errors into
+        # the flux at eps_tilde ~ 1.  Redo that step so it ends on the zero.
+        fin = solve_ivp(rhs, (sol.t[-2], first_zero), sol.y[:, -2], **tols)
+        if fin.status != 0:
             raise IntegrationFailureError(
-                f"event root not polished below tol: |u|={abs(y_end[0])}"
+                f"integrator failed: {fin.message}"
             )
-        first_zero = r_zero
+        r_grid = np.concatenate((sol.t[:-2], fin.t))
+        y_end = fin.y[:, -1]
+        u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0]
+        if abs(u_end) > tol:
+            raise IntegrationFailureError(
+                f"event root not polished below tol: |u|={abs(u_end)}"
+            )
         grad2, mass_crit, mass_q = y_end[2], y_end[3], y_end[4]
         # the flux identity r^{N-1} u' = -int_0^r s^{N-1} f(u) ds recovers
-        # the boundary slope at the integrator's relative accuracy; the raw
-        # derivative component loses precision once |u'| nears atol
-        du_zero = -float(y_end[5]) / r_zero ** (N - 1)
+        # the boundary slope from a positive integrand, at the integrator's
+        # relative accuracy
+        du_zero = -float(y_end[5]) / first_zero ** (N - 1)
     else:
         first_zero = None
         grad2 = mass_crit = mass_q = np.nan
@@ -199,7 +245,7 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
         params=p,
         eps_tilde=eps_tilde,
         first_zero=first_zero,
-        r_grid=sol.t,
+        r_grid=r_grid,
         grad2=float(grad2),
         mass_crit=float(mass_crit),
         mass_q=float(mass_q),
@@ -257,27 +303,75 @@ def solution_at(p: Params, eps_tilde: float) -> Optional[RadialSolution]:
     return None if s.first_zero is None else scale_to_unit_ball(p, s)
 
 
+def _tail_limit(p: Params) -> Optional[float]:
+    """T = lim eps_tilde R_tilde^{N-2} = alpha_{N,q} R(0) along the blow-up
+    branch, R(0) = 1/((N-2) omega_N); None outside the blow-up regime."""
+    try:
+        return alpha_nq(p) / ((p.N - 2.0) * omega_n(p.N))
+    except DomainError:
+        return None
+
+
 def _estimate_r_max(p: Params, eps_tilde: float) -> float:
     """Heuristic integration span: the blow-up product eps_t * R^{N-2} stays
     O(alpha_{N,q} R(0)); pad it by a wide margin."""
-    from .constants import alpha_nq
-
-    try:
-        target = alpha_nq(p) / ((p.N - 2.0) * omega_n(p.N))
-    except DomainError:
+    target = _tail_limit(p)
+    if target is None:
         target = 100.0
     guess = (max(target, 1.0) / eps_tilde) ** (1.0 / (p.N - 2.0))
     return max(1e3, 30.0 * guess)
 
 
+# log eps_tilde span searched for eps_target: the fallback bracketing grid
+_LOG_ET_GRID = np.log(np.logspace(-14, 2, 33))
+_SECANT_SHOOTS = 8
+
+
+def _seeded_secant(p: Params, eps_target: float,
+                   tol: float) -> Optional[RadialSolution]:
+    """Secant in (log eps_tilde, log eps) from the blow-up-law seed; None
+    when it leaves the grid span, meets a shoot without a first zero or a
+    non-increasing eps, or has not converged after _SECANT_SHOOTS shoots."""
+    T = _tail_limit(p)
+    if T is None:
+        return None
+    N, q = p.N, p.q
+    # eps = eps_tilde R^a with eps_tilde R^{N-2} ~ T gives
+    # eps ~ T^{a/(N-2)} eps_tilde^slope
+    a = (2.0 * N - (N - 2.0) * q) / 2.0
+    slope = 1.0 - a / (N - 2.0)
+    x = (math.log(eps_target) - a / (N - 2.0) * math.log(T)) / slope
+    prev = None
+    for _ in range(_SECANT_SHOOTS):
+        if not _LOG_ET_GRID[0] <= x <= _LOG_ET_GRID[-1]:
+            return None
+        sol = solution_at(p, math.exp(x))
+        if sol is None:
+            return None
+        if abs(sol.eps - eps_target) <= tol * eps_target:
+            return sol
+        g = math.log(sol.eps / eps_target)
+        if prev is not None:
+            slope = (g - prev[1]) / (x - prev[0])
+            if not slope > 0.0:
+                return None
+        prev = (x, g)
+        x -= g / slope
+    return None
+
+
 def solve_for_eps(p: Params, eps_target: float,
                   tol: float = 1e-8) -> RadialSolution:
     """Find eps_tilde with eps(eps_tilde) = eps_target on the small-eps_tilde
-    (large first zero) branch by bracketing plus Brent root solve."""
+    (large first zero) branch: a secant seeded from the blow-up law, with
+    grid bracketing plus Brent root solve as the fallback."""
     if not 0.0 < eps_target < np.inf:
         raise DomainError(
             f"eps_target must be positive and finite, got {eps_target}"
         )
+    sol = _seeded_secant(p, eps_target, tol)
+    if sol is not None:
+        return sol
 
     cache: dict[float, RadialSolution] = {}
 
@@ -288,10 +382,9 @@ def solve_for_eps(p: Params, eps_target: float,
         cache[log_et] = sol
         return sol.eps
 
-    grid = np.log(np.logspace(-14, 2, 33))
     lo = hi = None
     prev_log, prev_eps = None, None
-    for log_et in grid:
+    for log_et in _LOG_ET_GRID:
         e = eps_of(log_et)
         if not np.isfinite(e):
             prev_log, prev_eps = None, None

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnlab.cli
 from bnlab.cli import (
     EXIT_BAD_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNREACHABLE,
     EXIT_VERIFY_FAILED,
     PROFILE_HEADER,
     SWEEP_HEADER,
+    _json,
     main,
 )
 
@@ -236,3 +239,23 @@ def test_spectrum_command(tmp_path):
     assert doc["nondegenerate"]
     assert [m["ell"] for m in doc["modes"]] == [0, 1, 2]
     assert doc["modes"][0]["n_negative"] == 1
+
+
+def test_json_escapes_strings():
+    doc = {"schema_version": "1", 'ke"y': 'a "quote", a \\ and a\nnewline',
+           "x": [0.5, "plain"]}
+    text = _json(doc)
+    assert "\n" not in text
+    assert json.loads(text) == doc
+    assert _json({"name": "gamma_five"}) == '{"name":"gamma_five"}'
+
+
+def test_unexpected_exception_exits_4_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        return 1 / 0
+
+    monkeypatch.setattr(bnlab.cli, "cmd_constants", broken)
+    rc = main(["constants", "--n", "4", "--q", "3"])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "error: internal failure: ZeroDivisionError: division by zero\n"

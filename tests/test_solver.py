@@ -1,16 +1,24 @@
 """Radial shooting solver: profile structure, conserved identities, and the
 map from the shooting parameter to the physical perturbation strength."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bnlab.solver
 from bnlab import (
     Params,
     UnreachableEpsError,
+    default_grid,
     scale_to_unit_ball,
     shoot,
     sobolev_sn2_exact,
+    solution_at,
     solve_for_eps,
+    sweep,
 )
 from bnlab.solver import _estimate_r_max
 
@@ -108,3 +116,54 @@ def test_deeper_eps_means_larger_first_zero():
     p = Params(4, 3.0)
     z = [shoot(p, et).first_zero for et in (1e-2, 1e-3, 1e-4)]
     assert z[0] < z[1] < z[2]
+
+
+@pytest.mark.parametrize("N,q", [(4, 3.0), (5, 3.0), (4, 3.9), (3, 5.7),
+                                 (6, 2.9)])
+def test_identities_hold_on_default_sweep(N, q):
+    """Nehari and Pohozaev to 1e-10 down to the deepest default point; the
+    tail constant of the first zero is O(R_tilde^{2-N}), so an integration
+    error amplified by R_tilde^{N-2} shows up here first."""
+    records = sweep(Params(N, q), default_grid(25))
+    assert len(records) == 25
+    assert max(r.nehari_residual for r in records) <= 1e-10
+    assert max(r.pohozaev_residual for r in records) <= 1e-10
+
+
+def test_solve_for_eps_deep_target_in_few_shoots(monkeypatch):
+    """The blow-up-law seed puts a deep N=5 target within a few shoots."""
+    calls = []
+    real = bnlab.solver.shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bnlab.solver, "shoot", counting)
+    sol = solve_for_eps(Params(5, 3.0), 1e-7, tol=1e-8)
+    assert abs(sol.eps - 1e-7) <= 1e-8 * 1e-7
+    assert len(calls) <= 8
+
+
+def test_first_zero_stable_when_rtol_halved():
+    """At N=5, eps_tilde=1.78e-9 (R_tilde ~ 1e4) the first zero is
+    converged in the integrator tolerance."""
+    p = Params(5, 3.0)
+    rtol = inspect.signature(shoot).parameters["rtol"].default
+    a = shoot(p, 1.78e-9).first_zero
+    b = shoot(p, 1.78e-9, rtol=rtol / 2.0).first_zero
+    assert abs(a / b - 1.0) <= 1e-11
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.floats(-0.05, 0.05))
+def test_eps_smooth_and_increasing_on_deep_branch(shift):
+    """Eleven eps_tilde 1e-9 apart (relative) near 1.78e-9 at N=5: log eps
+    rises in equal steps; second differences sit at the rounding of log eps
+    (a few 1e-15), far below the 8.3e-10 step."""
+    p = Params(5, 3.0)
+    ets = 1.78e-9 * (1.0 + shift) * (1.0 + 1e-9 * np.arange(-5, 6))
+    log_eps = np.log([solution_at(p, float(et)).eps for et in ets])
+    steps = np.diff(log_eps)
+    assert np.all(steps > 0.0)
+    assert np.max(np.abs(np.diff(steps))) <= 1e-12
