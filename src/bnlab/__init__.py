@@ -8,24 +8,21 @@ from .asymptotics import (
     FitReport,
     SweepRecord,
     blowup_rate_fit,
-    blowup_target,
     boundary_green_limit,
     branch_map,
     default_grid,
     deficit_rate_fit,
     profile_distance,
-    sweep,
     sweep_with_solutions,
     upper_bound_check,
 )
 from .constants import (
-    ConstantSet,
     Params,
     alpha_n,
     alpha_nq,
+    blowup_target,
     c_nq,
     c_nq_quadrature,
-    constant_set,
     gamma_fn,
     omega_n,
     sobolev_sn2,
@@ -35,7 +32,6 @@ from .constants import (
 from .decomposition import (
     DecompositionResult,
     fit_decomposition,
-    h1_norm_radial,
     perturbation_order_fit,
     w_decay_exponent,
 )
@@ -64,14 +60,13 @@ from .solver import (
 
 __all__ = [
     "Params",
-    "ConstantSet",
     "gamma_fn",
     "omega_n",
     "alpha_n",
     "alpha_nq",
     "c_nq",
     "c_nq_quadrature",
-    "constant_set",
+    "blowup_target",
     "sobolev_sn2",
     "sobolev_sn2_exact",
     "sobolev_sn2_from_mass",
@@ -84,10 +79,8 @@ __all__ = [
     "SweepRecord",
     "FitReport",
     "default_grid",
-    "sweep",
     "sweep_with_solutions",
     "blowup_rate_fit",
-    "blowup_target",
     "deficit_rate_fit",
     "profile_distance",
     "upper_bound_check",
@@ -95,7 +88,6 @@ __all__ = [
     "branch_map",
     "DecompositionResult",
     "fit_decomposition",
-    "h1_norm_radial",
     "perturbation_order_fit",
     "w_decay_exponent",
     "ModeOperator",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bubbles import normalized_bubble_r2
-from .constants import Params, alpha_n, alpha_nq, omega_n, sobolev_sn2_exact
+from .constants import Params, alpha_n, blowup_target, omega_n, sobolev_sn2_exact
 from .errors import DomainError, FitFailureError
 from .green import BallGreen, green
 from .solver import RadialSolution, solution_at
@@ -22,7 +22,6 @@ __all__ = [
     "SweepRecord",
     "FitReport",
     "default_grid",
-    "sweep",
     "sweep_with_solutions",
     "blowup_rate_fit",
     "deficit_rate_fit",
@@ -30,8 +29,12 @@ __all__ = [
     "upper_bound_check",
     "boundary_green_limit",
     "branch_map",
-    "blowup_target",
 ]
+
+_PROFILE_GRID = np.linspace(0.0, 10.0, 512)
+_UPPER_BOUND_POINTS = 2048
+_GREEN_BAND_POINTS = 64
+
 
 @dataclass
 class SweepRecord:
@@ -68,14 +71,6 @@ class FitReport:
 def default_grid(n: int = 25, lo: float = 1e-8, hi: float = 1e-2) -> np.ndarray:
     """Log-uniform eps_tilde grid, decreasing from hi to lo."""
     return np.logspace(np.log10(hi), np.log10(lo), n)
-
-
-def blowup_target(p: Params) -> float:
-    """alpha_{N,q} * R(0) on the unit ball: the limit of eps*mu^{q+2-2*}."""
-    g = BallGreen(p.N)
-    from .green import robin
-
-    return alpha_nq(p) * robin(g, np.zeros(p.N))
 
 
 def _record(p: Params, sol: RadialSolution, sn2: float) -> SweepRecord:
@@ -125,11 +120,6 @@ def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
         records.append(_record(p, sol, sn2))
         kept.append(sol)
     return records, kept
-
-
-def sweep(p: Params, eps_tilde_grid=None, jobs: int = 1):
-    """Continuation records only; see sweep_with_solutions."""
-    return sweep_with_solutions(p, eps_tilde_grid, jobs=jobs)[0]
 
 
 def _aitken(x0: float, x1: float, x2: float) -> float:
@@ -184,9 +174,6 @@ def deficit_rate_fit(p: Params, records) -> FitReport:
     tail = len(eps) // 2
     x, y = np.log(eps[tail:]), np.log(deficit[tail:])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = np.sum((y - y.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid**2) / ss_tot if ss_tot > 0 else 1.0
     target = (2.0 * p.N - 4.0) / ((p.N - 2.0) * p.q - 4.0)
     return FitReport(
         limit_estimate=float(np.exp(intercept)),
@@ -194,36 +181,34 @@ def deficit_rate_fit(p: Params, records) -> FitReport:
         rel_error=abs(slope - target) / target,
         slope_estimate=float(slope),
         slope_target=target,
-        details={"r_squared": float(r2), "prefactor": float(np.exp(intercept))},
     )
 
 
-def profile_distance(p: Params, sol: RadialSolution, grid=None) -> float:
+def profile_distance(p: Params, sol: RadialSolution) -> float:
     """sup over the fixed grid of |u_tilde(s) - U(s)|, U the normalized bubble.
 
     u_tilde is the height-1 rescaling of the solution,
     v(x) = mu^{-1} u(x mu^{-(2*-2)/2}), restricted to radii.
     """
-    s = np.linspace(0.0, 10.0, 512) if grid is None else np.asarray(grid)
-    s = s[s <= sol.R_tilde]
+    s = _PROFILE_GRID[_PROFILE_GRID <= sol.R_tilde]
     u, _ = sol.shoot_result.eval(s)
     return float(np.max(np.abs(u - normalized_bubble_r2(p.N, s * s))))
 
 
-def upper_bound_check(p: Params, sol: RadialSolution, n_pts: int = 2048) -> float:
+def upper_bound_check(p: Params, sol: RadialSolution) -> float:
     """sup of u_eps over the sharp bubble bound with constant 1.
 
     In scaled variables the ratio is u_tilde(s)/U(s) on [0, R_tilde]; the
     bound saturates at the origin by construction.
     """
     Rt = sol.R_tilde
-    s = np.concatenate(([0.0], np.geomspace(1e-3, Rt, n_pts)))
+    s = np.concatenate(([0.0], np.geomspace(1e-3, Rt, _UPPER_BOUND_POINTS)))
     u, _ = sol.shoot_result.eval(s)
     return float(np.max(u / normalized_bubble_r2(p.N, s * s)))
 
 
-def boundary_green_limit(p: Params, solutions, band=(0.7, 0.95),
-                         n_pts: int = 64) -> FitReport:
+def boundary_green_limit(p: Params, solutions,
+                         band=(0.7, 0.95)) -> FitReport:
     """Deviation of mu * u_eps from its Green-function limit on a radius band.
 
     The limit away from the concentration point is
@@ -231,7 +216,7 @@ def boundary_green_limit(p: Params, solutions, band=(0.7, 0.95),
     sup over the band relative to the sup of the limit function.
     """
     N = p.N
-    r = np.linspace(band[0], band[1], n_pts)
+    r = np.linspace(band[0], band[1], _GREEN_BAND_POINTS)
     g = BallGreen(N)
     coeff = alpha_n(N) ** p.two_star * omega_n(N) / N
     x = np.zeros(N)

@@ -1,10 +1,11 @@
-"""Standard bubbles, their parameter derivatives, the kernel of the limit
-linearization, and the projection onto the ball by harmonic correction.
+"""Standard bubbles and their harmonic correction on the ball, by Poisson
+quadrature and in closed form.
 
 Two height conventions coexist: the un-normalized profile
 U_{lambda,a}(x) = (lambda/(1+lambda^2|x-a|^2))^{(N-2)/2}, which solves
 -DU = N(N-2) U^{2*-1}, and the normalized profile U(0)=1, which solves
--DU = U^{2*-1}.  Both are exposed explicitly; callers pick one.
+-DU = U^{2*-1} and is evaluated from the squared radius.  Both are exposed
+explicitly; callers pick one.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ from .quadrature import gauss_legendre
 __all__ = [
     "Bubble",
     "eval_bubble",
-    "eval_normalized",
     "normalized_bubble_r2",
-    "bubble_derivatives",
-    "kernel_eval",
     "harmonic_correction",
     "harmonic_correction_exact",
-    "projected_bubble",
 ]
+
+_POISSON_NODES = 64  # per angle
 
 
 @dataclass(frozen=True)
@@ -56,46 +55,10 @@ def eval_bubble(b: Bubble, x) -> float:
     return (b.lam / (1.0 + b.lam**2 * d2)) ** ((b.N - 2.0) / 2.0)
 
 
-def eval_normalized(N: int, x) -> float:
-    """(N(N-2) / (N(N-2) + |x|^2))^{(N-2)/2}; equals 1 at the origin."""
-    if N < 3:
-        raise DomainError(f"eval_normalized requires N >= 3, got {N}")
-    return normalized_bubble_r2(N, float(np.sum(np.asarray(x, dtype=float) ** 2)))
-
-
 def normalized_bubble_r2(N: int, r2):
     """The normalized bubble at squared radius r2 (scalar or array)."""
     k = N * (N - 2.0)
     return (k / (k + r2)) ** ((N - 2.0) / 2.0)
-
-
-def bubble_derivatives(b: Bubble, x):
-    """Closed-form (dU/dlam, dU/da) of the un-normalized bubble at x."""
-    N, lam = b.N, b.lam
-    dx = np.asarray(x, dtype=float) - b.center
-    s = 1.0 + lam**2 * float(dx @ dx)
-    d_lam = 0.5 * (N - 2.0) * lam ** ((N - 4.0) / 2.0) * (2.0 - s) / s ** (N / 2.0)
-    d_center = (N - 2.0) * lam ** ((N + 2.0) / 2.0) * dx / s ** (N / 2.0)
-    return d_lam, d_center
-
-
-def kernel_eval(N: int, index: int, x) -> float:
-    """Kernel functions of the limit linearization.
-
-    index 0: (N(N-2) - |x|^2) / (N(N-2) + |x|^2)^{N/2}
-    index i >= 1: x_i / (N(N-2) + |x|^2)^{N/2}
-    """
-    if N < 3:
-        raise DomainError(f"kernel_eval requires N >= 3, got {N}")
-    if not 0 <= index <= N:
-        raise DomainError(f"kernel index must lie in 0..{N}, got {index}")
-    xv = np.asarray(x, dtype=float)
-    k = N * (N - 2.0)
-    r2 = float(xv @ xv)
-    denom = (k + r2) ** (N / 2.0)
-    if index == 0:
-        return (k - r2) / denom
-    return float(xv[index - 1]) / denom
 
 
 def _plane_basis(N: int, a: np.ndarray, x: np.ndarray):
@@ -120,8 +83,7 @@ def _plane_basis(N: int, a: np.ndarray, x: np.ndarray):
     return e1, e2
 
 
-def harmonic_correction(b: Bubble, ball_radius: float, x,
-                        n_theta: int = 64, n_phi: int = 64) -> float:
+def harmonic_correction(b: Bubble, ball_radius: float, x) -> float:
     """Harmonic extension of the bubble's sphere trace, by Poisson quadrature.
 
     psi solves -D psi = 0 in B(0,R), psi = U_{lam,a} on the sphere.  The
@@ -158,9 +120,9 @@ def harmonic_correction(b: Bubble, ball_radius: float, x,
 
     if N == 3:
         # xi = R(sqrt(1-t^2) cos(phi) e2' ... ), standard polar about e1
-        t, wt = gauss_legendre(-1.0, 1.0, n_theta)
-        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        dphi = 2.0 * np.pi / n_phi
+        t, wt = gauss_legendre(-1.0, 1.0, _POISSON_NODES)
+        phi = np.linspace(0.0, 2.0 * np.pi, _POISSON_NODES, endpoint=False)
+        dphi = 2.0 * np.pi / _POISSON_NODES
         tt, pp = np.meshgrid(t, phi, indexing="ij")
         u = tt
         v = np.sqrt(np.maximum(0.0, 1.0 - tt * tt)) * np.cos(pp)
@@ -169,9 +131,9 @@ def harmonic_correction(b: Bubble, ball_radius: float, x,
         return float(R * R * np.sum(vals * wt[:, None]) * dphi)
 
     # N >= 4: integrate over the (u, v) disk with weight (1-u^2-v^2)^{(N-4)/2}
-    rho, wr = gauss_legendre(0.0, 1.0, n_theta)
-    alpha = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    dalpha = 2.0 * np.pi / n_phi
+    rho, wr = gauss_legendre(0.0, 1.0, _POISSON_NODES)
+    alpha = np.linspace(0.0, 2.0 * np.pi, _POISSON_NODES, endpoint=False)
+    dalpha = 2.0 * np.pi / _POISSON_NODES
     rr, aa = np.meshgrid(rho, alpha, indexing="ij")
     u = rr * np.cos(aa)
     v = rr * np.sin(aa)
@@ -204,11 +166,3 @@ def harmonic_correction_exact(b: Bubble, ball_radius: float, x) -> float:
     t = (A + np.sqrt(A * A - 4.0 * na * na * R * R)) / (2.0 * na * na)
     p = t * b.center
     return (t / lam) ** half * float(np.linalg.norm(xv - p)) ** (2.0 - N)
-
-
-def projected_bubble(b: Bubble, ball_radius: float, x,
-                     n_theta: int = 64, n_phi: int = 64) -> float:
-    """PU_{lam,a}(x) = U_{lam,a}(x) - psi_{lam,a}(x) on the ball B(0,R)."""
-    return eval_bubble(b, x) - harmonic_correction(
-        b, ball_radius, x, n_theta=n_theta, n_phi=n_phi
-    )

@@ -89,19 +89,16 @@ def _params(args) -> Params:
 
 def cmd_constants(args) -> int:
     p = _params(args)
-    from .asymptotics import blowup_target
-
-    c = cst.constant_set(p)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": p.N,
         "q": p.q,
-        "alpha_n": c.alpha_N,
-        "omega_n": c.omega_N,
-        "c_nq": c.C_Nq,
-        "alpha_nq": c.alpha_Nq,
+        "alpha_n": cst.alpha_n(p.N),
+        "omega_n": cst.omega_n(p.N),
+        "c_nq": cst.c_nq(p),
+        "alpha_nq": cst.alpha_nq(p),
         "s_n2": cst.sobolev_sn2_exact(p.N),
-        "blowup_target": blowup_target(p),
+        "blowup_target": cst.blowup_target(p),
     }
     _emit(_json(doc, digits=15) + "\n", args.output)
     return EXIT_OK
@@ -159,11 +156,15 @@ def cmd_sweep(args) -> int:
     from .decomposition import fit_decomposition, perturbation_order_fit
 
     p = _params(args)
-    grid = np.logspace(
-        np.log10(args.eps_tilde_max), np.log10(args.eps_tilde_min), args.points
-    )
     if args.points < 6:
         raise DomainError("sweep needs at least 6 grid points")
+    lo, hi = args.eps_tilde_min, args.eps_tilde_max
+    if not 0.0 < lo < hi < np.inf:
+        raise DomainError(
+            "need 0 < --eps-tilde-min < --eps-tilde-max < inf, "
+            f"got {lo} and {hi}"
+        )
+    grid = np.logspace(np.log10(hi), np.log10(lo), args.points)
     if args.spectrum_points < 0:
         raise DomainError("--spectrum-points must be non-negative")
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
@@ -304,10 +305,9 @@ def _verify_checks(green_scale: float):
 
     from .bubbles import (
         Bubble,
-        eval_bubble,
-        eval_normalized,
         harmonic_correction,
         harmonic_correction_exact,
+        normalized_bubble_r2,
     )
     from .green import (
         BallGreen,
@@ -375,9 +375,9 @@ def _verify_checks(green_scale: float):
     N = 5
     r = 0.9
     h = 1e-5
-    u0 = eval_normalized(N, [r, 0, 0, 0, 0])
-    up = eval_normalized(N, [r + h, 0, 0, 0, 0])
-    um = eval_normalized(N, [r - h, 0, 0, 0, 0])
+    u0 = normalized_bubble_r2(N, r * r)
+    up = normalized_bubble_r2(N, (r + h) * (r + h))
+    um = normalized_bubble_r2(N, (r - h) * (r - h))
     lap = (up - 2 * u0 + um) / h**2 + (N - 1) / r * (up - um) / (2 * h)
     p = Params(N, 3.0)
     yield (

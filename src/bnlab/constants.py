@@ -10,25 +10,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .quadrature import improper_radial
 
 __all__ = [
     "Params",
-    "ConstantSet",
     "gamma_fn",
     "omega_n",
     "c_nq",
     "c_nq_quadrature",
     "alpha_n",
     "alpha_nq",
+    "blowup_target",
     "sobolev_sn2",
     "sobolev_sn2_exact",
     "sobolev_sn2_from_mass",
-    "constant_set",
 ]
+
+_RADIAL_NODES = 512
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -99,15 +98,6 @@ class Params:
             )
 
 
-@dataclass(frozen=True)
-class ConstantSet:
-    alpha_N: float
-    omega_N: float
-    C_Nq: float
-    alpha_Nq: float
-    sobolev_SN2: float
-
-
 def alpha_n(N: int) -> float:
     """(N(N-2))^{(N-2)/4}, the height normalization of the standard bubble."""
     if N < 3:
@@ -126,7 +116,7 @@ def c_nq(p: Params) -> float:
     return gamma_fn(N / 2.0) * gamma_fn(a - N / 2.0) / (2.0 * gamma_fn(a))
 
 
-def c_nq_quadrature(p: Params, n: int = 512) -> float:
+def c_nq_quadrature(p: Params) -> float:
     """Oracle for c_nq: int_0^inf r^{N-1} (1+r^2)^{-(N-2)q/2} dr by quadrature."""
     N, q = p.N, p.q
     a = (N - 2.0) * q / 2.0
@@ -134,7 +124,8 @@ def c_nq_quadrature(p: Params, n: int = 512) -> float:
         raise DomainError(
             f"integral diverges: need q > N/(N-2), got q={q} at N={N}"
         )
-    return improper_radial(lambda r: r ** (N - 1) * (1.0 + r * r) ** (-a), n=n)
+    return improper_radial(lambda r: r ** (N - 1) * (1.0 + r * r) ** (-a),
+                           n=_RADIAL_NODES)
 
 
 def alpha_nq(p: Params) -> float:
@@ -155,14 +146,20 @@ def alpha_nq(p: Params) -> float:
     )
 
 
-def _grad_sq_unnormalized_bubble(N: int, n: int = 512) -> float:
+def blowup_target(p: Params) -> float:
+    """alpha_{N,q} R(0) on the unit ball, R(0) = 1/((N-2) omega_N): the limit
+    of eps * mu^{q+2-2*}, and of eps_tilde R_tilde^{N-2} along the branch."""
+    return alpha_nq(p) / ((p.N - 2.0) * omega_n(p.N))
+
+
+def _grad_sq_unnormalized_bubble(N: int) -> float:
     # U_{1,0}(r) = (1+r^2)^{-(N-2)/2 / ...}: profile (1/(1+r^2))^{(N-2)/2},
     # U' = -(N-2) r (1+r^2)^{-N/2}
     def f(r):
         up = -(N - 2.0) * r * (1.0 + r * r) ** (-N / 2.0)
         return up * up * r ** (N - 1)
 
-    return omega_n(N) * improper_radial(f, n=n)
+    return omega_n(N) * improper_radial(f, n=_RADIAL_NODES)
 
 
 def sobolev_sn2_exact(N: int) -> float:
@@ -182,14 +179,14 @@ def sobolev_sn2_exact(N: int) -> float:
     )
 
 
-def sobolev_sn2(N: int, n: int = 512) -> float:
+def sobolev_sn2(N: int) -> float:
     """S^{N/2} = alpha_N^2 * int |grad U_{1,0}|^2 by radial quadrature."""
     if N < 3:
         raise DomainError(f"sobolev_sn2 requires N >= 3, got {N}")
-    return alpha_n(N) ** 2 * _grad_sq_unnormalized_bubble(N, n=n)
+    return alpha_n(N) ** 2 * _grad_sq_unnormalized_bubble(N)
 
 
-def sobolev_sn2_from_mass(N: int, n: int = 512) -> float:
+def sobolev_sn2_from_mass(N: int) -> float:
     """Second oracle: S^{N/2} = alpha_N^{2*} * int U_{1,0}^{2*}."""
     if N < 3:
         raise DomainError(f"sobolev_sn2_from_mass requires N >= 3, got {N}")
@@ -199,15 +196,5 @@ def sobolev_sn2_from_mass(N: int, n: int = 512) -> float:
         u = (1.0 / (1.0 + r * r)) ** ((N - 2.0) / 2.0)
         return u**two_star * r ** (N - 1)
 
-    return alpha_n(N) ** two_star * omega_n(N) * improper_radial(f, n=n)
-
-
-def constant_set(p: Params) -> ConstantSet:
-    p.require_regime()
-    return ConstantSet(
-        alpha_N=alpha_n(p.N),
-        omega_N=omega_n(p.N),
-        C_Nq=c_nq(p),
-        alpha_Nq=alpha_nq(p),
-        sobolev_SN2=sobolev_sn2(p.N),
-    )
+    return (alpha_n(N) ** two_star * omega_n(N)
+            * improper_radial(f, n=_RADIAL_NODES))

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .constants import Params, alpha_n, omega_n
-from .errors import DomainError, FitFailureError
+from .constants import Params, omega_n
+from .errors import FitFailureError
 from .quadrature import geometric_panel_rule
 from .solver import RadialSolution
 
 __all__ = [
     "DecompositionResult",
     "fit_decomposition",
-    "h1_norm_radial",
     "perturbation_order_fit",
     "w_decay_exponent",
 ]
@@ -112,21 +111,6 @@ def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
     )
 
 
-def h1_norm_radial(p: Params, r: np.ndarray, f: np.ndarray) -> float:
-    """Dirichlet norm (omega_N int f'(r)^2 r^{N-1} dr)^{1/2} of a sampled
-    radial profile vanishing at r = 1, by spline differentiation."""
-    from scipy.interpolate import CubicSpline
-
-    r = np.asarray(r, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if abs(f[-1]) > 1e-8:
-        raise DomainError("profile must vanish at the outer radius")
-    df = CubicSpline(r, f).derivative()
-    s, w = geometric_panel_rule(r[0], r[-1], n_per_panel=48,
-                                first=(r[-1] - r[0]) / 64.0)
-    return float(np.sqrt(omega_n(p.N) * (w @ (df(s) ** 2 * s ** (p.N - 1)))))
-
-
 def w_decay_exponent(p: Params) -> float:
     """Decay order e with ||w|| = O(lambda^{-e}) (log-corrected at N = 6)."""
     p.require_regime()
@@ -167,5 +151,4 @@ def perturbation_order_fit(p: Params, results) -> "FitReport":
         rel_error=abs(slope - target) / abs(target),
         slope_estimate=float(slope),
         slope_target=target,
-        details={"alpha_final": results[-1].alpha, "alpha_target": alpha_n(p.N)},
     )

@@ -28,6 +28,8 @@ __all__ = [
     "greens_representation_residual",
 ]
 
+_REPRESENTATION_ORDER = 64
+
 
 @dataclass(frozen=True)
 class BallGreen:
@@ -239,7 +241,7 @@ def _local_identity_at(g: BallGreen, yv, order):
     return [("local_pohozaev", run(order), run(order // 2))]
 
 
-def greens_representation_residual(g: BallGreen, x, quad_order: int = 64) -> float:
+def greens_representation_residual(g: BallGreen, x) -> float:
     """Check u(x) = int_B G(x,y) f dy for u = R^2 - |x|^2, f = 2N.
 
     The volume integral uses spherical coordinates centered at x, which makes
@@ -251,13 +253,13 @@ def greens_representation_residual(g: BallGreen, x, quad_order: int = 64) -> flo
     axis = _axis(xv, N)
     e_perp = _perp(axis)
     nx = float(np.linalg.norm(xv))
-    th, wt = gauss_legendre(0.0, np.pi, quad_order)
+    th, wt = gauss_legendre(0.0, np.pi, _REPRESENTATION_ORDER)
     total = 0.0
     for ti, wi in zip(th, wt):
         ct = np.cos(ti)
         sigma = ct * axis + np.sin(ti) * e_perp
         rho_max = -nx * ct + np.sqrt(R * R - nx * nx * (1.0 - ct * ct))
-        rho, wr = gauss_legendre(0.0, rho_max, quad_order)
+        rho, wr = gauss_legendre(0.0, rho_max, _REPRESENTATION_ORDER)
         inner = sum(
             wj * green(g, xv, xv + rj * sigma) * rj ** (N - 1)
             for rj, wj in zip(rho, wr)

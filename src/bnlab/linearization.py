@@ -36,6 +36,8 @@ __all__ = [
 
 _S_START = 1e-3
 _RESCALE_THRESHOLD = 1e120
+_MODE_RTOL = 1e-12
+_XTOL_REL = 1e-6  # relative bracket width that ends the eigenvalue bisection
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
-def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:
+def _shoot_mode(op: ModeOperator, nu: float) -> int:
     """Integrate base profile + mode equation; return the node count.
 
     The count is the number of interior zeros of the mode solution v on
@@ -127,7 +129,7 @@ def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:
     nodes = 0
     prev_sign = np.sign(y[2]) if y[2] != 0 else 1.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=rtol,
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=_MODE_RTOL,
                         atol=1e-160, dense_output=True,
                         first_step=min(1e-4, 0.1 * (hi - lo)))
         if not sol.success:
@@ -157,8 +159,7 @@ def _shoot_mode(op: ModeOperator, nu: float, rtol: float = 1e-12) -> int:
     return nodes
 
 
-def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int,
-                         rtol: float = 1e-12, xtol_rel: float = 1e-8) -> float:
+def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
     m0 is the number of eigenvalues below zero.  Anchoring the bracket at
@@ -177,39 +178,34 @@ def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int,
     while cb <= j:
         b += step
         step *= 4.0
-        cb = _shoot_mode(op, b, rtol)
+        cb = _shoot_mode(op, b)
         if b > 1e8:
             raise IntegrationFailureError("eigenvalue search did not bracket")
     # pure bisection on the Sturm count: the count jumps j -> j+1 exactly at
     # the eigenvalue, so this is sign bisection in disguise and needs no
     # magnitude information (which spans thousands of orders here)
     for _ in range(240):
-        if b - a <= xtol_rel * max(abs(a), abs(b)) + 1e-18:
+        if b - a <= _XTOL_REL * max(abs(a), abs(b)) + 1e-18:
             break
         mid = 0.5 * (a + b)
-        if _shoot_mode(op, mid, rtol) <= j:
+        if _shoot_mode(op, mid) <= j:
             a = mid
         else:
             b = mid
     return 0.5 * (a + b)
 
 
-def eigenvalues_near_zero(op: ModeOperator, rtol: float = 1e-12,
-                          xtol_rel: float = 1e-6):
+def eigenvalues_near_zero(op: ModeOperator):
     """The eigenvalues adjacent to zero (unit-ball units) and their count.
 
     Returns (below, above, n_negative); below is None when the spectrum is
     entirely positive.
     """
-    m0 = _shoot_mode(op, 0.0, rtol=rtol)
-    above = _eigenvalue_by_index(
-        op, m0, m0, rtol=rtol, xtol_rel=xtol_rel
-    ) * op.R_tilde**2
+    m0 = _shoot_mode(op, 0.0)
+    above = _eigenvalue_by_index(op, m0, m0) * op.R_tilde**2
     below = None
     if m0 > 0:
-        below = _eigenvalue_by_index(
-            op, m0 - 1, m0, rtol=rtol, xtol_rel=xtol_rel
-        ) * op.R_tilde**2
+        below = _eigenvalue_by_index(op, m0 - 1, m0) * op.R_tilde**2
     return below, above, m0
 
 
@@ -221,6 +217,12 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     centrifugal monotonicity check that covers ell > ell_max."""
     if ell_max < 2:
         raise DomainError(f"certificate needs ell_max >= 2, got {ell_max}")
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not np.isfinite(potential_scale):
+        raise DomainError(
+            f"potential_scale must be finite, got {potential_scale}"
+        )
     report = {"per_mode": {}, "tol": tol}
     min_abs = []
     for ell in range(ell_max + 1):

@@ -36,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .bubbles import normalized_bubble_r2
-from .constants import Params, alpha_nq, omega_n
+from .constants import Params, blowup_target, omega_n
 from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
 
 __all__ = [
@@ -52,6 +52,8 @@ _R_START = 1e-4
 # absolute tolerance of v and v': in effect none, so they are held to rtol
 # relative to their own size, which is O(eps_tilde) like the tail constant
 _V_ATOL = 1e-300
+_QUAD_ATOL = 1e-14
+_ZERO_TOL = 1e-10  # largest |u| accepted at the located first zero
 PROFILE_POINTS = 4097
 
 
@@ -142,13 +144,12 @@ def _deviation_series(p: Params, eps_tilde: float):
 
 
 def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
-          tol: float = 1e-10, rtol: float = 2e-12,
-          atol: float = 1e-14) -> ShootResult:
+          rtol: float = 2e-12) -> ShootResult:
     """Integrate the deviation from the bubble until the first zero of
     u = U + v or r_max (by default the blow-up estimate of _estimate_r_max).
 
-    v and v' are held to rtol alone; atol applies to the accumulated
-    quadratures.
+    v and v' are held to rtol alone; the accumulated quadratures also get
+    the absolute tolerance _QUAD_ATOL.
     """
     if not 0.0 < eps_tilde < np.inf:
         raise DomainError(
@@ -206,7 +207,7 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
         (1.0 + eps_tilde) * s0**N / N,
     )
     tols = dict(method="DOP853", rtol=rtol,
-                atol=(_V_ATOL, _V_ATOL, atol, atol, atol, atol))
+                atol=(_V_ATOL, _V_ATOL) + (_QUAD_ATOL,) * 4)
     sol = solve_ivp(rhs, (s0, r_max), y0, dense_output=True, events=hit_zero,
                     **tols)
     if sol.status == -1:
@@ -227,7 +228,7 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
         r_grid = np.concatenate((sol.t[:-2], fin.t))
         y_end = fin.y[:, -1]
         u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0]
-        if abs(u_end) > tol:
+        if abs(u_end) > _ZERO_TOL:
             raise IntegrationFailureError(
                 f"event root not polished below tol: |u|={abs(u_end)}"
             )
@@ -303,21 +304,10 @@ def solution_at(p: Params, eps_tilde: float) -> Optional[RadialSolution]:
     return None if s.first_zero is None else scale_to_unit_ball(p, s)
 
 
-def _tail_limit(p: Params) -> Optional[float]:
-    """T = lim eps_tilde R_tilde^{N-2} = alpha_{N,q} R(0) along the blow-up
-    branch, R(0) = 1/((N-2) omega_N); None outside the blow-up regime."""
-    try:
-        return alpha_nq(p) / ((p.N - 2.0) * omega_n(p.N))
-    except DomainError:
-        return None
-
-
 def _estimate_r_max(p: Params, eps_tilde: float) -> float:
     """Heuristic integration span: the blow-up product eps_t * R^{N-2} stays
     O(alpha_{N,q} R(0)); pad it by a wide margin."""
-    target = _tail_limit(p)
-    if target is None:
-        target = 100.0
+    target = blowup_target(p) if p.regime_ok else 100.0
     guess = (max(target, 1.0) / eps_tilde) ** (1.0 / (p.N - 2.0))
     return max(1e3, 30.0 * guess)
 
@@ -332,9 +322,9 @@ def _seeded_secant(p: Params, eps_target: float,
     """Secant in (log eps_tilde, log eps) from the blow-up-law seed; None
     when it leaves the grid span, meets a shoot without a first zero or a
     non-increasing eps, or has not converged after _SECANT_SHOOTS shoots."""
-    T = _tail_limit(p)
-    if T is None:
+    if not p.regime_ok:
         return None
+    T = blowup_target(p)
     N, q = p.N, p.q
     # eps = eps_tilde R^a with eps_tilde R^{N-2} ~ T gives
     # eps ~ T^{a/(N-2)} eps_tilde^slope

@@ -13,7 +13,6 @@ from bnlab import (
     default_grid,
     deficit_rate_fit,
     profile_distance,
-    sweep,
     sweep_with_solutions,
     upper_bound_check,
 )
@@ -31,16 +30,16 @@ def test_default_grid_shape():
 def test_grid_validation():
     p = Params(4, 3.0)
     with pytest.raises(DomainError):
-        sweep(p, [1e-3, 1e-2, 1e-1])  # increasing
+        sweep_with_solutions(p, [1e-3, 1e-2, 1e-1])  # increasing
     with pytest.raises(DomainError):
-        sweep(p, [1e-2, -1e-3])
+        sweep_with_solutions(p, [1e-2, -1e-3])
     with pytest.raises(DomainError):
-        sweep(p, [1e-2, 1e-3], jobs=0)
+        sweep_with_solutions(p, [1e-2, 1e-3], jobs=0)
 
 
 def test_regime_gate():
     with pytest.raises(DomainError):
-        sweep(Params(3, 3.0))
+        sweep_with_solutions(Params(3, 3.0))
 
 
 def test_aitken_geometric_exact():
@@ -76,8 +75,8 @@ def test_fit_requires_enough_records(sweep43):
 def test_parallel_sweep_matches_serial():
     p = Params(4, 3.0)
     grid = default_grid(6, 1e-4, 1e-2)
-    serial = sweep(p, grid, jobs=1)
-    parallel = sweep(p, grid, jobs=2)
+    serial = sweep_with_solutions(p, grid, jobs=1)[0]
+    parallel = sweep_with_solutions(p, grid, jobs=2)[0]
     for a, b in zip(serial, parallel):
         assert a.eps == b.eps
         assert a.S_eps == b.S_eps

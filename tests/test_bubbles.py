@@ -3,22 +3,22 @@
 import numpy as np
 import pytest
 
-from bnlab import DomainError, Params, alpha_n, omega_n
+from bnlab import DomainError, alpha_n, omega_n
 from bnlab.bubbles import (
     Bubble,
-    bubble_derivatives,
     eval_bubble,
-    eval_normalized,
     harmonic_correction,
     harmonic_correction_exact,
-    kernel_eval,
-    projected_bubble,
+    normalized_bubble_r2,
 )
 from bnlab.green import BallGreen, regular_part
 
 
-def _radial_laplacian(f, r, h=1e-5):
-    return (f(r + h) - 2.0 * f(r) + f(r - h)) / h**2
+def _mode_laplacian(f, r, h, N, ell=0):
+    """f'' + (N-1)/r f' - ell(ell+N-2)/r^2 f by central differences."""
+    d2 = (f(r + h) - 2.0 * f(r) + f(r - h)) / h**2
+    d1 = (f(r + h) - f(r - h)) / (2.0 * h)
+    return d2 + (N - 1) / r * d1 - ell * (ell + N - 2.0) / r**2 * f(r)
 
 
 def test_bubble_values():
@@ -38,51 +38,39 @@ def test_bubble_validation():
 def test_normalized_bubble_solves_equation():
     """-u'' - (N-1)/r u' = u^{2*-1} for the height-1 profile."""
     for N in (3, 4, 5, 7):
-        p = Params(N, 2.0 + 1e-9) if N > 4 else Params(N, 3.0)
         r, h = 1.3, 1e-5
 
         def f(s):
-            return eval_normalized(N, np.concatenate(([s], np.zeros(N - 1))))
+            return normalized_bubble_r2(N, s * s)
 
-        lap = _radial_laplacian(f, r, h) + (N - 1) / r * (f(r + h) - f(r - h)) / (2 * h)
         rhs = -f(r) ** (2.0 * N / (N - 2.0) - 1.0)
-        assert lap == pytest.approx(rhs, rel=1e-5)
-
-
-def test_bubble_derivatives_match_finite_differences():
-    b = Bubble(5, 3.0, np.array([0.1, 0.0, 0.0, 0.0, 0.0]))
-    x = np.array([0.4, 0.2, 0.0, 0.0, 0.0])
-    dlam, dcen = bubble_derivatives(b, x)
-    h = 1e-6
-    fd_lam = (
-        eval_bubble(Bubble(5, 3.0 + h, b.center), x)
-        - eval_bubble(Bubble(5, 3.0 - h, b.center), x)
-    ) / (2 * h)
-    assert dlam == pytest.approx(fd_lam, rel=1e-8)
-    e0 = np.zeros(5)
-    e0[0] = h
-    fd_c = (
-        eval_bubble(Bubble(5, 3.0, b.center + e0), x)
-        - eval_bubble(Bubble(5, 3.0, b.center - e0), x)
-    ) / (2 * h)
-    assert dcen[0] == pytest.approx(fd_c, rel=1e-7)
+        assert _mode_laplacian(f, r, h, N) == pytest.approx(rhs, rel=1e-5)
 
 
 def test_kernel_solves_linearized_equation():
-    """The radial kernel satisfies -Delta z = (2*-1) U^{2*-2} z."""
-    N = 5
-    two_star = 2.0 * N / (N - 2.0)
-    r, h = 0.8, 1e-4
+    """The ell = 0 kernel (N(N-2) - s^2) / (N(N-2) + s^2)^{N/2} and the ell = 1
+    kernel U' = -(s/N) U^{N/(N-2)}, the closed form ShootResult.eval uses,
+    satisfy -L_ell z = (2*-1) U^{2*-2} z."""
+    for N in (3, 4, 5, 7):
+        k = N * (N - 2.0)
+        two_star = 2.0 * N / (N - 2.0)
+        r, h = 0.8, 1e-4
 
-    def z(s):
-        return kernel_eval(N, 0, np.concatenate(([s], np.zeros(N - 1))))
+        def u(s):
+            return normalized_bubble_r2(N, s * s)
 
-    def u(s):
-        return eval_normalized(N, np.concatenate(([s], np.zeros(N - 1))))
+        def z0(s):
+            return (k - s * s) / (k + s * s) ** (N / 2.0)
 
-    lap = _radial_laplacian(z, r, h) + (N - 1) / r * (z(r + h) - z(r - h)) / (2 * h)
-    rhs = -(two_star - 1.0) * u(r) ** (two_star - 2.0) * z(r)
-    assert lap == pytest.approx(rhs, rel=1e-5)
+        def z1(s):
+            return -(s / N) * u(s) ** (N / (N - 2.0))
+
+        du = (u(r + h) - u(r - h)) / (2.0 * h)
+        assert z1(r) == pytest.approx(du, rel=1e-7)
+        for ell, z in ((0, z0), (1, z1)):
+            rhs = -(two_star - 1.0) * u(r) ** (two_star - 2.0) * z(r)
+            lap = _mode_laplacian(z, r, h, N, ell)
+            assert lap == pytest.approx(rhs, rel=1e-5)
 
 
 def test_harmonic_correction_quadrature_vs_exact():
@@ -123,9 +111,14 @@ def test_harmonic_correction_is_harmonic():
 
 
 def test_projected_bubble_vanishes_on_boundary():
+    """PU = U - psi vanishes on the sphere: the closed-form harmonic
+    correction equals the bubble there."""
     b = Bubble(4, 5.0, np.array([0.2, 0.0, 0.0, 0.0]))
-    x = np.array([0.0, 1.0, 0.0, 0.0])
-    assert abs(projected_bubble(b, 1.0, x)) < 1e-8
+    for x in ([0.0, 1.0, 0.0, 0.0], [-0.6, 0.0, 0.8, 0.0], [1.0, 0.0, 0.0, 0.0]):
+        x = np.array(x)
+        assert harmonic_correction_exact(b, 1.0, x) == pytest.approx(
+            eval_bubble(b, x), rel=1e-12
+        )
 
 
 def test_projection_robin_limit_order():
@@ -152,7 +145,7 @@ def test_alpha_n_matches_normalized_height():
         k = np.sqrt(N * (N - 2.0))
         b = Bubble(N, 1.0, np.zeros(N))
         x = np.concatenate(([1.7], np.zeros(N - 1)))
-        u_norm = eval_normalized(N, x * k)
+        u_norm = normalized_bubble_r2(N, (1.7 * k) ** 2)
         assert alpha_n(N) * u_norm == pytest.approx(
             alpha_n(N) * eval_bubble(b, x), rel=1e-12
         )

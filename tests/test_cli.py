@@ -1,9 +1,12 @@
 """Command-line interface: output schemas, exit codes, determinism, and
 fault injection."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,43 @@ def test_solve_exit_code_contract(tmp_path_factory, eps_tilde):
         doc = json.loads(out.read_text())
         assert doc["nehari_residual"] <= 1e-6
         assert doc["pohozaev_residual"] <= 1e-6
+
+
+_SPECTRUM = ["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2"]
+_SWEEP = ["sweep", "--n", "4", "--q", "3", "--records", os.devnull]
+_BAD_FLAGS = st.one_of(
+    st.tuples(st.just(_SWEEP), st.just("--points"), st.integers(max_value=5)),
+    # the default --eps-tilde-max is 1e-2, the default --eps-tilde-min 1e-8
+    st.tuples(st.just(_SWEEP), st.just("--eps-tilde-min"), st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=1e-2), st.just(math.nan)
+    )),
+    st.tuples(st.just(_SWEEP), st.just("--eps-tilde-max"), st.one_of(
+        st.floats(max_value=1e-8), st.sampled_from([math.inf, math.nan])
+    )),
+    st.tuples(st.just(_SPECTRUM), st.just("--tol"), st.one_of(
+        st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan])
+    )),
+    st.tuples(st.just(_SPECTRUM), st.just("--potential-scale"),
+              st.sampled_from([math.inf, -math.inf, math.nan])),
+    st.tuples(st.just(_SPECTRUM), st.just("--ell-max"),
+              st.integers(max_value=1)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_BAD_FLAGS)
+def test_sweep_and_spectrum_exit_code_contract(case):
+    """A bad value of a sweep or spectrum flag exits 2 with one stderr line
+    and no warning."""
+    command, flag, value = case
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(command + [f"{flag}={value!r}", "--output", os.devnull])
+    assert rc == EXIT_BAD_CONFIG
+    assert len(err.getvalue().splitlines()) == 1
+    assert not caught
 
 
 def test_nonfinite_eps_rejected(capsys):

@@ -9,10 +9,9 @@ from bnlab import (
     DomainError,
     Params,
     alpha_n,
-    alpha_nq,
+    blowup_target,
     c_nq,
     c_nq_quadrature,
-    constant_set,
     gamma_fn,
     omega_n,
     sobolev_sn2,
@@ -88,17 +87,8 @@ def test_sobolev_closed_value_n4():
     )
 
 
-def test_constant_set_consistency():
-    p = Params(5, 3.0)
-    c = constant_set(p)
-    assert c.alpha_N == pytest.approx(alpha_n(5))
-    assert c.C_Nq == pytest.approx(c_nq(p))
-    assert c.alpha_Nq == pytest.approx(alpha_nq(p))
-    assert c.omega_N == pytest.approx(omega_n(5))
-
-
-def test_constant_set_regime_gate():
+def test_blowup_target_regime_gate():
     with pytest.raises(DomainError):
-        constant_set(Params(4, 5.0))
+        blowup_target(Params(4, 5.0))
     with pytest.raises(DomainError):
-        constant_set(Params(3, 3.0))
+        blowup_target(Params(3, 3.0))

@@ -11,7 +11,6 @@ from bnlab import (
     Params,
     alpha_n,
     fit_decomposition,
-    h1_norm_radial,
     omega_n,
     perturbation_order_fit,
     solution_at,
@@ -29,20 +28,6 @@ def test_w_decay_table():
     assert w_decay_exponent(Params(8, 2.1)) == 5.0
     with pytest.raises(DomainError):
         w_decay_exponent(Params(3, 3.0))
-
-
-def test_h1_norm_known_function():
-    # f = 1 - r^2 on the unit ball, N = 3: ||grad f||^2 = 4pi * int 4 r^4 dr
-    r = np.linspace(0.0, 1.0, 2001)
-    f = 1.0 - r * r
-    target = np.sqrt(omega_n(3) * 4.0 / 5.0)
-    assert h1_norm_radial(Params(3, 5.0), r, f) == pytest.approx(target, rel=1e-6)
-
-
-def test_h1_norm_requires_boundary_zero():
-    r = np.linspace(0.0, 1.0, 101)
-    with pytest.raises(DomainError):
-        h1_norm_radial(Params(3, 5.0), r, np.ones_like(r))
 
 
 def test_fit_reads_interpolant_once(p43):

@@ -2,6 +2,8 @@
 small positive eigenvalue of the translation mode, and the certificate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnlab import (
     DomainError,
@@ -11,13 +13,33 @@ from bnlab import (
     nondegeneracy_certificate,
     scale_to_unit_ball,
     shoot,
+    solution_at,
 )
+from bnlab.linearization import _shoot_mode
 
 
 @pytest.fixture(scope="module")
 def sol53_mid():
     p = Params(5, 3.0)
     return p, scale_to_unit_ball(p, shoot(p, 1e-2, 1e3))
+
+
+@pytest.fixture(scope="module")
+def sol43_shallow():
+    p = Params(4, 3.0)
+    return p, solution_at(p, 1e-2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([0, 1, 2]),
+       st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
+    """The node count of the mode shoot is the number of eigenvalues below
+    nu, so it never decreases as nu grows."""
+    p, sol = sol43_shallow
+    op = build_mode_operator(p, sol, ell)
+    lo, hi = sorted(nus)
+    assert _shoot_mode(op, lo) <= _shoot_mode(op, hi)
 
 
 def test_mode_operator_validation(sol53_mid):

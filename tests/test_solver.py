@@ -18,7 +18,7 @@ from bnlab import (
     sobolev_sn2_exact,
     solution_at,
     solve_for_eps,
-    sweep,
+    sweep_with_solutions,
 )
 from bnlab.solver import _estimate_r_max
 
@@ -124,7 +124,7 @@ def test_identities_hold_on_default_sweep(N, q):
     """Nehari and Pohozaev to 1e-10 down to the deepest default point; the
     tail constant of the first zero is O(R_tilde^{2-N}), so an integration
     error amplified by R_tilde^{N-2} shows up here first."""
-    records = sweep(Params(N, q), default_grid(25))
+    records = sweep_with_solutions(Params(N, q), default_grid(25))[0]
     assert len(records) == 25
     assert max(r.nehari_residual for r in records) <= 1e-10
     assert max(r.pohozaev_residual for r in records) <= 1e-10
