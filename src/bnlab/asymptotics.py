@@ -34,6 +34,8 @@ __all__ = [
 _PROFILE_GRID = np.linspace(0.0, 10.0, 512)
 _UPPER_BOUND_POINTS = 2048
 _GREEN_BAND_POINTS = 64
+# eps_tilde values the branch map shoots, from the large-eps side down
+_BRANCH_GRID = np.logspace(1.0, -4.0, 51)
 
 
 @dataclass
@@ -241,19 +243,14 @@ def _radial_point(N: int, r: float) -> np.ndarray:
     return x
 
 
-def branch_map(p: Params, eps_tilde_grid=None) -> dict:
+def branch_map(p: Params) -> dict:
     """Tabulate eps as a function of mu across the shooting parameter.
 
     For N = 3 and q in (2, 4] the map is non-monotone: eps attains an
     interior minimum eps0, above which two solution heights coexist.
     """
-    grid = (
-        np.logspace(1.0, -4.0, 51)
-        if eps_tilde_grid is None
-        else np.asarray(eps_tilde_grid, dtype=float)
-    )
     mu, eps, ets = [], [], []
-    for et in grid:
+    for et in _BRANCH_GRID:
         sol = solution_at(p, float(et))
         if sol is None:
             continue

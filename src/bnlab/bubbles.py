@@ -83,21 +83,21 @@ def _plane_basis(N: int, a: np.ndarray, x: np.ndarray):
     return e1, e2
 
 
-def harmonic_correction(b: Bubble, ball_radius: float, x) -> float:
+def harmonic_correction(b: Bubble, x) -> float:
     """Harmonic extension of the bubble's sphere trace, by Poisson quadrature.
 
-    psi solves -D psi = 0 in B(0,R), psi = U_{lam,a} on the sphere.  The
+    psi solves -D psi = 0 in the unit ball, psi = U_{lam,a} on the sphere.  The
     boundary data is axially symmetric about the center axis, so the sphere
     integral collapses to two angles regardless of N.
     """
-    N, R = b.N, float(ball_radius)
+    N = b.N
     xv = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(xv))
-    if r > R + 1e-12:
+    if r > 1.0 + 1e-12:
         raise DomainError("evaluation point outside the ball")
-    if float(np.linalg.norm(b.center)) >= R:
+    if float(np.linalg.norm(b.center)) >= 1.0:
         raise DomainError("bubble center must lie strictly inside the ball")
-    if r >= R - 1e-14:
+    if r >= 1.0 - 1e-14:
         return eval_bubble(b, xv)
 
     e1, e2 = _plane_basis(N, b.center, xv)
@@ -110,16 +110,16 @@ def harmonic_correction(b: Bubble, ball_radius: float, x) -> float:
 
     def kernel_times_data(u, v):
         # u, v: coordinates of the unit-sphere point along (e1, e2)
-        dxi2 = (R * u - x1) ** 2 + (R * v - x2) ** 2 + x_rest2 + \
-            (R * R) * np.maximum(0.0, 1.0 - u * u - v * v)
-        da2 = (R * u - a1) ** 2 + (R * v - a2) ** 2 + a_rest2 + \
-            (R * R) * np.maximum(0.0, 1.0 - u * u - v * v)
-        poisson = (R * R - r * r) / (wN * R * dxi2 ** (N / 2.0))
+        dxi2 = (u - x1) ** 2 + (v - x2) ** 2 + x_rest2 + \
+            np.maximum(0.0, 1.0 - u * u - v * v)
+        da2 = (u - a1) ** 2 + (v - a2) ** 2 + a_rest2 + \
+            np.maximum(0.0, 1.0 - u * u - v * v)
+        poisson = (1.0 - r * r) / (wN * dxi2 ** (N / 2.0))
         data = (b.lam / (1.0 + b.lam**2 * da2)) ** half
         return poisson * data
 
     if N == 3:
-        # xi = R(sqrt(1-t^2) cos(phi) e2' ... ), standard polar about e1
+        # xi = (sqrt(1-t^2) cos(phi) e2' ... ), standard polar about e1
         t, wt = gauss_legendre(-1.0, 1.0, _POISSON_NODES)
         phi = np.linspace(0.0, 2.0 * np.pi, _POISSON_NODES, endpoint=False)
         dphi = 2.0 * np.pi / _POISSON_NODES
@@ -128,7 +128,7 @@ def harmonic_correction(b: Bubble, ball_radius: float, x) -> float:
         v = np.sqrt(np.maximum(0.0, 1.0 - tt * tt)) * np.cos(pp)
         # third coordinate enters only through 1 - u^2 - v^2 above
         vals = kernel_times_data(u, v)
-        return float(R * R * np.sum(vals * wt[:, None]) * dphi)
+        return float(np.sum(vals * wt[:, None]) * dphi)
 
     # N >= 4: integrate over the (u, v) disk with weight (1-u^2-v^2)^{(N-4)/2}
     rho, wr = gauss_legendre(0.0, 1.0, _POISSON_NODES)
@@ -139,30 +139,28 @@ def harmonic_correction(b: Bubble, ball_radius: float, x) -> float:
     v = rr * np.sin(aa)
     weight = (1.0 - rr * rr) ** ((N - 4.0) / 2.0) * rr
     vals = kernel_times_data(u, v) * weight
-    return float(
-        R ** (N - 1) * omega_n(N - 2) * np.sum(vals * wr[:, None]) * dalpha
-    )
+    return float(omega_n(N - 2) * np.sum(vals * wr[:, None]) * dalpha)
 
 
-def harmonic_correction_exact(b: Bubble, ball_radius: float, x) -> float:
-    """Closed form for the harmonic correction on the ball.
+def harmonic_correction_exact(b: Bubble, x) -> float:
+    """Closed form for the harmonic correction on the unit ball.
 
     On the sphere the bubble trace is a power of a linear function of xi, so
     it coincides with a multiple of |xi - p|^{2-N} for an exterior point p on
     the center axis; that multiple extends harmonically as is.  Used as an
     independent oracle for the Poisson-kernel quadrature.
     """
-    N, R, lam = b.N, float(ball_radius), b.lam
+    N, lam = b.N, b.lam
     xv = np.asarray(x, dtype=float)
-    if float(np.linalg.norm(xv)) > R + 1e-12:
+    if float(np.linalg.norm(xv)) > 1.0 + 1e-12:
         raise DomainError("evaluation point outside the ball")
     na = float(np.linalg.norm(b.center))
-    if na >= R:
+    if na >= 1.0:
         raise DomainError("bubble center must lie strictly inside the ball")
     half = (N - 2.0) / 2.0
     if na < 1e-14:
-        return (lam / (1.0 + lam**2 * R * R)) ** half
-    A = R * R + na * na + 1.0 / lam**2
-    t = (A + np.sqrt(A * A - 4.0 * na * na * R * R)) / (2.0 * na * na)
+        return (lam / (1.0 + lam**2)) ** half
+    A = 1.0 + na * na + 1.0 / lam**2
+    t = (A + np.sqrt(A * A - 4.0 * na * na)) / (2.0 * na * na)
     p = t * b.center
     return (t / lam) ** half * float(np.linalg.norm(xv - p)) ** (2.0 - N)

@@ -164,9 +164,11 @@ def cmd_sweep(args) -> int:
             "need 0 < --eps-tilde-min < --eps-tilde-max < inf, "
             f"got {lo} and {hi}"
         )
-    grid = np.logspace(np.log10(hi), np.log10(lo), args.points)
     if args.spectrum_points < 0:
         raise DomainError("--spectrum-points must be non-negative")
+    if args.ell_max < 2:
+        raise DomainError(f"--ell-max must be at least 2, got {args.ell_max}")
+    grid = asy.default_grid(args.points, lo, hi)
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
     if len(records) < 0.8 * args.points:
         raise IntegrationFailureError(
@@ -389,8 +391,8 @@ def _verify_checks(green_scale: float):
     # harmonic correction: quadrature vs exact image form, off-center
     b = Bubble(3, 5.0, np.array([0.3, 0.0, 0.0]))
     xq = np.array([0.0, 0.5, 0.0])
-    hc = harmonic_correction(b, 1.0, xq)
-    hx = harmonic_correction_exact(b, 1.0, xq)
+    hc = harmonic_correction(b, xq)
+    hx = harmonic_correction_exact(b, xq)
     yield ("harmonic_correction_oracle", abs(hc - hx) / abs(hx), 1e-8)
 
     # projection limit: lam^{(N-2)/2} psi -> (N-2) omega_N H(0, x)
@@ -400,7 +402,7 @@ def _verify_checks(green_scale: float):
     target = (N - 2.0) * cst.omega_n(N) * regular_part(g, np.zeros(N), xh)
     lam = 1000.0
     bb = Bubble(N, lam)
-    val = lam ** ((N - 2.0) / 2.0) * harmonic_correction_exact(bb, 1.0, xh)
+    val = lam ** ((N - 2.0) / 2.0) * harmonic_correction_exact(bb, xh)
     yield ("projection_robin_limit", abs(val - target) / target, 1e-4)
 
     # solver identity gates at a moderate parameter

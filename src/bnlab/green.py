@@ -1,4 +1,4 @@
-"""Green's function of the Laplacian on a ball by the method of images,
+"""Green's function of the Laplacian on the unit ball by the method of images,
 with the Robin function, analytic gradients, and quadrature verification of
 the surface-integral identities.
 
@@ -33,10 +33,9 @@ _REPRESENTATION_ORDER = 64
 
 @dataclass(frozen=True)
 class BallGreen:
-    """Green apparatus for the ball B(0, radius) in R^N."""
+    """Green apparatus for the unit ball B(0, 1) in R^N."""
 
     N: int
-    radius: float = 1.0
     # fault-injection hook for the verification CLI: scales the overall
     # 1/((N-2) omega_N) constant; leave at 1.0 for correct physics
     constant_scale: float = 1.0
@@ -44,8 +43,6 @@ class BallGreen:
     def __post_init__(self):
         if self.N < 3:
             raise DomainError(f"BallGreen requires N >= 3, got {self.N}")
-        if not self.radius > 0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
 
     @property
     def c(self) -> float:
@@ -54,18 +51,17 @@ class BallGreen:
     def _inside(self, x, strict=True):
         xv = np.asarray(x, dtype=float)
         r = float(np.linalg.norm(xv))
-        if (strict and r >= self.radius) or r > self.radius + 1e-12:
-            raise DomainError(f"point at |x|={r} not inside ball of radius {self.radius}")
+        if (strict and r >= 1.0) or r > 1.0 + 1e-12:
+            raise DomainError(f"point at |x|={r} not inside the unit ball")
         return xv
 
 
 def _image_distance(g: BallGreen, x: np.ndarray, y: np.ndarray) -> float:
-    """|y| |x - y*| where y* = R^2 y / |y|^2; symmetric and regular at y=0.
+    """|y| |x - y*| where y* = y / |y|^2; symmetric and regular at y=0.
 
-    |y|^2 |x - y*|^2 = |x|^2 |y|^2 - 2 R^2 x.y + R^4.
+    |y|^2 |x - y*|^2 = |x|^2 |y|^2 - 2 x.y + 1.
     """
-    R2 = g.radius**2
-    val = float(x @ x) * float(y @ y) - 2.0 * R2 * float(x @ y) + R2 * R2
+    val = float(x @ x) * float(y @ y) - 2.0 * float(x @ y) + 1.0
     return np.sqrt(max(val, 0.0))
 
 
@@ -82,7 +78,7 @@ def regular_part(g: BallGreen, x, y) -> float:
     """H(x,y), from the image term; finite on the diagonal."""
     xv = g._inside(x, strict=False)
     yv = g._inside(y, strict=False)
-    b = _image_distance(g, xv, yv) / g.radius
+    b = _image_distance(g, xv, yv)
     return g.c * b ** (2.0 - g.N)
 
 
@@ -99,26 +95,25 @@ def grad_green(g: BallGreen, x, y) -> np.ndarray:
     dist = float(np.linalg.norm(d))
     if dist == 0.0:
         raise SingularityError("grad_green evaluated on the diagonal")
-    b = _image_distance(g, xv, yv) / g.radius
-    R2 = g.radius**2
-    grad_b2_half = (float(yv @ yv) * xv - R2 * yv) / R2  # d/dx of b^2 / 2
+    b = _image_distance(g, xv, yv)
+    grad_b2_half = float(yv @ yv) * xv - yv  # d/dx of b^2 / 2
     return -(g.N - 2.0) * g.c * (
         d / dist**g.N - grad_b2_half / b**g.N
     )
 
 
 def robin(g: BallGreen, x) -> float:
-    """R(x) = H(x,x) = ((R^2-|x|^2)/R)^{2-N} / ((N-2) omega_N)."""
+    """R(x) = H(x,x) = (1-|x|^2)^{2-N} / ((N-2) omega_N)."""
     xv = g._inside(x)
-    t = (g.radius**2 - float(xv @ xv)) / g.radius
+    t = 1.0 - float(xv @ xv)
     return g.c * t ** (2.0 - g.N)
 
 
 def robin_gradient(g: BallGreen, x) -> np.ndarray:
     """Analytic gradient of the Robin function on the ball."""
     xv = g._inside(x)
-    t = (g.radius**2 - float(xv @ xv)) / g.radius
-    return (g.N - 2.0) * g.c * t ** (1.0 - g.N) * (2.0 * xv / g.radius)
+    t = 1.0 - float(xv @ xv)
+    return (g.N - 2.0) * g.c * t ** (1.0 - g.N) * (2.0 * xv)
 
 
 def _axis(y: np.ndarray, N: int) -> np.ndarray:
@@ -183,29 +178,28 @@ def surface_identity_suite(g: BallGreen, y, quad_order: int = 64) -> dict:
 
 
 def _surface_identities_at(g: BallGreen, yv, order):
-    N, R = g.N, g.radius
+    N = g.N
     axis = _axis(yv, N)
     ny = float(np.linalg.norm(yv))
     scale = (N - 2.0) * robin(g, yv)
 
     def run(o):
+        # on the unit sphere the point x and its outer normal are both sigma
         def dgdn2_weighted(sigma):
-            x = R * sigma
-            dgdn = float(grad_green(g, x, yv) @ sigma)
-            return (R - ny * float(sigma @ axis)) * dgdn * dgdn
+            dgdn = float(grad_green(g, sigma, yv) @ sigma)
+            return (1.0 - ny * float(sigma @ axis)) * dgdn * dgdn
 
-        lhs1 = _polar_sphere_quad(dgdn2_weighted, N, R, axis, o)
+        lhs1 = _polar_sphere_quad(dgdn2_weighted, N, 1.0, axis, o)
 
         def dgdn2_axis(sigma):
-            x = R * sigma
-            dgdn = float(grad_green(g, x, yv) @ sigma)
+            dgdn = float(grad_green(g, sigma, yv) @ sigma)
             return dgdn * dgdn * float(sigma @ axis)
 
-        lhs2 = _polar_sphere_quad(dgdn2_axis, N, R, axis, o)
+        lhs2 = _polar_sphere_quad(dgdn2_axis, N, 1.0, axis, o)
         rhs1 = scale
         rhs2 = float(robin_gradient(g, yv) @ axis)
         r1 = abs(lhs1 - rhs1) / abs(rhs1)
-        r2 = abs(lhs2 - rhs2) / max(abs(rhs2), scale / R)
+        r2 = abs(lhs2 - rhs2) / max(abs(rhs2), scale)
         return r1, r2
 
     r1_hi, r2_hi = run(order)
@@ -217,9 +211,9 @@ def _surface_identities_at(g: BallGreen, yv, order):
 
 
 def _local_identity_at(g: BallGreen, yv, order):
-    N, R = g.N, g.radius
+    N = g.N
     axis = _axis(yv, N)
-    d = 0.3 * (R - float(np.linalg.norm(yv)))
+    d = 0.3 * (1.0 - float(np.linalg.norm(yv)))
     rhs = -(N - 2.0) / 2.0 * regular_part(g, yv, yv)
 
     def run(o):
@@ -242,14 +236,14 @@ def _local_identity_at(g: BallGreen, yv, order):
 
 
 def greens_representation_residual(g: BallGreen, x) -> float:
-    """Check u(x) = int_B G(x,y) f dy for u = R^2 - |x|^2, f = 2N.
+    """Check u(x) = int_B G(x,y) f dy for u = 1 - |x|^2, f = 2N.
 
     The volume integral uses spherical coordinates centered at x, which makes
     the integrand smooth (the rho^{N-1} Jacobian kills the Green singularity).
     Returns the relative residual.
     """
     xv = g._inside(x)
-    N, R = g.N, g.radius
+    N = g.N
     axis = _axis(xv, N)
     e_perp = _perp(axis)
     nx = float(np.linalg.norm(xv))
@@ -258,7 +252,7 @@ def greens_representation_residual(g: BallGreen, x) -> float:
     for ti, wi in zip(th, wt):
         ct = np.cos(ti)
         sigma = ct * axis + np.sin(ti) * e_perp
-        rho_max = -nx * ct + np.sqrt(R * R - nx * nx * (1.0 - ct * ct))
+        rho_max = -nx * ct + np.sqrt(1.0 - nx * nx * (1.0 - ct * ct))
         rho, wr = gauss_legendre(0.0, rho_max, _REPRESENTATION_ORDER)
         inner = sum(
             wj * green(g, xv, xv + rj * sigma) * rj ** (N - 1)
@@ -266,5 +260,5 @@ def greens_representation_residual(g: BallGreen, x) -> float:
         )
         total += wi * inner * np.sin(ti) ** (N - 2.0)
     integral = omega_n(N - 1) * total * 2.0 * N
-    target = R * R - nx * nx
+    target = 1.0 - nx * nx
     return abs(integral - target) / abs(target)

@@ -9,15 +9,20 @@ The mode-ell operator on the unit ball is
 whose eigenvalues equal R_tilde^2 times those of the same operator written
 in the scaled variable s = R_tilde * r on (0, R_tilde) with the height-1
 profile.  Eigenvalues are computed by Sturm shooting in the scaled variable:
-the base profile is re-integrated jointly with the linearized equation, and
-bisection on the oscillation count of the shooting solution finds each
-eigenvalue by index.  Accuracy near zero is that of the shooting: a scaled
-eigenvalue below ~1e-14 (rtol = 1e-12) is lost, which the ell = 1 eigenvalue
-(~ mu^{-2}) reaches at the deep end of the default sweep.
+the base profile is re-integrated jointly with the Pruefer angle theta of
+the mode solution, tan(theta) = v / (s v'), in one integration over
+(0, R_tilde) for every nu.  theta increases through each multiple of pi, so
+floor(theta(R_tilde) / pi) is the exact zero count of v, and bisection on
+that count finds each eigenvalue by index.  Accuracy near zero is that of
+the shooting (rtol = 1e-13): a scaled eigenvalue of 1e-12 is resolved to
+~0.4%, one of 1e-13 to a few percent and one of 1e-14 only to a factor
+~1.5, which the ell = 1 eigenvalue (~ mu^{-2}) reaches at the deep end of
+the default sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,7 @@ __all__ = [
 ]
 
 _S_START = 1e-3
-_RESCALE_THRESHOLD = 1e120
-_MODE_RTOL = 1e-12
+_MODE_RTOL = 1e-13
 _XTOL_REL = 1e-6  # relative bracket width that ends the eigenvalue bisection
 
 
@@ -81,10 +85,14 @@ def _series_coeffs(p: Params, eps_tilde: float):
 
 
 def _shoot_mode(op: ModeOperator, nu: float) -> int:
-    """Integrate base profile + mode equation; return the node count.
+    """Number of Dirichlet eigenvalues below nu, by one shoot.
 
-    The count is the number of interior zeros of the mode solution v on
-    (0, R_tilde); by Sturm oscillation it equals the number of Dirichlet
+    The base profile is integrated together with the Pruefer angle theta of
+    the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
+    bounded where v grows or decays exponentially.  Where theta is a
+    multiple of pi its derivative is 1/s > 0, so every zero of v is crossed
+    exactly once and upward: floor(theta(R_tilde) / pi) is the number of
+    zeros on (0, R_tilde), which by Sturm oscillation is the number of
     eigenvalues below nu.
     """
     p = op.params
@@ -94,69 +102,33 @@ def _shoot_mode(op: ModeOperator, nu: float) -> int:
     scale = op.potential_scale
 
     def rhs(s, y):
-        u, du, v, dv = y
+        u, du, th = y
         up = max(u, 0.0)
         w = scale * ((p2 - 1.0) * up ** (p2 - 2.0)
                      + et * (q - 1.0) * up ** (q - 2.0))
+        c, sn = math.cos(th), math.sin(th)
         return (
             du,
             -(N - 1.0) / s * du - (up ** (p2 - 1.0) + et * up ** (q - 1.0)),
-            dv,
-            -(N - 1.0) / s * dv + (cl / (s * s) - w - nu) * v,
+            (c * c + (N - 2.0) * sn * c + ((w + nu) * s * s - cl) * sn * sn)
+            / s,
         )
 
     s0 = _S_START
     a2, a4 = _series_coeffs(p, et)
-    y = np.array([
+    # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
+    y0 = [
         1.0 + a2 * s0**2 + a4 * s0**4,
         2.0 * a2 * s0 + 4.0 * a4 * s0**3,
-        s0**op.ell,
-        op.ell * s0 ** (op.ell - 1) if op.ell > 0 else 0.0,
-    ])
-
-    # segment the domain so that the exponential growth at nu < 0 stays
-    # within one renormalization window per segment; for nu >= 0 the growth
-    # is only polynomial and a single segment suffices
-    if nu < 0.0:
-        max_len = 200.0 / max(np.sqrt(-nu), 1e-3)
-        edges = [s0]
-        step = 1.0
-        while edges[-1] < op.R_tilde:
-            edges.append(min(edges[-1] + min(step, max_len), op.R_tilde))
-            step *= 2.0
-    else:
-        edges = [s0, op.R_tilde]
-    nodes = 0
-    prev_sign = np.sign(y[2]) if y[2] != 0 else 1.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=_MODE_RTOL,
-                        atol=1e-160, dense_output=True,
-                        first_step=min(1e-4, 0.1 * (hi - lo)))
-        if not sol.success:
-            raise IntegrationFailureError(
-                f"mode integration failed on [{lo}, {hi}]: {sol.message}"
-            )
-        # count sign changes on a refinement of the solver's own steps
-        ts = sol.t
-        if len(ts) > 1:
-            fine = np.unique(np.concatenate(
-                [np.linspace(a, b, 5) for a, b in zip(ts[:-1], ts[1:])]
-            ))
-            vv = sol.sol(fine)[2]
-            sgn = np.sign(vv)
-            sgn[sgn == 0] = 1.0
-            if sgn[0] != prev_sign:
-                nodes += 1
-            nodes += int(np.sum(sgn[1:] != sgn[:-1]))
-            prev_sign = sgn[-1]
-        # v is linear: a positive rescale keeps the node count and keeps
-        # the next segment away from overflow and underflow
-        y = sol.y[:, -1].copy()
-        m = max(abs(y[2]), abs(y[3]))
-        if m > _RESCALE_THRESHOLD or (0.0 < m < 1.0 / _RESCALE_THRESHOLD):
-            y[2] /= m
-            y[3] /= m
-    return nodes
+        math.atan2(1.0, op.ell),
+    ]
+    sol = solve_ivp(rhs, (s0, op.R_tilde), y0, method="DOP853",
+                    rtol=_MODE_RTOL, atol=1e-160, first_step=1e-4)
+    if not sol.success:
+        raise IntegrationFailureError(
+            f"mode integration failed on [{s0}, {op.R_tilde}]: {sol.message}"
+        )
+    return int(sol.y[2, -1] // math.pi)
 
 
 def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int) -> float:

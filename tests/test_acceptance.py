@@ -109,7 +109,7 @@ def test_criterion_8_bubble_projection():
     errs = []
     for lam in (10.0, 100.0, 1000.0):
         val = lam ** ((N - 2.0) / 2.0) * harmonic_correction_exact(
-            Bubble(N, lam, np.zeros(N)), 1.0, x
+            Bubble(N, lam, np.zeros(N)), x
         )
         errs.append(abs(val - target) / target)
     assert errs[0] > errs[1] > errs[2] > 0.0
@@ -153,9 +153,10 @@ def test_criterion_10_nondegeneracy(p53, sweep53):
     swept grid.  The subsample stops at 1e-4 because lambda_1 is not
     resolved at the deep end of the default sweep (the shooting error
     swamps nu = lambda / R_tilde^2; for N = 4 the gap to the target drifts
-    to -0.93% at eps_tilde = 1e-6).  The ell = 0 eigenvalue above zero
-    (the dilation mode) also drifts toward zero, to 0.23 at eps_tilde =
-    1e-4, so its 1e-3 floor holds on this subsample only.
+    to +1.2% at eps_tilde = 1e-6 and +52% at 1.5e-7).  The ell = 0
+    eigenvalue above zero (the dilation mode) also drifts toward zero, to
+    0.23 at eps_tilde = 1e-4, so its 1e-3 floor holds on this subsample
+    only.
     """
     records, sols = sweep53
     N = p53.N

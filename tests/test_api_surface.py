@@ -1,6 +1,6 @@
 """The public surface of the package: every public top-level function and
-class in src/bnlab is used by the package itself, and every name that an
-__all__ lists exists."""
+class and every module-level constant in src/bnlab is used by the package
+itself, and every name that an __all__ lists exists."""
 
 import ast
 import importlib
@@ -35,6 +35,33 @@ def test_every_public_definition_is_used_in_src():
     unused = sorted(name for module, name in defined
                     if not users.get(name, set()) - {(module, name)})
     assert unused == []
+
+
+def test_every_module_constant_is_read_in_src():
+    """Every module-level assignment, private ones included, is read
+    somewhere in src/bnlab: a constant outlives none of its readers."""
+    assigned = []  # (module, name)
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [(path.stem, sub.id) for t in targets
+                         for sub in ast.walk(t) if isinstance(sub, ast.Name)
+                         and not sub.id.startswith("__")]
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+    unread = sorted(f"{module}.{name}" for module, name in assigned
+                    if name not in read)
+    assert unread == []
 
 
 def test_all_names_resolve():

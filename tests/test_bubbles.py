@@ -82,15 +82,15 @@ def test_harmonic_correction_quadrature_vs_exact():
         (Bubble(5, 7.0, np.array([0.0, 0.2, 0.0, 0.0, 0.0])), np.zeros(5), 1e-5),
     ]
     for b, x, tol in cases:
-        hq = harmonic_correction(b, 1.0, x)
-        hx = harmonic_correction_exact(b, 1.0, x)
+        hq = harmonic_correction(b, x)
+        hx = harmonic_correction_exact(b, x)
         assert hq == pytest.approx(hx, rel=tol)
 
 
 def test_harmonic_correction_centered_is_constant():
     b = Bubble(4, 10.0, np.zeros(4))
     pts = [np.array([r, 0.0, 0.0, 0.0]) for r in (0.0, 0.3, 0.9)]
-    vals = [harmonic_correction_exact(b, 1.0, x) for x in pts]
+    vals = [harmonic_correction_exact(b, x) for x in pts]
     target = (10.0 / (1.0 + 100.0)) ** 1.0
     for v in vals:
         assert v == pytest.approx(target, rel=1e-12)
@@ -101,12 +101,12 @@ def test_harmonic_correction_is_harmonic():
     b = Bubble(3, 2.0, np.array([0.2, 0.0, 0.0]))
     x0 = np.array([0.1, 0.3, -0.2])
     h = 1e-3
-    lap = -2.0 * 3 * harmonic_correction_exact(b, 1.0, x0)
+    lap = -2.0 * 3 * harmonic_correction_exact(b, x0)
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        lap += harmonic_correction_exact(b, 1.0, x0 + e)
-        lap += harmonic_correction_exact(b, 1.0, x0 - e)
+        lap += harmonic_correction_exact(b, x0 + e)
+        lap += harmonic_correction_exact(b, x0 - e)
     assert abs(lap / h**2) < 1e-4
 
 
@@ -116,7 +116,7 @@ def test_projected_bubble_vanishes_on_boundary():
     b = Bubble(4, 5.0, np.array([0.2, 0.0, 0.0, 0.0]))
     for x in ([0.0, 1.0, 0.0, 0.0], [-0.6, 0.0, 0.8, 0.0], [1.0, 0.0, 0.0, 0.0]):
         x = np.array(x)
-        assert harmonic_correction_exact(b, 1.0, x) == pytest.approx(
+        assert harmonic_correction_exact(b, x) == pytest.approx(
             eval_bubble(b, x), rel=1e-12
         )
 
@@ -130,7 +130,7 @@ def test_projection_robin_limit_order():
     errs = []
     for lam in (10.0, 100.0, 1000.0):
         val = lam ** ((N - 2.0) / 2.0) * harmonic_correction_exact(
-            Bubble(N, lam, np.zeros(N)), 1.0, x
+            Bubble(N, lam, np.zeros(N)), x
         )
         errs.append(abs(val - target) / target)
     assert errs[1] < errs[0] and errs[2] < errs[1]

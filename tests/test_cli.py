@@ -114,6 +114,9 @@ _BAD_FLAGS = st.one_of(
               st.sampled_from([math.inf, -math.inf, math.nan])),
     st.tuples(st.just(_SPECTRUM), st.just("--ell-max"),
               st.integers(max_value=1)),
+    # checked before the sweep runs, even when no certificate is asked for
+    st.tuples(st.just(_SWEEP + ["--skip-spectrum"]), st.just("--ell-max"),
+              st.integers(max_value=1)),
 )
 
 

@@ -4,6 +4,7 @@ small positive eigenvalue of the translation mode, and the certificate."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from bnlab import (
     DomainError,
@@ -40,6 +41,21 @@ def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
     op = build_mode_operator(p, sol, ell)
     lo, hi = sorted(nus)
     assert _shoot_mode(op, lo) <= _shoot_mode(op, hi)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
+    """With the potential switched off the mode operator is the Dirichlet
+    Laplacian on the unit ball, whose ell-mode eigenvalues at N = 4 are the
+    squared zeros j_{ell+1,k}^2; the node count holds over many
+    oscillations."""
+    p, sol = sol43_shallow
+    op = build_mode_operator(p, sol, ell, potential_scale=0.0)
+    lam = jn_zeros(ell + 1, 29) ** 2
+    assert eigenvalues_near_zero(op)[1] == pytest.approx(lam[0], rel=1e-6)
+    for k in range(1, 29, 3):
+        mid = 0.5 * (lam[k - 1] + lam[k]) / op.R_tilde**2
+        assert _shoot_mode(op, mid) == k
 
 
 def test_mode_operator_validation(sol53_mid):
