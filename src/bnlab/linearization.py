@@ -12,9 +12,12 @@ profile.  Eigenvalues are computed by Sturm shooting in the scaled variable:
 the base profile is re-integrated jointly with the Pruefer angle theta of
 the mode solution, tan(theta) = v / (s v'), in one integration over
 (0, R_tilde) for every nu.  theta increases through each multiple of pi, so
-floor(theta(R_tilde) / pi) is the exact zero count of v, and bisection on
-that count finds each eigenvalue by index.  Accuracy near zero is that of
-the shooting (rtol = 1e-13): a scaled eigenvalue of 1e-12 is resolved to
+floor(theta(R_tilde) / pi) is the exact zero count of v: it gives the
+number of negative eigenvalues (the Morse index) and brackets each
+eigenvalue by index.  theta(R_tilde; nu) is continuous and increasing in
+nu, and the j-th eigenvalue is the root of theta(R_tilde; nu) = (j + 1) pi,
+which Brent's method finds inside that bracket.  Accuracy near zero is that
+of the shooting (rtol = 1e-13): a scaled eigenvalue of 1e-12 is resolved to
 ~0.4%, one of 1e-13 to a few percent and one of 1e-14 only to a factor
 ~1.5, which the ell = 1 eigenvalue (~ mu^{-2}) reaches at the deep end of
 the default sweep.
@@ -22,15 +25,17 @@ the default sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .constants import Params
-from .errors import DomainError, IntegrationFailureError
-from .solver import RadialSolution
+from .errors import DomainError, FitFailureError, IntegrationFailureError
+from .solver import RadialSolution, _length_scale
 
 __all__ = [
     "ModeOperator",
@@ -41,7 +46,10 @@ __all__ = [
 
 _S_START = 1e-3
 _MODE_RTOL = 1e-13
-_XTOL_REL = 1e-6  # relative bracket width that ends the eigenvalue bisection
+# relative tolerance of Brent's eigenvalue root solve.  brentq returns an end
+# of its last bracket, not the midpoint, so 5e-7 bounds the error as the
+# 1e-6 bracket of the former bisection did.
+_XTOL_REL = 5e-7
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,8 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
-def _shoot_mode(op: ModeOperator, nu: float) -> int:
-    """Number of Dirichlet eigenvalues below nu, by one shoot.
+def _shoot_mode(op: ModeOperator, nu: float) -> float:
+    """Pruefer angle theta(R_tilde) of the mode solution at nu, by one shoot.
 
     The base profile is integrated together with the Pruefer angle theta of
     the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
@@ -114,7 +122,8 @@ def _shoot_mode(op: ModeOperator, nu: float) -> int:
             / s,
         )
 
-    s0 = _S_START
+    scale_len = _length_scale(et)
+    s0 = _S_START * scale_len
     a2, a4 = _series_coeffs(p, et)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
     y0 = [
@@ -123,19 +132,21 @@ def _shoot_mode(op: ModeOperator, nu: float) -> int:
         math.atan2(1.0, op.ell),
     ]
     sol = solve_ivp(rhs, (s0, op.R_tilde), y0, method="DOP853",
-                    rtol=_MODE_RTOL, atol=1e-160, first_step=1e-4)
+                    rtol=_MODE_RTOL, atol=1e-160,
+                    first_step=1e-4 * scale_len)
     if not sol.success:
         raise IntegrationFailureError(
             f"mode integration failed on [{s0}, {op.R_tilde}]: {sol.message}"
         )
-    return int(sol.y[2, -1] // math.pi)
+    return float(sol.y[2, -1])
 
 
-def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int) -> float:
+def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    m0 is the number of eigenvalues below zero.  Anchoring the bracket at
-    zero keeps the bisection in the cheap non-oscillatory regime for the
+    theta(nu) is the memoised Pruefer angle of the operator's mode shoot
+    and m0 the number of eigenvalues below zero.  Anchoring the bracket at
+    zero keeps the search in the cheap non-oscillatory regime for the
     eigenvalues adjacent to zero.
     """
     if m0 <= j:
@@ -145,26 +156,27 @@ def _eigenvalue_by_index(op: ModeOperator, j: int, m0: int) -> float:
         a = -1.1 * (op.potential_scale
                     * ((op.params.two_star - 1.0) + op.eps_tilde
                        * (op.params.q - 1.0))) - 1e-6
+        if theta(a) >= (j + 1) * math.pi:
+            raise IntegrationFailureError(
+                f"eigenvalue {j} lies below the potential bound {a}"
+            )
     b, cb = 0.0, m0
     step = 4.0 / op.R_tilde**2
     while cb <= j:
         b += step
         step *= 4.0
-        cb = _shoot_mode(op, b)
-        if b > 1e8:
+        cb = theta(b) // math.pi
+        if b * op.R_tilde**2 > 1e8:  # unit-ball units
             raise IntegrationFailureError("eigenvalue search did not bracket")
-    # pure bisection on the Sturm count: the count jumps j -> j+1 exactly at
-    # the eigenvalue, so this is sign bisection in disguise and needs no
-    # magnitude information (which spans thousands of orders here)
-    for _ in range(240):
-        if b - a <= _XTOL_REL * max(abs(a), abs(b)) + 1e-18:
-            break
-        mid = 0.5 * (a + b)
-        if _shoot_mode(op, mid) <= j:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    # the count is <= j exactly where theta < (j + 1) pi, so this has the
+    # sign of the count test on the bracket [a, b]; Brent adds its magnitude
+    nu, res = brentq(lambda x: theta(x) - (j + 1) * math.pi, a, b,
+                     xtol=1e-18, rtol=_XTOL_REL, full_output=True, disp=False)
+    if not res.converged:
+        raise FitFailureError(
+            f"eigenvalue {j} root solve on [{a}, {b}]: {res.flag}"
+        )
+    return nu
 
 
 def eigenvalues_near_zero(op: ModeOperator):
@@ -173,11 +185,13 @@ def eigenvalues_near_zero(op: ModeOperator):
     Returns (below, above, n_negative); below is None when the spectrum is
     entirely positive.
     """
-    m0 = _shoot_mode(op, 0.0)
-    above = _eigenvalue_by_index(op, m0, m0) * op.R_tilde**2
+    # one integration per nu: the bracket ends and nu = 0 are reused
+    theta = functools.cache(lambda nu: _shoot_mode(op, nu))
+    m0 = int(theta(0.0) // math.pi)
+    above = _eigenvalue_by_index(op, theta, m0, m0) * op.R_tilde**2
     below = None
     if m0 > 0:
-        below = _eigenvalue_by_index(op, m0 - 1, m0) * op.R_tilde**2
+        below = _eigenvalue_by_index(op, theta, m0 - 1, m0) * op.R_tilde**2
     return below, above, m0
 
 

@@ -48,7 +48,7 @@ __all__ = [
     "solve_for_eps",
 ]
 
-_R_START = 1e-4
+_R_START = 1e-4  # series start, in units of _length_scale
 # absolute tolerance of v and v': in effect none, so they are held to rtol
 # relative to their own size, which is O(eps_tilde) like the tail constant
 _V_ATOL = 1e-300
@@ -84,7 +84,7 @@ class ShootResult:
         s = np.atleast_1d(s)
         v = np.empty_like(s)
         dv = np.empty_like(s)
-        small = s < _R_START
+        small = s < _R_START * _length_scale(self.eps_tilde)
         if np.any(small):
             c2, c4 = _deviation_series(self.params, self.eps_tilde)
             ss = s[small]
@@ -133,6 +133,12 @@ class RadialSolution:
         return r, u, du
 
 
+def _length_scale(eps_tilde: float) -> float:
+    """Length on which the height-1 profile varies near the origin: 1, or
+    eps_tilde^{-1/2} once the eps_tilde u^{q-1} term dominates."""
+    return min(1.0, eps_tilde**-0.5)
+
+
 def _deviation_series(p: Params, eps_tilde: float):
     """v = c2 s^2 + c4 s^4: the series of u minus that of U, through s^4."""
     N, p2, q = p.N, p.two_star, p.q
@@ -157,8 +163,9 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
         )
     if r_max is None:
         r_max = _estimate_r_max(p, eps_tilde)
-    if not r_max > _R_START:
-        raise DomainError(f"r_max must exceed {_R_START}, got {r_max}")
+    s0 = _R_START * _length_scale(eps_tilde)
+    if not r_max > s0:
+        raise DomainError(f"r_max must exceed {s0}, got {r_max}")
     N, q, p2 = p.N, p.q, p.two_star
     k = N * (N - 2.0)
     half = (N - 2.0) / 2.0
@@ -196,7 +203,6 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
     hit_zero.direction = -1.0
 
     c2, c4 = _deviation_series(p, eps_tilde)
-    s0 = _R_START
     y0 = (
         c2 * s0**2 + c4 * s0**4,
         2.0 * c2 * s0 + 4.0 * c4 * s0**3,

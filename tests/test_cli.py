@@ -284,6 +284,19 @@ def test_spectrum_command(tmp_path):
     assert doc["modes"][0]["n_negative"] == 1
 
 
+def test_spectrum_at_large_eps_tilde(tmp_path):
+    """R_tilde = 6.3e-4 here, below the fixed series starts that the shoots
+    used before they scaled with eps_tilde^{-1/2}."""
+    out = tmp_path / "sp.json"
+    rc = main([
+        "spectrum", "--n", "4", "--q", "3", "--eps-tilde", "1e8",
+        "--ell-max", "2", "--output", str(out),
+    ])
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert [m["n_negative"] for m in doc["modes"]] == [1, 0, 0]
+
+
 def test_json_escapes_strings():
     doc = {"schema_version": "1", 'ke"y': 'a "quote", a \\ and a\nnewline',
            "x": [0.5, "plain"]}

@@ -1,11 +1,16 @@
 """Spectrum of the mode operators by Sturm shooting: Morse index, the
 small positive eigenvalue of the translation mode, and the certificate."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
+import bnlab.linearization
 from bnlab import (
     DomainError,
     Params,
@@ -16,6 +21,7 @@ from bnlab import (
     shoot,
     solution_at,
 )
+from bnlab.cli import EXIT_NUMERICAL, main
 from bnlab.linearization import _shoot_mode
 
 
@@ -35,12 +41,12 @@ def sol43_shallow():
 @given(st.sampled_from([0, 1, 2]),
        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
 def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
-    """The node count of the mode shoot is the number of eigenvalues below
-    nu, so it never decreases as nu grows."""
+    """The node count floor(theta / pi) of the mode shoot is the number of
+    eigenvalues below nu, so it never decreases as nu grows."""
     p, sol = sol43_shallow
     op = build_mode_operator(p, sol, ell)
     lo, hi = sorted(nus)
-    assert _shoot_mode(op, lo) <= _shoot_mode(op, hi)
+    assert _shoot_mode(op, lo) // math.pi <= _shoot_mode(op, hi) // math.pi
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -55,7 +61,49 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
     assert eigenvalues_near_zero(op)[1] == pytest.approx(lam[0], rel=1e-6)
     for k in range(1, 29, 3):
         mid = 0.5 * (lam[k - 1] + lam[k]) / op.R_tilde**2
-        assert _shoot_mode(op, mid) == k
+        assert _shoot_mode(op, mid) // math.pi == k
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
+    """Brent on the Pruefer angle finds the eigenvalue above zero in a few
+    shoots, and no angle is integrated twice for the same nu."""
+    p, sol = sol53_mid
+    nus = []
+    real = bnlab.linearization._shoot_mode
+
+    def counting(op, nu):
+        nus.append(nu)
+        return real(op, nu)
+
+    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
+    eigenvalues_near_zero(build_mode_operator(p, sol, ell))
+    assert len(nus) <= 16
+    assert len(set(nus)) == len(nus)
+
+
+def _one_node_at_every_nu(op, nu):
+    return 1.5 * math.pi + max(nu, 0.0)
+
+
+@pytest.mark.parametrize("name,fault", [
+    # theta never falls below pi: the potential bound is no lower bracket
+    ("_shoot_mode", _one_node_at_every_nu),
+    # too few iterations for Brent to reach its tolerance
+    ("brentq", functools.partial(brentq, maxiter=3)),
+])
+def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
+                                             fault):
+    """A lower bracket end that already lies above the eigenvalue and a root
+    solve that does not converge raise instead of returning a number, and
+    the CLI reports them in one line."""
+    monkeypatch.setattr(bnlab.linearization, name, fault)
+    rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+               "--ell-max", "2"])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ")
+    assert err.count("\n") == 1
 
 
 def test_mode_operator_validation(sol53_mid):
@@ -129,3 +177,17 @@ def test_certificate_rejects_synthetic_degeneracy(sol53_mid):
     ok, rep = nondegeneracy_certificate(p, sol, ell_max=2, tol=10.0 * nearest)
     assert not ok
     assert rep["min_abs_overall"] < 10.0 * nearest
+
+
+def test_ell0_spectrum_converges_at_large_eps_tilde():
+    """For eps_tilde >> 1 the eps_tilde u^{q-1} term dominates and the
+    unit-ball eigenvalues settle with O(1/eps_tilde) corrections, once both
+    series starts scale with the profile's length eps_tilde^{-1/2}."""
+    p = Params(4, 3.0)
+    (b6, a6, m6), (b8, a8, m8) = [
+        eigenvalues_near_zero(build_mode_operator(p, solution_at(p, et), 0))
+        for et in (1e6, 1e8)
+    ]
+    assert m6 == m8 == 1
+    assert b8 == pytest.approx(b6, rel=1e-5)
+    assert a8 == pytest.approx(a6, rel=1e-5)

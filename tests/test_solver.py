@@ -118,8 +118,10 @@ def test_deeper_eps_means_larger_first_zero():
     assert z[0] < z[1] < z[2]
 
 
-@pytest.mark.parametrize("N,q", [(4, 3.0), (5, 3.0), (4, 3.9), (3, 5.7),
-                                 (6, 2.9)])
+_DEFAULT_CELLS = [(4, 3.0), (5, 3.0), (4, 3.9), (3, 5.7), (6, 2.9)]
+
+
+@pytest.mark.parametrize("N,q", _DEFAULT_CELLS)
 def test_identities_hold_on_default_sweep(N, q):
     """Nehari and Pohozaev to 1e-10 down to the deepest default point; the
     tail constant of the first zero is O(R_tilde^{2-N}), so an integration
@@ -167,3 +169,29 @@ def test_eps_smooth_and_increasing_on_deep_branch(shift):
     steps = np.diff(log_eps)
     assert np.all(steps > 0.0)
     assert np.max(np.abs(np.diff(steps))) <= 1e-12
+
+
+@pytest.mark.parametrize("N,q", [(4, 3.0), (5, 3.0), (3, 5.0)])
+def test_identities_hold_at_large_eps_tilde(N, q):
+    """The profile's length scale is eps_tilde^{-1/2}; the series start
+    scales with it, so the identities hold far above eps_tilde = 1."""
+    for et in (1e4, 1e6, 1e7, 1e8):
+        sol = solution_at(Params(N, q), et)
+        assert sol.nehari_residual <= 1e-10
+        assert sol.pohozaev_residual <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_DEFAULT_CELLS), st.floats(-6.0, 2.0))
+def test_profile_obeys_scaling_law(cell, log_et):
+    """u(r) = R^{(N-2)/2} u_tilde(R r) and u'(r) = R^{N/2} u_tilde'(R r)
+    with R = R_tilde, between the unit-ball profile and the shoot."""
+    p = Params(*cell)
+    sol = solution_at(p, 10.0**log_et)
+    r, u, du = sol.profile()
+    ut, dut = sol.shoot_result.eval(sol.R_tilde * r[1:-1])
+    half = (p.N - 2.0) / 2.0
+    assert u[0] == pytest.approx(sol.mu, rel=1e-12)  # u_tilde(0) = 1
+    np.testing.assert_allclose(u[1:-1], sol.R_tilde**half * ut, rtol=1e-10)
+    np.testing.assert_allclose(du[1:-1], sol.R_tilde ** (half + 1.0) * dut,
+                               rtol=1e-10)
