@@ -21,6 +21,16 @@ of the shooting (rtol = 1e-13): a scaled eigenvalue of 1e-12 is resolved to
 ~0.4%, one of 1e-13 to a few percent and one of 1e-14 only to a factor
 ~1.5, which the ell = 1 eigenvalue (~ mu^{-2}) reaches at the deep end of
 the default sweep.
+
+Below zero the tail where the potential is smaller than -nu is classically
+forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
+about exp(-2 sqrt(-nu) R_tilde) wide, on which Brent can only bisect.  The
+search for an eigenvalue below zero therefore matches two shoots (Pryce,
+1993; SLEIGN2): a second leg integrates the profile and the angle phi of the
+solution that vanishes at R_tilde back from R_tilde to the bubble length
+s_m, and Theta = theta(s_m) - phi(s_m) + pi is smooth in nu, with the same
+count floor(Theta / pi) and the same roots.  Searches at nu >= 0 cross no
+forbidden tail and keep the one-sided angle.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ class ModeOperator:
     ell: int
     eps_tilde: float
     R_tilde: float
+    # u'(R_tilde) of the height-1 profile: the start of the backward leg
+    du_at_R_tilde: float
     # multiplies the whole potential; 1.0 is the physical operator, other
     # values manufacture synthetic (near-)degenerate test problems
     potential_scale: float = 1.0
@@ -67,6 +79,14 @@ class ModeOperator:
     @property
     def centrifugal(self) -> float:
         return self.ell * (self.ell + self.params.N - 2.0)
+
+    @property
+    def match_point(self) -> float:
+        """Where the two legs of a matched shoot meet: the bubble length
+        sqrt(N(N-2)), scaled with the profile's length, or R_tilde."""
+        N = self.params.N
+        return min(self.R_tilde,
+                   math.sqrt(N * (N - 2.0)) * _length_scale(self.eps_tilde))
 
 
 def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
@@ -78,6 +98,7 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
         ell=ell,
         eps_tilde=sol.eps_tilde,
         R_tilde=sol.R_tilde,
+        du_at_R_tilde=sol.shoot_result.du_at_zero,
         potential_scale=potential_scale,
     )
 
@@ -92,8 +113,9 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
-def _shoot_mode(op: ModeOperator, nu: float) -> float:
-    """Pruefer angle theta(R_tilde) of the mode solution at nu, by one shoot.
+def _shoot_mode(op: ModeOperator, nu: float,
+                s_match: float | None = None) -> float:
+    """Pruefer angle of the mode solution at nu, by one shoot.
 
     The base profile is integrated together with the Pruefer angle theta of
     the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
@@ -102,6 +124,14 @@ def _shoot_mode(op: ModeOperator, nu: float) -> float:
     exactly once and upward: floor(theta(R_tilde) / pi) is the number of
     zeros on (0, R_tilde), which by Sturm oscillation is the number of
     eigenvalues below nu.
+
+    With s_match < R_tilde the forward leg stops there, and a backward leg
+    carries the profile and the angle phi of the solution with v(R_tilde) =
+    0, v'(R_tilde) < 0 (phi = pi) down to s_match.  The return value
+    theta(s_match) - phi(s_match) + pi is a multiple of pi exactly when the
+    two solutions are proportional, increases in nu and equals
+    theta(R_tilde) at s_match = R_tilde, so it keeps the count and the
+    roots of the one-sided angle.
     """
     p = op.params
     N, q, p2 = p.N, p.q, p.two_star
@@ -123,35 +153,48 @@ def _shoot_mode(op: ModeOperator, nu: float) -> float:
         )
 
     scale_len = _length_scale(et)
+
+    def leg(s_from, s_to, y0):
+        sol = solve_ivp(rhs, (s_from, s_to), y0, method="DOP853",
+                        rtol=_MODE_RTOL, atol=1e-160,
+                        first_step=1e-4 * scale_len)
+        if not sol.success:
+            raise IntegrationFailureError(
+                f"mode integration failed on [{s_from}, {s_to}]: "
+                f"{sol.message}"
+            )
+        return float(sol.y[2, -1])
+
     s0 = _S_START * scale_len
+    s_m = op.R_tilde if s_match is None else s_match
     a2, a4 = _series_coeffs(p, et)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    y0 = [
+    theta = leg(s0, s_m, [
         1.0 + a2 * s0**2 + a4 * s0**4,
         2.0 * a2 * s0 + 4.0 * a4 * s0**3,
         math.atan2(1.0, op.ell),
-    ]
-    sol = solve_ivp(rhs, (s0, op.R_tilde), y0, method="DOP853",
-                    rtol=_MODE_RTOL, atol=1e-160,
-                    first_step=1e-4 * scale_len)
-    if not sol.success:
-        raise IntegrationFailureError(
-            f"mode integration failed on [{s0}, {op.R_tilde}]: {sol.message}"
-        )
-    return float(sol.y[2, -1])
+    ])
+    if s_m >= op.R_tilde:
+        return theta
+    phi = leg(op.R_tilde, s_m, [0.0, op.du_at_R_tilde, math.pi])
+    return theta - phi + math.pi
 
 
 def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    theta(nu) is the memoised Pruefer angle of the operator's mode shoot
-    and m0 the number of eigenvalues below zero.  Anchoring the bracket at
-    zero keeps the search in the cheap non-oscillatory regime for the
-    eigenvalues adjacent to zero.
+    theta(nu) is the memoised one-sided Pruefer angle of the operator's mode
+    shoot and m0 the number of eigenvalues below zero.  Anchoring the
+    bracket at zero keeps the search in the cheap non-oscillatory regime for
+    the eigenvalues adjacent to zero.  An eigenvalue below zero is bracketed
+    by [a, 0] and searched on the matched angle, which has the same count
+    and roots but no step in the forbidden tail for Brent to bisect.
     """
     if m0 <= j:
         a = 0.0
     else:
+        theta = functools.cache(
+            lambda nu: _shoot_mode(op, nu, op.match_point))
         # lower bound: the operator is bounded below by -max potential
         a = -1.1 * (op.potential_scale
                     * ((op.params.two_star - 1.0) + op.eps_tilde

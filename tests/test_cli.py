@@ -297,6 +297,18 @@ def test_spectrum_at_large_eps_tilde(tmp_path):
     assert [m["n_negative"] for m in doc["modes"]] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("n,q", [("6", "2.6"), ("7", "2.2")])
+def test_spectrum_writes_no_warning(capsys, n, q):
+    """The backward leg of the matched ell = 0 shoot starts from a given
+    first step; scipy's own guess overflows there and numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["spectrum", "--n", n, "--q", q, "--eps-tilde", "1e-2",
+                   "--ell-max", "2", "--output", os.devnull])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_json_escapes_strings():
     doc = {"schema_version": "1", 'ke"y': 'a "quote", a \\ and a\nnewline',
            "x": [0.5, "plain"]}

@@ -37,6 +37,12 @@ def sol43_shallow():
     return p, solution_at(p, 1e-2)
 
 
+@pytest.fixture(scope="module")
+def sol43_deep():
+    p = Params(4, 3.0)
+    return p, solution_at(p, 1e-5)
+
+
 @settings(max_examples=6, deadline=None)
 @given(st.sampled_from([0, 1, 2]),
        st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
@@ -47,6 +53,39 @@ def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
     op = build_mode_operator(p, sol, ell)
     lo, hi = sorted(nus)
     assert _shoot_mode(op, lo) // math.pi <= _shoot_mode(op, hi) // math.pi
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([("5,3,1e-2", 1.0), ("4,3,1e-5", 1.0),
+                        ("5,3,1e-2", 1.2)]),
+       st.floats(0.0, 1.0))
+def test_matched_count_equals_one_sided_count(sol53_mid, sol43_deep, case,
+                                              frac):
+    """Matching the Pruefer angles at the bubble length keeps the count of
+    eigenvalues below nu exact: for ell = 0 and nu between the potential
+    bound and zero, floor(Theta / pi) equals floor(theta(R_tilde) / pi)."""
+    cell, scale = case
+    p, sol = sol43_deep if cell == "4,3,1e-5" else sol53_mid
+    op = build_mode_operator(p, sol, 0, potential_scale=scale)
+    bound = op.potential_scale * ((p.two_star - 1.0)
+                                  + op.eps_tilde * (p.q - 1.0))
+    nu = -1.1 * bound * frac
+    assert op.match_point < op.R_tilde
+    assert (_shoot_mode(op, nu, op.match_point) // math.pi
+            == _shoot_mode(op, nu) // math.pi)
+
+
+def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
+    """The matched search converges superlinearly, so at the search
+    tolerance its root is much closer to the tight root of the one-sided
+    angle than the tolerance itself."""
+    p, sol = sol53_mid
+    op = build_mode_operator(p, sol, 0)
+    below = eigenvalues_near_zero(op)[0] / op.R_tilde**2
+    ref = brentq(lambda nu: _shoot_mode(op, nu) - math.pi,
+                 below * (1.0 + 1e-6), below * (1.0 - 1e-6),
+                 xtol=1e-18, rtol=1e-13)
+    assert below == pytest.approx(ref, rel=1e-8)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -72,9 +111,9 @@ def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
     nus = []
     real = bnlab.linearization._shoot_mode
 
-    def counting(op, nu):
+    def counting(op, nu, s_match=None):
         nus.append(nu)
-        return real(op, nu)
+        return real(op, nu, s_match)
 
     monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
     eigenvalues_near_zero(build_mode_operator(p, sol, ell))
@@ -82,7 +121,38 @@ def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
     assert len(set(nus)) == len(nus)
 
 
-def _one_node_at_every_nu(op, nu):
+def test_ell0_search_in_few_shoots(sol53_mid, monkeypatch):
+    """Below zero the matched angle has no step for Brent to bisect: the
+    negative ell = 0 eigenvalue takes about as few shoots as the one above
+    zero, and no (nu, matching point) pair is integrated twice."""
+    p, sol = sol53_mid
+    shots = []
+    below_zero = []
+    real_shoot = bnlab.linearization._shoot_mode
+    real_search = bnlab.linearization._eigenvalue_by_index
+
+    def counting(op, nu, s_match=None):
+        shots.append((nu, s_match))
+        return real_shoot(op, nu, s_match)
+
+    def search(op, theta, j, m0):
+        before = len(shots)
+        nu = real_search(op, theta, j, m0)
+        if j < m0:
+            below_zero.append(len(shots) - before)
+        return nu
+
+    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
+    monkeypatch.setattr(bnlab.linearization, "_eigenvalue_by_index", search)
+    eigenvalues_near_zero(build_mode_operator(p, sol, 0))
+    assert len(below_zero) == 1 and below_zero[0] <= 16
+    assert len(shots) <= 24
+    assert len(set(shots)) == len(shots)
+    at_zero = [s_m for nu, s_m in shots if nu == 0.0]
+    assert len(at_zero) == len({s_m for _, s_m in shots}) == 2
+
+
+def _one_node_at_every_nu(op, nu, s_match=None):
     return 1.5 * math.pi + max(nu, 0.0)
 
 
