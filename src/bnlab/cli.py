@@ -222,6 +222,8 @@ def cmd_sweep(args) -> int:
                 "nondegenerate": ok,
                 "min_abs": rep["min_abs_overall"],
             })
+            if not rep["resolved"]:
+                certs[-1]["resolved"] = False
         doc["nondegeneracy"] = certs
     _emit(_json(doc) + "\n", args.output)
     return EXIT_OK
@@ -255,11 +257,14 @@ def cmd_spectrum(args) -> int:
     ok, rep = nondegeneracy_certificate(p, sol, ell_max=args.ell_max,
                                         tol=args.tol,
                                         potential_scale=args.potential_scale)
-    modes = [{"ell": ell, "n_negative": m["n_negative"],
-              "nearest_below_zero": m["nearest_below"],
-              "nearest_above_zero": m["nearest_above"],
-              "min_abs": m["min_abs"]}
-             for ell, m in rep["per_mode"].items()]
+    modes = []
+    for ell, m in rep["per_mode"].items():
+        modes.append({"ell": ell, "n_negative": m["n_negative"],
+                      "nearest_below_zero": m["nearest_below"],
+                      "nearest_above_zero": m["nearest_above"],
+                      "min_abs": m["min_abs"]})
+        if not m["resolved"]:
+            modes[-1]["resolved"] = False
     doc = _solution_doc(p, sol)
     doc.update({
         "potential_scale": args.potential_scale,

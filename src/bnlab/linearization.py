@@ -16,11 +16,27 @@ floor(theta(R_tilde) / pi) is the exact zero count of v: it gives the
 number of negative eigenvalues (the Morse index) and brackets each
 eigenvalue by index.  theta(R_tilde; nu) is continuous and increasing in
 nu, and the j-th eigenvalue is the root of theta(R_tilde; nu) = (j + 1) pi,
-which Brent's method finds inside that bracket.  Accuracy near zero is that
-of the shooting (rtol = 1e-13): a scaled eigenvalue of 1e-12 is resolved to
-~0.4%, one of 1e-13 to a few percent and one of 1e-14 only to a factor
-~1.5, which the ell = 1 eigenvalue (~ mu^{-2}) reaches at the deep end of
-the default sweep.
+which Brent's method finds inside that bracket.
+
+Each shoot runs Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving
+ODEs I, II.10) through scipy.integrate.ode: the method and error norm of
+solve_ivp's DOP853, with a compiled step loop, and with rtol = 1e-14 below
+the 2.2e-14 floor to which solve_ivp clamps.  Two settings differ from that
+code's defaults.  Legs towards smaller s run forward in t = -s, because it
+takes its first step with the sign given and would otherwise start outward
+past R_tilde.  Its stiffness test is off: in the forbidden ell = 0 tail at
+nu < 0 the step is bound by stability, and the test stops integrations
+there that complete without it (N = 3, q = 5, eps_tilde = 1e-4, nu = -0.5
+at rtol = 1e-13).
+
+Accuracy near zero is that of the shoot.  Measured on the ell = 1
+eigenvalue against its closed-form limit at N = 3, 4 and 5, the absolute
+error of a scaled eigenvalue nu is 2e-16 to 7e-16 (4e-15 at rtol = 1e-13):
+nu = 3e-13 is resolved to 0.1%, 3e-14 to 0.8%, 8e-15 to 8% and 1e-15 only
+to about 30%; 5e-16 is off by a factor 16.  The ell = 1 eigenvalue
+(~ mu^{-2}) falls below 1e-14 at the deep end of the default sweeps.  An
+eigenvalue with |nu| below _NU_RESOLVED = 1e-13, where the error is at most
+0.7%, is reported as not resolved.
 
 Below zero the tail where the potential is smaller than -nu is classically
 forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
@@ -37,10 +53,11 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .constants import Params
@@ -55,7 +72,14 @@ __all__ = [
 ]
 
 _S_START = 1e-3
-_MODE_RTOL = 1e-13
+# relative tolerance of the mode shoot, which runs Hairer's DOP853 through
+# scipy.integrate.ode: unlike solve_ivp it takes an rtol below 2.2e-14.
+# Near zero it sets the absolute error of nu; the module docstring says why
+# backward legs run in -s and why the stiffness test is off.
+_MODE_RTOL = 1e-14
+# smallest |nu| = |lambda| / R_tilde^2 reported as resolved, measured at
+# _MODE_RTOL; do not lower it without measuring again
+_NU_RESOLVED = 1e-13
 # relative tolerance of Brent's eigenvalue root solve.  brentq returns an end
 # of its last bracket, not the midpoint, so 5e-7 bounds the error as the
 # 1e-6 bracket of the former bisection did.
@@ -138,32 +162,50 @@ def _shoot_mode(op: ModeOperator, nu: float,
     et = op.eps_tilde
     cl = op.centrifugal
     scale = op.potential_scale
-
-    def rhs(s, y):
-        u, du, th = y
-        up = max(u, 0.0)
-        w = scale * ((p2 - 1.0) * up ** (p2 - 2.0)
-                     + et * (q - 1.0) * up ** (q - 2.0))
-        c, sn = math.cos(th), math.sin(th)
-        return (
-            du,
-            -(N - 1.0) / s * du - (up ** (p2 - 1.0) + et * up ** (q - 1.0)),
-            (c * c + (N - 2.0) * sn * c + ((w + nu) * s * s - cl) * sn * sn)
-            / s,
-        )
-
     scale_len = _length_scale(et)
 
     def leg(s_from, s_to, y0):
-        sol = solve_ivp(rhs, (s_from, s_to), y0, method="DOP853",
-                        rtol=_MODE_RTOL, atol=1e-160,
-                        first_step=1e-4 * scale_len)
-        if not sol.success:
+        # Hairer's code takes first_step with the sign it is given, so a leg
+        # towards smaller s would first march outward past R_tilde (and end
+        # about pi off at N = 4, eps_tilde = 1e8).  Every leg runs forward
+        # in t = d s instead; the state stays (u, u', angle) in s, so each
+        # derivative is multiplied by d.
+        d = 1.0 if s_to > s_from else -1.0
+
+        def rhs(t, y):
+            u, du, th = y
+            s = d * t
+            up = max(u, 0.0)
+            w = scale * ((p2 - 1.0) * up ** (p2 - 2.0)
+                         + et * (q - 1.0) * up ** (q - 2.0))
+            c, sn = math.cos(th), math.sin(th)
+            return (
+                d * du,
+                d * (-(N - 1.0) / s * du
+                     - (up ** (p2 - 1.0) + et * up ** (q - 1.0))),
+                d * (c * c + (N - 2.0) * sn * c
+                     + ((w + nu) * s * s - cl) * sn * sn) / s,
+            )
+
+        r = ode(rhs).set_integrator("dop853", rtol=_MODE_RTOL, atol=1e-160,
+                                    first_step=1e-4 * scale_len,
+                                    nsteps=2**31 - 1)
+        r.set_initial_value(y0, d * s_from)
+        # IWORK(4) < 0 switches Hairer's stiffness test off, which would stop
+        # the forbidden ell = 0 tail at nu < 0; the scipy wrapper has no
+        # keyword for it
+        r._integrator.iwork[3] = -1
+        with warnings.catch_warnings():
+            # the wrapper warns before it reports a failed run; the error
+            # below carries the return code instead
+            warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+            y = r.integrate(d * s_to)
+        if not r.successful():
             raise IntegrationFailureError(
                 f"mode integration failed on [{s_from}, {s_to}]: "
-                f"{sol.message}"
+                f"dop853 return code {r.get_return_code()}"
             )
-        return float(sol.y[2, -1])
+        return float(y[2])
 
     s0 = _S_START * scale_len
     s_m = op.R_tilde if s_match is None else s_match
@@ -241,8 +283,9 @@ def eigenvalues_near_zero(op: ModeOperator):
 def nondegeneracy_certificate(p: Params, sol: RadialSolution,
                               ell_max: int = 4, tol: float = 1e-3,
                               potential_scale: float = 1.0):
-    """True iff every mode ell <= ell_max keeps its spectrum at distance
-    >= tol from zero; the report carries per-mode distances and the
+    """True iff every mode ell <= ell_max keeps its spectrum at a resolved
+    distance >= tol from zero; the report carries per-mode distances, whether
+    each is resolved (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the
     centrifugal monotonicity check that covers ell > ell_max."""
     if ell_max < 2:
         raise DomainError(f"certificate needs ell_max >= 2, got {ell_max}")
@@ -266,10 +309,16 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
             "nearest_above": above,
             "n_negative": m0,
             "min_abs": dist,
+            # the nearest eigenvalue has the smallest |nu| of the mode
+            "resolved": dist >= _NU_RESOLVED * op.R_tilde**2,
         }
     report["monotone_from_ell2"] = bool(
         all(min_abs[i] <= min_abs[i + 1] for i in range(2, ell_max))
     )
-    ok = all(d >= tol for d in min_abs)
+    # all modes share R_tilde, so the overall minimum is resolved iff every
+    # mode's is
+    report["resolved"] = all(m["resolved"]
+                             for m in report["per_mode"].values())
+    ok = report["resolved"] and all(d >= tol for d in min_abs)
     report["min_abs_overall"] = min(min_abs)
     return ok, report

@@ -153,7 +153,8 @@ def test_criterion_10_nondegeneracy(p53, sweep53):
     swept grid.  The subsample stops at 1e-4 because lambda_1 is not
     resolved at the deep end of the default sweep (the shooting error
     swamps nu = lambda / R_tilde^2; for N = 4 the gap to the target drifts
-    to +1.2% at eps_tilde = 1e-6 and +52% at 1.5e-7).  The ell = 0
+    to +0.1% at eps_tilde = 1e-6, +8% at 1.5e-7 and a factor 16 at
+    1e-8).  The ell = 0
     eigenvalue above zero (the dilation mode) also drifts toward zero, to
     0.23 at eps_tilde = 1e-4, so its 1e-3 floor holds on this subsample
     only.

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnlab.cli
+import bnlab.linearization
 from bnlab.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NUMERICAL,
@@ -282,6 +283,33 @@ def test_spectrum_command(tmp_path):
     assert doc["nondegenerate"]
     assert [m["ell"] for m in doc["modes"]] == [0, 1, 2]
     assert doc["modes"][0]["n_negative"] == 1
+    assert not any("resolved" in m for m in doc["modes"])
+
+
+def test_unresolved_eigenvalue_is_flagged(monkeypatch, tmp_path):
+    """An eigenvalue with |lambda| / R_tilde^2 below the resolution limit is
+    marked "resolved": false in the spectrum and sweep JSON, and the
+    verdict does not count it as a pass.  At N = 5, eps_tilde = 1e-2 a
+    limit of 1e-4 lies between the ell = 1 eigenvalue (nu = 8.3e-6, lambda
+    = 0.025 > tol) and the others (|nu| >= 4.3e-4)."""
+    monkeypatch.setattr(bnlab.linearization, "_NU_RESOLVED", 1e-4)
+    out = tmp_path / "sp.json"
+    assert main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+                 "--ell-max", "2", "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert [m.get("resolved") for m in doc["modes"]] == [None, False, None]
+    assert min(m["min_abs"] for m in doc["modes"]) > doc["tol"]
+    assert not doc["nondegenerate"]
+
+    out = tmp_path / "sw.json"
+    assert main(["sweep", "--n", "5", "--q", "3", "--points", "6",
+                 "--skip-decomposition",
+                 "--spectrum-points", "1", "--ell-max", "2",
+                 "--records", os.devnull, "--output", str(out)]) == EXIT_OK
+    [cert] = json.loads(out.read_text())["nondegeneracy"]
+    assert cert["resolved"] is False
+    assert cert["min_abs"] > 1e-3
+    assert not cert["nondegenerate"]
 
 
 def test_spectrum_at_large_eps_tilde(tmp_path):

@@ -88,6 +88,49 @@ def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
     assert below == pytest.approx(ref, rel=1e-8)
 
 
+def test_backward_leg_at_large_eps_tilde():
+    """R_tilde = 6.3e-4 at N = 4, eps_tilde = 1e8.  Near the negative ell = 0
+    eigenvalue the matched angle is just below pi; a backward leg that
+    started outward past R_tilde ended about pi off (-0.0059)."""
+    p = Params(4, 3.0)
+    op = build_mode_operator(p, solution_at(p, 1e8), 0)
+    nu = -4.8357912374e7
+    matched = _shoot_mode(op, nu, op.match_point)
+    assert matched == pytest.approx(3.12480737, abs=1e-7)
+    assert matched // math.pi == _shoot_mode(op, nu) // math.pi
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-13], ids=["default", "1e-13"])
+def test_matched_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
+    """At N = 3, q = 5, eps_tilde = 1e-4 (R_tilde = 8.7e4) the backward leg
+    crosses a forbidden tail about 1e5 long, where the step is bound by
+    stability.  DOP853's stiffness test stops it at rtol = 1e-13; with the
+    test off it completes, and Theta agrees with that of the former
+    solve_ivp shoot."""
+    if rtol is not None:
+        monkeypatch.setattr(bnlab.linearization, "_MODE_RTOL", rtol)
+    p = Params(3, 5.0)
+    op = build_mode_operator(p, solution_at(p, 1e-4), 0)
+    assert _shoot_mode(op, -0.5, op.match_point) == pytest.approx(
+        3.702047042746759, abs=1e-9)
+
+
+def test_ell1_plateau_holds_at_the_deep_end():
+    """mu^2 lambda_1 tends to a constant as eps -> 0.  At N = 4 it stays
+    within a factor 1.25 of its eps_tilde = 1e-5 value down to 1e-7, where
+    nu = lambda_1 / R_tilde^2 is 3.7e-15 (rtol = 1e-13 gave 2.10 there)."""
+    p = Params(4, 3.0)
+
+    def plateau(et):
+        sol = solution_at(p, et)
+        return sol.mu**2 * eigenvalues_near_zero(
+            build_mode_operator(p, sol, 1))[1]
+
+    ref = plateau(1e-5)
+    for et in (1.5e-7, 1e-7):
+        assert 1.0 / 1.25 <= plateau(et) / ref <= 1.25, et
+
+
 @pytest.mark.parametrize("ell", [0, 1, 2])
 def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
     """With the potential switched off the mode operator is the Dirichlet
@@ -161,12 +204,15 @@ def _one_node_at_every_nu(op, nu, s_match=None):
     ("_shoot_mode", _one_node_at_every_nu),
     # too few iterations for Brent to reach its tolerance
     ("brentq", functools.partial(brentq, maxiter=3)),
+    # an unreachable tolerance: DOP853 stops with return code -3
+    ("_MODE_RTOL", 1e-30),
 ])
 def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
                                              fault):
-    """A lower bracket end that already lies above the eigenvalue and a root
-    solve that does not converge raise instead of returning a number, and
-    the CLI reports them in one line."""
+    """A lower bracket end that already lies above the eigenvalue, a root
+    solve that does not converge and a failed mode integration raise
+    instead of returning a number, and the CLI reports them in one line
+    (the integrator's own warning is not printed)."""
     monkeypatch.setattr(bnlab.linearization, name, fault)
     rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                "--ell-max", "2"])
