@@ -76,11 +76,7 @@ def _emit(text: str, path) -> None:
 
 def _params(args) -> Params:
     p = Params(args.n, args.q)
-    if not p.regime_ok:
-        raise DomainError(
-            f"(N={p.N}, q={p.q}) outside the admissible regime: "
-            f"need q in ({p.q_lower}, {p.two_star})"
-        )
+    p.require_regime()
     return p
 
 
@@ -153,6 +149,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import asymptotics as asy
+    from . import linearization as lin
     from .decomposition import fit_decomposition, perturbation_order_fit
 
     p = _params(args)
@@ -166,8 +163,7 @@ def cmd_sweep(args) -> int:
         )
     if args.spectrum_points < 0:
         raise DomainError("--spectrum-points must be non-negative")
-    if args.ell_max < 2:
-        raise DomainError(f"--ell-max must be at least 2, got {args.ell_max}")
+    lin.check_certificate_options(args.ell_max)
     grid = asy.default_grid(args.points, lo, hi)
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
     if len(records) < 0.8 * args.points:
@@ -208,13 +204,11 @@ def cmd_sweep(args) -> int:
         doc["decomposition_fit"] = fit_doc(dfit)
         doc["alpha_final"] = decs[-1].alpha
     if not args.skip_spectrum:
-        from .linearization import nondegeneracy_certificate
-
         certs = []
         idx = np.unique(np.linspace(0, len(sols) - 1, args.spectrum_points)
                         .astype(int))
         for i in idx:
-            ok, rep = nondegeneracy_certificate(
+            ok, rep = lin.nondegeneracy_certificate(
                 p, sols[i], ell_max=args.ell_max
             )
             certs.append({
@@ -250,13 +244,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .linearization import nondegeneracy_certificate
+    from . import linearization as lin
 
     p = _params(args)
+    lin.check_certificate_options(args.ell_max, args.tol,
+                                  args.potential_scale)
     sol = _solve_solution(p, args)
-    ok, rep = nondegeneracy_certificate(p, sol, ell_max=args.ell_max,
-                                        tol=args.tol,
-                                        potential_scale=args.potential_scale)
+    ok, rep = lin.nondegeneracy_certificate(
+        p, sol, ell_max=args.ell_max, tol=args.tol,
+        potential_scale=args.potential_scale)
     modes = []
     for ell, m in rep["per_mode"].items():
         modes.append({"ell": ell, "n_negative": m["n_negative"],

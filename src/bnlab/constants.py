@@ -93,8 +93,8 @@ class Params:
     def require_regime(self) -> None:
         if not self.regime_ok:
             raise DomainError(
-                f"(N={self.N}, q={self.q}) outside the admissible regime "
-                f"q in ({self.q_lower}, {self.two_star})"
+                f"(N={self.N}, q={self.q}) outside the admissible regime: "
+                f"need q in ({self.q_lower}, {self.two_star})"
             )
 
 

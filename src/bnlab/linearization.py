@@ -67,6 +67,7 @@ from .solver import RadialSolution, _length_scale
 __all__ = [
     "ModeOperator",
     "build_mode_operator",
+    "check_certificate_options",
     "eigenvalues_near_zero",
     "nondegeneracy_certificate",
 ]
@@ -280,13 +281,9 @@ def eigenvalues_near_zero(op: ModeOperator):
     return below, above, m0
 
 
-def nondegeneracy_certificate(p: Params, sol: RadialSolution,
-                              ell_max: int = 4, tol: float = 1e-3,
-                              potential_scale: float = 1.0):
-    """True iff every mode ell <= ell_max keeps its spectrum at a resolved
-    distance >= tol from zero; the report carries per-mode distances, whether
-    each is resolved (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the
-    centrifugal monotonicity check that covers ell > ell_max."""
+def check_certificate_options(ell_max: int, tol: float = 1e-3,
+                              potential_scale: float = 1.0) -> None:
+    """Raise DomainError for options that nondegeneracy_certificate rejects."""
     if ell_max < 2:
         raise DomainError(f"certificate needs ell_max >= 2, got {ell_max}")
     if not 0.0 < tol < np.inf:
@@ -295,6 +292,16 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
         raise DomainError(
             f"potential_scale must be finite, got {potential_scale}"
         )
+
+
+def nondegeneracy_certificate(p: Params, sol: RadialSolution,
+                              ell_max: int = 4, tol: float = 1e-3,
+                              potential_scale: float = 1.0):
+    """True iff every mode ell <= ell_max keeps its spectrum at a resolved
+    distance >= tol from zero; the report carries per-mode distances, whether
+    each is resolved (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the
+    centrifugal monotonicity check that covers ell > ell_max."""
+    check_certificate_options(ell_max, tol, potential_scale)
     report = {"per_mode": {}, "tol": tol}
     min_abs = []
     for ell in range(ell_max + 1):

@@ -21,8 +21,10 @@ carries B at its own relative accuracy.  The energy functionals and the
 boundary flux are accumulated as extra ODE components, so their accuracy is
 the integrator tolerance rather than any resampling grid.
 
-solve_for_eps inverts eps(eps_tilde) by a secant in (log eps_tilde, log eps)
-seeded from the blow-up law eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0).
+solve_for_eps inverts eps(eps_tilde) by one search: a secant in
+(log eps_tilde, log eps) seeded from the blow-up law
+eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
+[1e-14, 100] and held inside the bracket that its own iterates form.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
@@ -318,91 +319,57 @@ def _estimate_r_max(p: Params, eps_tilde: float) -> float:
     return max(1e3, 30.0 * guess)
 
 
-# log eps_tilde span searched for eps_target: the fallback bracketing grid
-_LOG_ET_GRID = np.log(np.logspace(-14, 2, 33))
-_SECANT_SHOOTS = 8
-
-
-def _seeded_secant(p: Params, eps_target: float,
-                   tol: float) -> Optional[RadialSolution]:
-    """Secant in (log eps_tilde, log eps) from the blow-up-law seed; None
-    when it leaves the grid span, meets a shoot without a first zero or a
-    non-increasing eps, or has not converged after _SECANT_SHOOTS shoots."""
-    if not p.regime_ok:
-        return None
-    T = blowup_target(p)
-    N, q = p.N, p.q
-    # eps = eps_tilde R^a with eps_tilde R^{N-2} ~ T gives
-    # eps ~ T^{a/(N-2)} eps_tilde^slope
-    a = (2.0 * N - (N - 2.0) * q) / 2.0
-    slope = 1.0 - a / (N - 2.0)
-    x = (math.log(eps_target) - a / (N - 2.0) * math.log(T)) / slope
-    prev = None
-    for _ in range(_SECANT_SHOOTS):
-        if not _LOG_ET_GRID[0] <= x <= _LOG_ET_GRID[-1]:
-            return None
-        sol = solution_at(p, math.exp(x))
-        if sol is None:
-            return None
-        if abs(sol.eps - eps_target) <= tol * eps_target:
-            return sol
-        g = math.log(sol.eps / eps_target)
-        if prev is not None:
-            slope = (g - prev[1]) / (x - prev[0])
-            if not slope > 0.0:
-                return None
-        prev = (x, g)
-        x -= g / slope
-    return None
+# log eps_tilde span of solve_for_eps, and its shoot cap: bisection alone
+# would narrow the span, 36.8 wide, below 1e-10 in 39 shoots
+_LOG_ET_SPAN = (math.log(1e-14), math.log(100.0))
+_MAX_SHOOTS = 40
 
 
 def solve_for_eps(p: Params, eps_target: float,
                   tol: float = 1e-8) -> RadialSolution:
-    """Find eps_tilde with eps(eps_tilde) = eps_target on the small-eps_tilde
-    (large first zero) branch: a secant seeded from the blow-up law, with
-    grid bracketing plus Brent root solve as the fallback."""
+    """Find eps_tilde with eps(eps_tilde) = eps_target, where eps increases
+    with eps_tilde: a secant in (x, g) = (log eps_tilde, log(eps/eps_target))
+    from the blow-up-law seed, clipped to _LOG_ET_SPAN.  The latest iterates
+    with g < 0 and g > 0 bracket the root, and a step that would leave the
+    bracket goes to its midpoint (Dekker's safeguard; Brent 1973, ch. 4).
+    A target beyond eps at a span end, or a shoot with no first zero, is
+    unreachable."""
+    p.require_regime()
     if not 0.0 < eps_target < np.inf:
         raise DomainError(
             f"eps_target must be positive and finite, got {eps_target}"
         )
-    sol = _seeded_secant(p, eps_target, tol)
-    if sol is not None:
-        return sol
-
-    cache: dict[float, RadialSolution] = {}
-
-    def eps_of(log_et: float) -> float:
-        sol = solution_at(p, float(np.exp(log_et)))
+    N, q = p.N, p.q
+    cell = f"for (N={N}, q={q:g})"
+    # eps = eps_tilde R^a with eps_tilde R^{N-2} ~ T gives
+    # eps ~ T^{a/(N-2)} eps_tilde^law_slope
+    a = (2.0 * N - (N - 2.0) * q) / 2.0
+    law_slope = slope = 1.0 - a / (N - 2.0)
+    x = (math.log(eps_target) - a / (N - 2.0) * math.log(blowup_target(p))
+         ) / law_slope
+    below = above = prev = None
+    for _ in range(_MAX_SHOOTS):
+        x = min(max(x, _LOG_ET_SPAN[0]), _LOG_ET_SPAN[1])
+        sol = solution_at(p, math.exp(x))
         if sol is None:
-            return -np.inf
-        cache[log_et] = sol
-        return sol.eps
-
-    lo = hi = None
-    prev_log, prev_eps = None, None
-    for log_et in _LOG_ET_GRID:
-        e = eps_of(log_et)
-        if not np.isfinite(e):
-            prev_log, prev_eps = None, None
-            continue
-        if prev_eps is not None and (prev_eps - eps_target) * (e - eps_target) <= 0:
-            lo, hi = prev_log, log_et
-            break
-        if abs(e - eps_target) <= tol * eps_target:
-            return cache[log_et]
-        prev_log, prev_eps = log_et, e
-    if lo is None:
-        raise UnreachableEpsError(
-            f"eps={eps_target} not bracketed for (N={p.N}, q={p.q}); "
-            "the target may lie below the fold minimum"
-        )
-
-    root = brentq(lambda L: eps_of(L) - eps_target, lo, hi,
-                  xtol=1e-13, rtol=1e-13)
-    e = eps_of(root)
-    sol = cache[root]
-    if abs(e - eps_target) > tol * eps_target:
-        raise UnreachableEpsError(
-            f"bisection stalled at eps={e}, target {eps_target}"
-        )
-    return sol
+            raise UnreachableEpsError(
+                f"no first zero at eps_tilde={math.exp(x):.6g} {cell}"
+            )
+        if abs(sol.eps - eps_target) <= tol * eps_target:
+            return sol
+        g = math.log(sol.eps / eps_target)
+        if x == _LOG_ET_SPAN[g < 0.0]:  # eps rises with eps_tilde
+            raise UnreachableEpsError(
+                f"eps={eps_target:.6g} {'above' if g < 0.0 else 'below'} "
+                f"eps={sol.eps:.6g} at eps_tilde={math.exp(x):g} {cell}"
+            )
+        below, above = (x, above) if g < 0.0 else (below, x)
+        if prev is not None:
+            secant = (g - prev[1]) / (x - prev[0])
+            slope = secant if secant > 0.0 else law_slope
+        prev = (x, g)
+        x -= g / slope
+        if below is not None and above is not None and not below < x < above:
+            x = 0.5 * (below + above)
+    raise UnreachableEpsError(f"eps={eps_target:.6g} not within tol={tol:g} "
+                              f"after {_MAX_SHOOTS} shoots {cell}")

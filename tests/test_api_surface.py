@@ -1,6 +1,6 @@
-"""The public surface of the package: every public top-level function and
-class and every module-level constant in src/bnlab is used by the package
-itself, and every name that an __all__ lists exists."""
+"""The surface of the package: every top-level function and class, private
+ones included, and every module-level constant in src/bnlab is used by the
+package itself, and every name that an __all__ lists exists."""
 
 import ast
 import importlib
@@ -28,8 +28,7 @@ def test_every_public_definition_is_used_in_src():
             owner = None
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 owner = node.name
-                if not node.name.startswith("_"):
-                    defined.append((path.stem, node.name))
+                defined.append((path.stem, node.name))
             for name in _references(node):
                 users.setdefault(name, set()).add((path.stem, owner))
     unused = sorted(name for module, name in defined

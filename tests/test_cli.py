@@ -9,7 +9,7 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnlab.cli
@@ -99,6 +99,7 @@ def test_solve_exit_code_contract(tmp_path_factory, eps_tilde):
 
 _SPECTRUM = ["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2"]
 _SWEEP = ["sweep", "--n", "4", "--q", "3", "--records", os.devnull]
+_SPECTRUM_UNREACHABLE = ["spectrum", "--n", "5", "--q", "3", "--eps", "1e9"]
 _BAD_FLAGS = st.one_of(
     st.tuples(st.just(_SWEEP), st.just("--points"), st.integers(max_value=5)),
     # the default --eps-tilde-max is 1e-2, the default --eps-tilde-min 1e-8
@@ -118,11 +119,16 @@ _BAD_FLAGS = st.one_of(
     # checked before the sweep runs, even when no certificate is asked for
     st.tuples(st.just(_SWEEP + ["--skip-spectrum"]), st.just("--ell-max"),
               st.integers(max_value=1)),
+    # checked before the solve, so an unreachable --eps (exit 3) hides none
+    st.sampled_from([(_SPECTRUM_UNREACHABLE, "--tol", -1.0),
+                     (_SPECTRUM_UNREACHABLE, "--ell-max", 1),
+                     (_SPECTRUM_UNREACHABLE, "--potential-scale", math.nan)]),
 )
 
 
 @settings(max_examples=30, deadline=None)
 @given(_BAD_FLAGS)
+@example((_SPECTRUM_UNREACHABLE, "--tol", -1.0))
 def test_sweep_and_spectrum_exit_code_contract(case):
     """A bad value of a sweep or spectrum flag exits 2 with one stderr line
     and no warning."""

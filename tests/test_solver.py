@@ -1,7 +1,9 @@
 """Radial shooting solver: profile structure, conserved identities, and the
 map from the shooting parameter to the physical perturbation strength."""
 
+import functools
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 import bnlab.solver
 from bnlab import (
+    DomainError,
     Params,
     UnreachableEpsError,
     default_grid,
@@ -20,7 +23,7 @@ from bnlab import (
     solve_for_eps,
     sweep_with_solutions,
 )
-from bnlab.solver import _estimate_r_max
+from bnlab.solver import _LOG_ET_SPAN, _estimate_r_max
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +95,33 @@ def test_solve_for_eps_roundtrip():
     assert sol.nehari_residual <= 1e-10
 
 
-def test_solve_for_eps_unreachable():
-    with pytest.raises(UnreachableEpsError):
-        solve_for_eps(Params(4, 3.0), 1e9)
+@pytest.fixture
+def shoot_calls(monkeypatch):
+    """The eps_tilde of every shoot that bnlab.solver makes, in order."""
+    calls = []
+    real = bnlab.solver.shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bnlab.solver, "shoot", counting)
+    return calls
+
+
+def test_solve_for_eps_unreachable(shoot_calls):
+    """A target beyond eps at an end of the eps_tilde span is reported, with
+    that end, after at most two shoots; a cell outside the regime before
+    any shoot."""
+    for eps, end in ((1e9, "100"), (1e-30, "1e-14")):
+        shoot_calls.clear()
+        with pytest.raises(UnreachableEpsError, match=f"eps_tilde={end} "):
+            solve_for_eps(Params(4, 3.0), eps)
+        assert len(shoot_calls) <= 2
+    shoot_calls.clear()
+    with pytest.raises(DomainError):
+        solve_for_eps(Params(3, 3.0), 1e-3)
+    assert shoot_calls == []
 
 
 def test_series_start_matches_integration():
@@ -132,19 +159,48 @@ def test_identities_hold_on_default_sweep(N, q):
     assert max(r.pohozaev_residual for r in records) <= 1e-10
 
 
-def test_solve_for_eps_deep_target_in_few_shoots(monkeypatch):
+def test_solve_for_eps_deep_target_in_few_shoots(shoot_calls):
     """The blow-up-law seed puts a deep N=5 target within a few shoots."""
-    calls = []
-    real = bnlab.solver.shoot
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(bnlab.solver, "shoot", counting)
     sol = solve_for_eps(Params(5, 3.0), 1e-7, tol=1e-8)
     assert abs(sol.eps - 1e-7) <= 1e-8 * 1e-7
-    assert len(calls) <= 8
+    assert len(shoot_calls) <= 8
+
+
+@pytest.mark.parametrize("N,q,eps", [(4, 2.2, 0.986), (4, 2.2, 4.24),
+                                     (4, 2.2, 12.7), (3, 4.3, 3.03),
+                                     (3, 4.3, 38.2)])
+def test_solve_for_eps_endpoint_cell_in_few_shoots(shoot_calls, N, q, eps):
+    """Near q = max(2, 4/(N-2)) eps barely moves with eps_tilde and the
+    secant strays from the law slope; the bracket it builds keeps it to a
+    few shoots."""
+    sol = solve_for_eps(Params(N, q), eps)
+    assert abs(sol.eps - eps) <= 1e-8 * eps
+    assert len(shoot_calls) <= 12
+
+
+_REGIME_CELLS = [(4, 3.0), (5, 3.0), (3, 5.0), (3, 4.3), (4, 2.2),
+                 (6, 2.6), (7, 2.2), (5, 2.1), (4, 3.9)]
+
+
+@functools.cache
+def _eps_at_span_ends(cell):
+    p = Params(*cell)
+    return tuple(solution_at(p, math.exp(x)).eps for x in _LOG_ET_SPAN)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_REGIME_CELLS), st.floats(-15.0, 3.0))
+def test_solve_for_eps_reaches_exactly_the_span(cell, log_target):
+    """A target between eps at the two ends of the eps_tilde span is reached
+    within tol, and any other is unreachable: eps increases with eps_tilde
+    over the whole span."""
+    eps = 10.0**log_target
+    lo, hi = _eps_at_span_ends(cell)
+    if lo <= eps <= hi:
+        assert abs(solve_for_eps(Params(*cell), eps).eps - eps) <= 1e-8 * eps
+    else:
+        with pytest.raises(UnreachableEpsError):
+            solve_for_eps(Params(*cell), eps)
 
 
 def test_first_zero_stable_when_rtol_halved():
