@@ -33,6 +33,7 @@ __all__ = [
 
 _PROFILE_GRID = np.linspace(0.0, 10.0, 512)
 _UPPER_BOUND_POINTS = 2048
+_GREEN_BAND = (0.7, 0.95)  # radii where mu * u_eps meets its Green limit
 _GREEN_BAND_POINTS = 64
 # eps_tilde values the branch map shoots, from the large-eps side down
 _BRANCH_GRID = np.logspace(1.0, -4.0, 51)
@@ -154,11 +155,7 @@ def blowup_rate_fit(p: Params, records) -> FitReport:
         limit_estimate=est,
         target=target,
         rel_error=abs(est - target) / target,
-        details={
-            "tail_raw": prod[-1],
-            "estimate_dropping_last": est_dropped,
-            "stable_to_1pct": bool(stable),
-        },
+        details={"stable_to_1pct": bool(stable)},
     )
 
 
@@ -209,8 +206,7 @@ def upper_bound_check(p: Params, sol: RadialSolution) -> float:
     return float(np.max(u / normalized_bubble_r2(p.N, s * s)))
 
 
-def boundary_green_limit(p: Params, solutions,
-                         band=(0.7, 0.95)) -> FitReport:
+def boundary_green_limit(p: Params, solutions) -> FitReport:
     """Deviation of mu * u_eps from its Green-function limit on a radius band.
 
     The limit away from the concentration point is
@@ -218,7 +214,7 @@ def boundary_green_limit(p: Params, solutions,
     sup over the band relative to the sup of the limit function.
     """
     N = p.N
-    r = np.linspace(band[0], band[1], _GREEN_BAND_POINTS)
+    r = np.linspace(*_GREEN_BAND, _GREEN_BAND_POINTS)
     g = BallGreen(N)
     coeff = alpha_n(N) ** p.two_star * omega_n(N) / N
     x = np.zeros(N)

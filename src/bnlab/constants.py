@@ -1,8 +1,9 @@
 """Closed-form constants of the blow-up analysis and their quadrature oracles.
 
-All constants are expressed through the Gamma function, evaluated by a
-Lanczos approximation (g=7, 9 coefficients).  Each Gamma-based formula has an
-independent radial-quadrature cross-check exposed alongside it.
+All constants are expressed through the Gamma function (`math.gamma`); the
+three that hold a radial Beta integral, c_{N,q}, alpha_{N,q} and S^{N/2},
+share one evaluation of it.  Each Gamma-based formula has an independent
+radial-quadrature cross-check exposed alongside it.
 """
 
 from __future__ import annotations
@@ -29,33 +30,12 @@ __all__ = [
 
 _RADIAL_NODES = 512
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via the Lanczos approximation."""
+    """Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def omega_n(N: int) -> float:
@@ -105,44 +85,45 @@ def alpha_n(N: int) -> float:
     return (N * (N - 2.0)) ** ((N - 2.0) / 4.0)
 
 
-def c_nq(p: Params) -> float:
-    """Gamma(N/2) Gamma((N-2)q/2 - N/2) / (2 Gamma((N-2)q/2))."""
+def _beta_exponent(p: Params) -> float:
+    """a = (N-2)q/2, the exponent of the c_nq integral; it converges iff
+    a > N/2."""
     N, q = p.N, p.q
     a = (N - 2.0) * q / 2.0
     if a - N / 2.0 <= 0.0:
         raise DomainError(
             f"integral diverges: need q > N/(N-2), got q={q} at N={N}"
         )
+    return a
+
+
+def _radial_beta(N: int, a: float) -> float:
+    """int_0^inf r^{N-1} (1+r^2)^{-a} dr
+    = Gamma(N/2) Gamma(a - N/2) / (2 Gamma(a)) for a > N/2."""
     return gamma_fn(N / 2.0) * gamma_fn(a - N / 2.0) / (2.0 * gamma_fn(a))
 
 
+def c_nq(p: Params) -> float:
+    """int_0^inf r^{N-1} (1+r^2)^{-(N-2)q/2} dr in closed form."""
+    return _radial_beta(p.N, _beta_exponent(p))
+
+
 def c_nq_quadrature(p: Params) -> float:
-    """Oracle for c_nq: int_0^inf r^{N-1} (1+r^2)^{-(N-2)q/2} dr by quadrature."""
-    N, q = p.N, p.q
-    a = (N - 2.0) * q / 2.0
-    if a - N / 2.0 <= 0.0:
-        raise DomainError(
-            f"integral diverges: need q > N/(N-2), got q={q} at N={N}"
-        )
+    """Oracle for c_nq: the same integral by quadrature."""
+    N, a = p.N, _beta_exponent(p)
     return improper_radial(lambda r: r ** (N - 1) * (1.0 + r * r) ** (-a),
                            n=_RADIAL_NODES)
 
 
 def alpha_nq(p: Params) -> float:
-    """Limit constant of the product eps * ||u||_inf^{q+2-2*}.
-
-    (2q/(2*-q)) * (alpha_N^{2*} omega_N / N^2)
-        * Gamma((N-2)q/2) / (Gamma(N/2) Gamma((N-2)q/2 - N/2))
-    """
+    """Limit constant of the product eps * ||u||_inf^{q+2-2*}:
+    (2q/(2*-q)) * (alpha_N^{2*} omega_N / N^2) / (2 c_nq)."""
     p.require_regime()
     N, q = p.N, p.q
-    a = (N - 2.0) * q / 2.0
-    aN = alpha_n(N)
     return (
         (2.0 * q / (p.two_star - q))
-        * (aN ** p.two_star * omega_n(N) / N**2)
-        * gamma_fn(a)
-        / (gamma_fn(N / 2.0) * gamma_fn(a - N / 2.0))
+        * (alpha_n(N) ** p.two_star * omega_n(N) / N**2)
+        / (2.0 * c_nq(p))
     )
 
 
@@ -165,18 +146,13 @@ def _grad_sq_unnormalized_bubble(N: int) -> float:
 def sobolev_sn2_exact(N: int) -> float:
     """S^{N/2} in closed form: alpha_N^{2*} omega_N Gamma(N/2)^2 / (2 Gamma(N)).
 
-    The radial mass integral of the un-normalized bubble is the q = 2* case
-    of the c_nq Beta integral.
+    The radial mass integral of the un-normalized bubble is the c_nq Beta
+    integral at q = 2*, that is a = N.
     """
     if N < 3:
         raise DomainError(f"sobolev_sn2_exact requires N >= 3, got {N}")
     two_star = 2.0 * N / (N - 2.0)
-    return (
-        alpha_n(N) ** two_star
-        * omega_n(N)
-        * gamma_fn(N / 2.0) ** 2
-        / (2.0 * gamma_fn(float(N)))
-    )
+    return alpha_n(N) ** two_star * omega_n(N) * _radial_beta(N, N)
 
 
 def sobolev_sn2(N: int) -> float:

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _REPRESENTATION_ORDER = 64
+# Gauss-Legendre order of the surface-identity quadratures; each identity is
+# also evaluated at half this order as a convergence check
+_SURFACE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def _polar_sphere_quad(fn, N: int, radius: float, axis: np.ndarray,
     return omega_n(N - 1) * radius ** (N - 1) * total
 
 
-def surface_identity_suite(g: BallGreen, y, quad_order: int = 64) -> dict:
+def surface_identity_suite(g: BallGreen, y) -> dict:
     """Relative residuals of the three surface identities at the point y.
 
     1. oint_{sphere} (x-y, n) (dG/dn)^2 dS = (N-2) R(y)
@@ -161,13 +164,10 @@ def surface_identity_suite(g: BallGreen, y, quad_order: int = 64) -> dict:
     Residuals are also evaluated at half the order; non-convergence (residual
     not decreasing with order) is flagged per identity.
     """
-    if quad_order < 16:
-        raise DomainError("quad_order must be at least 16")
     yv = g._inside(y)
     out = {}
     for name, res_hi, res_lo in (
-        _surface_identities_at(g, yv, quad_order)
-        + _local_identity_at(g, yv, quad_order)
+        _surface_identities_at(g, yv) + _local_identity_at(g, yv)
     ):
         out[name] = {
             "residual": res_hi,
@@ -177,7 +177,7 @@ def surface_identity_suite(g: BallGreen, y, quad_order: int = 64) -> dict:
     return out
 
 
-def _surface_identities_at(g: BallGreen, yv, order):
+def _surface_identities_at(g: BallGreen, yv):
     N = g.N
     axis = _axis(yv, N)
     ny = float(np.linalg.norm(yv))
@@ -202,15 +202,15 @@ def _surface_identities_at(g: BallGreen, yv, order):
         r2 = abs(lhs2 - rhs2) / max(abs(rhs2), scale)
         return r1, r2
 
-    r1_hi, r2_hi = run(order)
-    r1_lo, r2_lo = run(order // 2)
+    r1_hi, r2_hi = run(_SURFACE_ORDER)
+    r1_lo, r2_lo = run(_SURFACE_ORDER // 2)
     return [
         ("pohozaev_surface", r1_hi, r1_lo),
         ("robin_gradient_surface", r2_hi, r2_lo),
     ]
 
 
-def _local_identity_at(g: BallGreen, yv, order):
+def _local_identity_at(g: BallGreen, yv):
     N = g.N
     axis = _axis(yv, N)
     d = 0.3 * (1.0 - float(np.linalg.norm(yv)))
@@ -232,7 +232,8 @@ def _local_identity_at(g: BallGreen, yv, order):
         lhs = _polar_sphere_quad(integrand, N, d, axis, o)
         return abs(lhs - rhs) / abs(rhs)
 
-    return [("local_pohozaev", run(order), run(order // 2))]
+    return [("local_pohozaev", run(_SURFACE_ORDER),
+             run(_SURFACE_ORDER // 2))]
 
 
 def greens_representation_residual(g: BallGreen, x) -> float:

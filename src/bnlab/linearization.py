@@ -302,7 +302,7 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     each is resolved (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the
     centrifugal monotonicity check that covers ell > ell_max."""
     check_certificate_options(ell_max, tol, potential_scale)
-    report = {"per_mode": {}, "tol": tol}
+    report = {"per_mode": {}}
     min_abs = []
     for ell in range(ell_max + 1):
         op = build_mode_operator(p, sol, ell, potential_scale=potential_scale)

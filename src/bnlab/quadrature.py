@@ -17,6 +17,8 @@ __all__ = [
     "geometric_panel_rule",
 ]
 
+_RADIAL_PANELS = 4  # equal panels in theta of improper_radial
+
 
 def gauss_legendre(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights on [a, b]."""
@@ -24,13 +26,13 @@ def gauss_legendre(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def improper_radial(f, n: int = 256, panels: int = 4) -> float:
+def improper_radial(f, n: int = 256) -> float:
     """Integrate f over [0, inf) via r = tan(theta) and composite Gauss-Legendre.
 
     `f` must accept a numpy array and decay fast enough to be integrable.
     """
-    edges = np.linspace(0.0, np.pi / 2, panels + 1)
-    per_panel = max(4, n // panels)
+    edges = np.linspace(0.0, np.pi / 2, _RADIAL_PANELS + 1)
+    per_panel = max(4, n // _RADIAL_PANELS)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         theta, w = gauss_legendre(a, b, per_panel)

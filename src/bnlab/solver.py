@@ -323,10 +323,11 @@ def _estimate_r_max(p: Params, eps_tilde: float) -> float:
 # would narrow the span, 36.8 wide, below 1e-10 in 39 shoots
 _LOG_ET_SPAN = (math.log(1e-14), math.log(100.0))
 _MAX_SHOOTS = 40
+# relative tolerance on eps at which solve_for_eps accepts a solution
+_EPS_RTOL = 1e-8
 
 
-def solve_for_eps(p: Params, eps_target: float,
-                  tol: float = 1e-8) -> RadialSolution:
+def solve_for_eps(p: Params, eps_target: float) -> RadialSolution:
     """Find eps_tilde with eps(eps_tilde) = eps_target, where eps increases
     with eps_tilde: a secant in (x, g) = (log eps_tilde, log(eps/eps_target))
     from the blow-up-law seed, clipped to _LOG_ET_SPAN.  The latest iterates
@@ -355,7 +356,7 @@ def solve_for_eps(p: Params, eps_target: float,
             raise UnreachableEpsError(
                 f"no first zero at eps_tilde={math.exp(x):.6g} {cell}"
             )
-        if abs(sol.eps - eps_target) <= tol * eps_target:
+        if abs(sol.eps - eps_target) <= _EPS_RTOL * eps_target:
             return sol
         g = math.log(sol.eps / eps_target)
         if x == _LOG_ET_SPAN[g < 0.0]:  # eps rises with eps_tilde
@@ -371,5 +372,6 @@ def solve_for_eps(p: Params, eps_target: float,
         x -= g / slope
         if below is not None and above is not None and not below < x < above:
             x = 0.5 * (below + above)
-    raise UnreachableEpsError(f"eps={eps_target:.6g} not within tol={tol:g} "
-                              f"after {_MAX_SHOOTS} shoots {cell}")
+    raise UnreachableEpsError(f"eps={eps_target:.6g} not within "
+                              f"tol={_EPS_RTOL:g} after {_MAX_SHOOTS} "
+                              f"shoots {cell}")

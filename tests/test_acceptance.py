@@ -80,7 +80,7 @@ def test_criterion_5_identity_suite(p43, p53, sweep43, sweep53):
         g = BallGreen(p.N)
         y = np.zeros(p.N)
         y[0] = 0.4
-        suite = surface_identity_suite(g, y, quad_order=64)
+        suite = surface_identity_suite(g, y)
         assert len(suite) == 3
         for entry in suite.values():
             assert entry["residual"] <= 1e-6
@@ -95,7 +95,7 @@ def test_criterion_6_profile_convergence(sweep43, sweep53):
 
 def test_criterion_7_boundary_green_limit(p43, p53, sweep43, sweep53):
     for p, (_, sols) in ((p43, sweep43), (p53, sweep53)):
-        fit = boundary_green_limit(p, sols, band=(0.7, 0.95))
+        fit = boundary_green_limit(p, sols)
         assert fit.details["decreasing"]
         assert fit.rel_error <= 5e-2
 

@@ -123,7 +123,7 @@ def test_outside_point_raises():
 def test_surface_identity_suite():
     for N in (3, 4, 5):
         g = BallGreen(N)
-        suite = surface_identity_suite(g, _pt(N, 0.4), quad_order=64)
+        suite = surface_identity_suite(g, _pt(N, 0.4))
         assert set(suite) == {
             "pohozaev_surface",
             "robin_gradient_surface",

@@ -161,7 +161,7 @@ def test_identities_hold_on_default_sweep(N, q):
 
 def test_solve_for_eps_deep_target_in_few_shoots(shoot_calls):
     """The blow-up-law seed puts a deep N=5 target within a few shoots."""
-    sol = solve_for_eps(Params(5, 3.0), 1e-7, tol=1e-8)
+    sol = solve_for_eps(Params(5, 3.0), 1e-7)
     assert abs(sol.eps - 1e-7) <= 1e-8 * 1e-7
     assert len(shoot_calls) <= 8
 

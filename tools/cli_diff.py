@@ -1,0 +1,154 @@
+"""Compare the CLI outputs of two bnlab source trees.
+
+Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
+
+Each SRC is a directory that holds the `bnlab` package (a checkout's
+`src`).  Every command in COMMANDS runs once per tree, in a child
+interpreter with that tree first on sys.path, writing its JSON and CSV
+outputs to files.  For each command the script prints `identical`, or the
+largest relative change of every JSON key and CSV column that changed,
+plus any change in exit code or stderr.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONSTANT_CELLS = ((4, 3), (5, 3), (3, 5), (6, 2.5), (7, 2.2))
+
+# (argv, {option: file name}); each option is pointed at its file
+COMMANDS = [
+    *((["constants", "--n", str(n), "--q", str(q)],
+       {"--output": "out.json"}) for n, q in CONSTANT_CELLS),
+    (["solve", "--n", "3", "--q", "5", "--eps-tilde", "0.3"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
+    (["solve", "--n", "3", "--q", "5", "--eps", "0.3"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
+    (["decompose", "--n", "5", "--q", "3", "--eps-tilde", "1e-3"],
+     {"--output": "out.json"}),
+    (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+      "--ell-max", "2"], {"--output": "out.json"}),
+    (["verify"], {"--output": "out.json"}),
+    (["branch-map", "--n", "3", "--q", "3"],
+     {"--output": "out.json", "--records": "records.csv"}),
+    (["sweep", "--n", "5", "--q", "3", "--skip-spectrum"],
+     {"--output": "out.json", "--records": "records.csv"}),
+]
+
+_CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
+          "from bnlab.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+def run(src: Path, argv: list[str], files: dict[str, str]):
+    """Exit code, stderr and {file name: text} of one command on one tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        opts = [x for opt, name in files.items()
+                for x in (opt, str(Path(tmp) / name))]
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(src), *argv, *opts],
+            capture_output=True, text=True, cwd=tmp,
+        )
+        texts = {}
+        for name in files.values():
+            path = Path(tmp) / name
+            texts[name] = path.read_text() if path.exists() else None
+    return proc.returncode, proc.stderr, texts
+
+
+def rel_change(old, new) -> float:
+    if old == new:
+        return 0.0
+    if isinstance(old, bool) or isinstance(new, bool):
+        return math.inf
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return math.inf
+    if a == 0.0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def _leaves(obj, key=""):
+    """(key, value) pairs of a JSON document; list indices collapse to []."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v, key + "[]")
+    else:
+        yield key, obj
+
+
+def _max_by_key(pairs, changes: dict) -> None:
+    for key, old, new in pairs:
+        changes[key] = max(changes.get(key, 0.0), rel_change(old, new))
+
+
+def json_changes(old: str, new: str) -> dict:
+    a, b = list(_leaves(json.loads(old))), list(_leaves(json.loads(new)))
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return {"<keys>": math.inf}
+    changes: dict = {}
+    _max_by_key(((k, x, y) for (k, x), (_, y) in zip(a, b)), changes)
+    return changes
+
+
+def csv_changes(old: str, new: str) -> dict:
+    a = list(csv.reader(old.splitlines()))
+    b = list(csv.reader(new.splitlines()))
+    if not a or not b or a[0] != b[0] or len(a) != len(b):
+        return {"<header or row count>": math.inf}
+    changes: dict = {}
+    for ra, rb in zip(a[1:], b[1:]):
+        _max_by_key(zip(a[0], ra, rb), changes)
+    return changes
+
+
+def compare(old, new) -> list[str]:
+    """Lines describing how the run `new` differs from the run `old`."""
+    (code_a, err_a, texts_a), (code_b, err_b, texts_b) = old, new
+    lines = []
+    if code_a != code_b:
+        lines.append(f"exit code {code_a} -> {code_b}")
+    if err_a != err_b:
+        lines.append(f"stderr {err_a.strip()!r} -> {err_b.strip()!r}")
+    for name, ta in texts_a.items():
+        tb = texts_b[name]
+        if ta == tb:
+            continue
+        if ta is None or tb is None:
+            lines.append(f"{name}: present only in one run")
+            continue
+        diff = json_changes if name.endswith(".json") else csv_changes
+        for key, change in diff(ta, tb).items():
+            if change > 0.0:
+                lines.append(f"{name} {key}: {change:.3g}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old_src, new_src = (Path(a).resolve() for a in args)
+    for argv_, files in COMMANDS:
+        lines = compare(run(old_src, argv_, files),
+                        run(new_src, argv_, files))
+        print(" ".join(argv_) + ": " + ("identical" if not lines else ""))
+        for line in lines:
+            print("  " + line)
+        sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
