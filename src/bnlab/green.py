@@ -9,6 +9,7 @@ a difference of two singular terms, so the diagonal is cancellation-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class BallGreen:
         if self.N < 3:
             raise DomainError(f"BallGreen requires N >= 3, got {self.N}")
 
-    @property
+    # once per instance: every Green-function evaluation reads it
+    @cached_property
     def c(self) -> float:
         return self.constant_scale / ((self.N - 2.0) * omega_n(self.N))
 

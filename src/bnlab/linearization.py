@@ -15,8 +15,22 @@ the mode solution, tan(theta) = v / (s v'), in one integration over
 floor(theta(R_tilde) / pi) is the exact zero count of v: it gives the
 number of negative eigenvalues (the Morse index) and brackets each
 eigenvalue by index.  theta(R_tilde; nu) is continuous and increasing in
-nu, and the j-th eigenvalue is the root of theta(R_tilde; nu) = (j + 1) pi,
-which Brent's method finds inside that bracket.
+nu, and the j-th eigenvalue is the root of theta(R_tilde; nu) = (j + 1) pi.
+Each shoot also carries theta_nu = d theta / d nu, the solution of the
+angle's variational equation
+
+    theta_nu' = [(N-2)(cos^2 - sin^2) + 2((W+nu) s^2 - ell(ell+N-2) - 1)
+                 sin cos] / s * theta_nu + s sin^2,
+
+so the root is found by Newton's method on the angle, safeguarded by the
+count bracket (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993,
+ch. 5; rtsafe in Numerical Recipes).  It starts from the nu = 0 shoot of
+the count and converges quadratically, also where theta is flat over most
+of the bracket.  Both right-hand sides are written with the products
+cos^2, sin^2 and sin cos, not the double angle: 1 - cos(2 theta) loses its
+digits where theta is near a multiple of pi, as in the forbidden ell = 0
+tail, where it took 4.5 times the right-hand-side calls (N = 3, q = 5,
+eps_tilde = 1e-3, nu = -0.5).
 
 Each shoot runs Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving
 ODEs I, II.10) through scipy.integrate.ode: the method and error norm of
@@ -40,7 +54,7 @@ eigenvalue with |nu| below _NU_RESOLVED = 1e-13, where the error is at most
 
 Below zero the tail where the potential is smaller than -nu is classically
 forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
-about exp(-2 sqrt(-nu) R_tilde) wide, on which Brent can only bisect.  The
+about exp(-2 sqrt(-nu) R_tilde) wide, on which a search can only bisect.  The
 search for an eigenvalue below zero therefore matches two shoots (Pryce,
 1993; SLEIGN2): a second leg integrates the profile and the angle phi of the
 solution that vanishes at R_tilde back from R_tilde to the bubble length
@@ -58,7 +72,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import ode
-from scipy.optimize import brentq
 
 from .constants import Params
 from .errors import DomainError, FitFailureError, IntegrationFailureError
@@ -81,10 +94,15 @@ _MODE_RTOL = 1e-14
 # smallest |nu| = |lambda| / R_tilde^2 reported as resolved, measured at
 # _MODE_RTOL; do not lower it without measuring again
 _NU_RESOLVED = 1e-13
-# relative tolerance of Brent's eigenvalue root solve.  brentq returns an end
-# of its last bracket, not the midpoint, so 5e-7 bounds the error as the
-# 1e-6 bracket of the former bisection did.
+# relative tolerance of the eigenvalue search: it stops once a step is this
+# small relative to nu.  A Newton step that small leaves an error far below
+# it; a bisection step that small bounds the error by it.  Below
+# _NU_RESOLVED the stop is _XTOL_REL * _NU_RESOLVED = 5e-20 absolute, far
+# below the shoot's own error of nu, so that a root within that error of
+# nu = 0 still ends the search.
 _XTOL_REL = 5e-7
+# most shoots one eigenvalue search may take before it raises
+_SEARCH_MAXITER = 60
 
 
 @dataclass(frozen=True)
@@ -139,8 +157,9 @@ def _series_coeffs(p: Params, eps_tilde: float):
 
 
 def _shoot_mode(op: ModeOperator, nu: float,
-                s_match: float | None = None) -> float:
-    """Pruefer angle of the mode solution at nu, by one shoot.
+                s_match: float | None = None) -> tuple[float, float]:
+    """Pruefer angle of the mode solution at nu and its nu-derivative, by one
+    shoot.
 
     The base profile is integrated together with the Pruefer angle theta of
     the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
@@ -148,50 +167,66 @@ def _shoot_mode(op: ModeOperator, nu: float,
     multiple of pi its derivative is 1/s > 0, so every zero of v is crossed
     exactly once and upward: floor(theta(R_tilde) / pi) is the number of
     zeros on (0, R_tilde), which by Sturm oscillation is the number of
-    eigenvalues below nu.
+    eigenvalues below nu.  theta_nu = d theta / d nu >= 0 is carried as a
+    fourth state, by the variational equation of the angle's equation.
 
     With s_match < R_tilde the forward leg stops there, and a backward leg
     carries the profile and the angle phi of the solution with v(R_tilde) =
-    0, v'(R_tilde) < 0 (phi = pi) down to s_match.  The return value
+    0, v'(R_tilde) < 0 (phi = pi) down to s_match.  The returned angle
     theta(s_match) - phi(s_match) + pi is a multiple of pi exactly when the
     two solutions are proportional, increases in nu and equals
     theta(R_tilde) at s_match = R_tilde, so it keeps the count and the
-    roots of the one-sided angle.
+    roots of the one-sided angle; its derivative is theta_nu - phi_nu.
     """
     p = op.params
-    N, q, p2 = p.N, p.q, p.two_star
     et = op.eps_tilde
     cl = op.centrifugal
-    scale = op.potential_scale
+    nm1, nm2 = p.N - 1.0, p.N - 2.0
+    e2, eq = p.two_star - 2.0, p.q - 2.0
+    w2 = op.potential_scale * (p.two_star - 1.0)
+    wq = op.potential_scale * (p.q - 1.0)
     scale_len = _length_scale(et)
+    R2 = op.R_tilde**2
 
     def leg(s_from, s_to, y0):
         # Hairer's code takes first_step with the sign it is given, so a leg
         # towards smaller s would first march outward past R_tilde (and end
         # about pi off at N = 4, eps_tilde = 1e8).  Every leg runs forward
-        # in t = d s instead; the state stays (u, u', angle) in s, so each
-        # derivative is multiplied by d.
+        # in t = d s instead; the state stays (u, u', angle, z) in s, so
+        # each derivative is multiplied by d.
         d = 1.0 if s_to > s_from else -1.0
+        # The angle's nu-derivative starts at 0 and keeps the sign of d
+        # (Sturm comparison), but dop853 takes one scalar atol, 1e-160 here,
+        # and stalls on a state that starts at exactly 0.  z = angle_nu +
+        # d R_tilde^2 has |z| >= R_tilde^2, the scale of theta_nu (the
+        # source term s sin^2 integrates to about R_tilde^2 / 4), so its
+        # relative error control is meaningful from the first step.
+        off = d * R2
 
         def rhs(t, y):
-            u, du, th = y
+            # Python floats: arithmetic on numpy scalars costs more
+            u, du, th, z = y.tolist()
             s = d * t
-            up = max(u, 0.0)
-            w = scale * ((p2 - 1.0) * up ** (p2 - 2.0)
-                         + et * (q - 1.0) * up ** (q - 2.0))
+            up = u if u > 0.0 else 0.0
+            # two powers per call; the others are products of these
+            u2 = up ** e2
+            uq = et * up ** eq
+            k = (w2 * u2 + wq * uq + nu) * s * s - cl
+            # products, not double angles (see the module docstring)
             c, sn = math.cos(th), math.sin(th)
+            cc, ss, sc = c * c, sn * sn, sn * c
             return (
                 d * du,
-                d * (-(N - 1.0) / s * du
-                     - (up ** (p2 - 1.0) + et * up ** (q - 1.0))),
-                d * (c * c + (N - 2.0) * sn * c
-                     + ((w + nu) * s * s - cl) * sn * sn) / s,
+                d * (-nm1 / s * du - (u2 + uq) * up),
+                d * (cc + nm2 * sc + k * ss) / s,
+                d * ((nm2 * (cc - ss) + 2.0 * (k - 1.0) * sc) / s * (z - off)
+                     + s * ss),
             )
 
         r = ode(rhs).set_integrator("dop853", rtol=_MODE_RTOL, atol=1e-160,
                                     first_step=1e-4 * scale_len,
                                     nsteps=2**31 - 1)
-        r.set_initial_value(y0, d * s_from)
+        r.set_initial_value([*y0, off], d * s_from)
         # IWORK(4) < 0 switches Hairer's stiffness test off, which would stop
         # the forbidden ell = 0 tail at nu < 0; the scipy wrapper has no
         # keyword for it
@@ -206,63 +241,84 @@ def _shoot_mode(op: ModeOperator, nu: float,
                 f"mode integration failed on [{s_from}, {s_to}]: "
                 f"dop853 return code {r.get_return_code()}"
             )
-        return float(y[2])
+        return float(y[2]), float(y[3]) - off
 
     s0 = _S_START * scale_len
     s_m = op.R_tilde if s_match is None else s_match
     a2, a4 = _series_coeffs(p, et)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    theta = leg(s0, s_m, [
+    theta, theta_nu = leg(s0, s_m, [
         1.0 + a2 * s0**2 + a4 * s0**4,
         2.0 * a2 * s0 + 4.0 * a4 * s0**3,
         math.atan2(1.0, op.ell),
     ])
     if s_m >= op.R_tilde:
-        return theta
-    phi = leg(op.R_tilde, s_m, [0.0, op.du_at_R_tilde, math.pi])
-    return theta - phi + math.pi
+        return theta, theta_nu
+    phi, phi_nu = leg(op.R_tilde, s_m, [0.0, op.du_at_R_tilde, math.pi])
+    return theta - phi + math.pi, theta_nu - phi_nu
 
 
 def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    theta(nu) is the memoised one-sided Pruefer angle of the operator's mode
-    shoot and m0 the number of eigenvalues below zero.  Anchoring the
-    bracket at zero keeps the search in the cheap non-oscillatory regime for
-    the eigenvalues adjacent to zero.  An eigenvalue below zero is bracketed
-    by [a, 0] and searched on the matched angle, which has the same count
-    and roots but no step in the forbidden tail for Brent to bisect.
+    theta(nu) is the memoised one-sided shoot (Pruefer angle and its
+    nu-derivative) of the operator's mode and m0 the number of eigenvalues
+    below zero.  The root of theta(nu) = (j + 1) pi is found by Newton's
+    method on the angle and its carried derivative, safeguarded as in
+    Numerical Recipes' rtsafe.  The count keeps a bracket [lo, hi].  A
+    Newton step is taken when it lands inside the bracket and either keeps
+    the direction of the last step or is at most half the step before it;
+    otherwise the search bisects, expands x4 while there is no upper end,
+    and shoots the lower bound itself while there is no lower end.  The
+    search starts at nu = 0, whose one-sided shoot the count has already
+    made, and stops once a step is within _XTOL_REL of nu (see there).  An
+    eigenvalue below zero lies above the operator's lower bound and is
+    searched on the matched angle, which has the same count and roots but
+    no step in the forbidden tail.
     """
+    target = (j + 1) * math.pi
     if m0 <= j:
-        a = 0.0
+        bound, hi = 0.0, math.inf
     else:
         theta = functools.cache(
             lambda nu: _shoot_mode(op, nu, op.match_point))
-        # lower bound: the operator is bounded below by -max potential
-        a = -1.1 * (op.potential_scale
-                    * ((op.params.two_star - 1.0) + op.eps_tilde
-                       * (op.params.q - 1.0))) - 1e-6
-        if theta(a) >= (j + 1) * math.pi:
+        # the operator is bounded below by -max potential
+        bound = -1.1 * (op.potential_scale
+                        * ((op.params.two_star - 1.0) + op.eps_tilde
+                           * (op.params.q - 1.0))) - 1e-6
+        hi = 0.0
+    lo = -math.inf
+    # dx is the last step (nu -= dx) and dx_old the one before; the first
+    # expansion goes to lambda = 4 in unit-ball units
+    nu, dx, dx_old = 0.0, -1.0 / op.R_tilde**2, math.inf
+    for _ in range(_SEARCH_MAXITER):
+        th, dth = theta(nu)
+        # the count is <= j exactly where th < target
+        if th < target:
+            lo = nu
+        elif nu == bound:
             raise IntegrationFailureError(
-                f"eigenvalue {j} lies below the potential bound {a}"
+                f"eigenvalue {j} lies below the potential bound {bound}"
             )
-    b, cb = 0.0, m0
-    step = 4.0 / op.R_tilde**2
-    while cb <= j:
-        b += step
-        step *= 4.0
-        cb = theta(b) // math.pi
-        if b * op.R_tilde**2 > 1e8:  # unit-ball units
-            raise IntegrationFailureError("eigenvalue search did not bracket")
-    # the count is <= j exactly where theta < (j + 1) pi, so this has the
-    # sign of the count test on the bracket [a, b]; Brent adds its magnitude
-    nu, res = brentq(lambda x: theta(x) - (j + 1) * math.pi, a, b,
-                     xtol=1e-18, rtol=_XTOL_REL, full_output=True, disp=False)
-    if not res.converged:
-        raise FitFailureError(
-            f"eigenvalue {j} root solve on [{a}, {b}]: {res.flag}"
-        )
-    return nu
+        else:
+            hi = nu
+        step = (th - target) / dth if dth > 0.0 else math.inf
+        if not (max(lo, bound) < nu - step <= hi
+                and (step * dx > 0.0 or 2.0 * abs(step) <= abs(dx_old))):
+            if hi == math.inf:
+                step = -4.0 * abs(dx)
+            elif lo == -math.inf:
+                step = nu - bound
+            else:
+                step = nu - 0.5 * (lo + hi)
+        dx_old, dx = dx, step
+        nu -= step
+        if abs(step) <= _XTOL_REL * max(abs(nu), _NU_RESOLVED):
+            return nu
+    raise FitFailureError(
+        f"eigenvalue {j} search did not converge in {_SEARCH_MAXITER} "
+        f"shoots; last bracket [{lo}, {hi}]"
+    )
 
 
 def eigenvalues_near_zero(op: ModeOperator):
@@ -271,9 +327,9 @@ def eigenvalues_near_zero(op: ModeOperator):
     Returns (below, above, n_negative); below is None when the spectrum is
     entirely positive.
     """
-    # one integration per nu: the bracket ends and nu = 0 are reused
+    # one integration per nu: the search above zero starts from nu = 0
     theta = functools.cache(lambda nu: _shoot_mode(op, nu))
-    m0 = int(theta(0.0) // math.pi)
+    m0 = int(theta(0.0)[0] // math.pi)
     above = _eigenvalue_by_index(op, theta, m0, m0) * op.R_tilde**2
     below = None
     if m0 > 0:

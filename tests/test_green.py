@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import bnlab.green
 from bnlab import DomainError, SingularityError, omega_n
+from bnlab.cli import EXIT_OK, main
 from bnlab.green import (
     BallGreen,
     grad_green,
@@ -144,3 +146,21 @@ def test_fault_scale_breaks_identities():
     g = BallGreen(4, constant_scale=1.01)
     suite = surface_identity_suite(g, _pt(4, 0.4))
     assert any(entry["residual"] > 1e-6 for entry in suite.values())
+
+
+def test_verify_computes_green_constant_once_per_instance(monkeypatch,
+                                                          tmp_path):
+    """1/((N-2) omega_N) depends only on N and the fault scale, so one
+    verify run reads omega_N from green once per BallGreen and once per
+    sphere quadrature (25 times), not once per Green-function evaluation
+    (26,053 times when the constant was recomputed)."""
+    calls = []
+    real = bnlab.green.omega_n
+
+    def counting(N):
+        calls.append(N)
+        return real(N)
+
+    monkeypatch.setattr(bnlab.green, "omega_n", counting)
+    assert main(["verify", "--output", str(tmp_path / "v.json")]) == EXIT_OK
+    assert 0 < len(calls) <= 30

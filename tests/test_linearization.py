@@ -1,7 +1,6 @@
 """Spectrum of the mode operators by Sturm shooting: Morse index, the
 small positive eigenvalue of the translation mode, and the certificate."""
 
-import functools
 import math
 
 import pytest
@@ -52,7 +51,8 @@ def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
     p, sol = sol43_shallow
     op = build_mode_operator(p, sol, ell)
     lo, hi = sorted(nus)
-    assert _shoot_mode(op, lo) // math.pi <= _shoot_mode(op, hi) // math.pi
+    assert (_shoot_mode(op, lo)[0] // math.pi
+            <= _shoot_mode(op, hi)[0] // math.pi)
 
 
 @settings(max_examples=8, deadline=None)
@@ -71,8 +71,26 @@ def test_matched_count_equals_one_sided_count(sol53_mid, sol43_deep, case,
                                   + op.eps_tilde * (p.q - 1.0))
     nu = -1.1 * bound * frac
     assert op.match_point < op.R_tilde
-    assert (_shoot_mode(op, nu, op.match_point) // math.pi
-            == _shoot_mode(op, nu) // math.pi)
+    assert (_shoot_mode(op, nu, op.match_point)[0] // math.pi
+            == _shoot_mode(op, nu)[0] // math.pi)
+
+
+@pytest.mark.parametrize("cell", ["5,3,1e-2", "4,3,1e-5"])
+@pytest.mark.parametrize("ell,matched", [(0, False), (1, False), (2, False),
+                                         (0, True)])
+def test_carried_nu_derivative_matches_central_difference(
+        sol53_mid, sol43_deep, cell, ell, matched):
+    """The fourth state of the mode shoot is d theta / d nu: it matches a
+    central difference of the angle, one-sided at lambda = 10 (unit-ball
+    units) and matched at nu = -0.1, both away from the roots."""
+    p, sol = sol43_deep if cell == "4,3,1e-5" else sol53_mid
+    op = build_mode_operator(p, sol, ell)
+    s_m = op.match_point if matched else None
+    nu = -0.1 if matched else 10.0 / op.R_tilde**2
+    h = 1e-5 * abs(nu)
+    diff = (_shoot_mode(op, nu + h, s_m)[0]
+            - _shoot_mode(op, nu - h, s_m)[0]) / (2.0 * h)
+    assert _shoot_mode(op, nu, s_m)[1] == pytest.approx(diff, rel=1e-6)
 
 
 def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
@@ -82,7 +100,7 @@ def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
     p, sol = sol53_mid
     op = build_mode_operator(p, sol, 0)
     below = eigenvalues_near_zero(op)[0] / op.R_tilde**2
-    ref = brentq(lambda nu: _shoot_mode(op, nu) - math.pi,
+    ref = brentq(lambda nu: _shoot_mode(op, nu)[0] - math.pi,
                  below * (1.0 + 1e-6), below * (1.0 - 1e-6),
                  xtol=1e-18, rtol=1e-13)
     assert below == pytest.approx(ref, rel=1e-8)
@@ -95,9 +113,9 @@ def test_backward_leg_at_large_eps_tilde():
     p = Params(4, 3.0)
     op = build_mode_operator(p, solution_at(p, 1e8), 0)
     nu = -4.8357912374e7
-    matched = _shoot_mode(op, nu, op.match_point)
+    matched = _shoot_mode(op, nu, op.match_point)[0]
     assert matched == pytest.approx(3.12480737, abs=1e-7)
-    assert matched // math.pi == _shoot_mode(op, nu) // math.pi
+    assert matched // math.pi == _shoot_mode(op, nu)[0] // math.pi
 
 
 @pytest.mark.parametrize("rtol", [None, 1e-13], ids=["default", "1e-13"])
@@ -111,7 +129,7 @@ def test_matched_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
         monkeypatch.setattr(bnlab.linearization, "_MODE_RTOL", rtol)
     p = Params(3, 5.0)
     op = build_mode_operator(p, solution_at(p, 1e-4), 0)
-    assert _shoot_mode(op, -0.5, op.match_point) == pytest.approx(
+    assert _shoot_mode(op, -0.5, op.match_point)[0] == pytest.approx(
         3.702047042746759, abs=1e-9)
 
 
@@ -143,13 +161,14 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
     assert eigenvalues_near_zero(op)[1] == pytest.approx(lam[0], rel=1e-6)
     for k in range(1, 29, 3):
         mid = 0.5 * (lam[k - 1] + lam[k]) / op.R_tilde**2
-        assert _shoot_mode(op, mid) // math.pi == k
+        assert _shoot_mode(op, mid)[0] // math.pi == k
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
-    """Brent on the Pruefer angle finds the eigenvalue above zero in a few
-    shoots, and no angle is integrated twice for the same nu."""
+    """Newton on the Pruefer angle and its carried nu-derivative finds the
+    eigenvalue above zero in a few shoots, counting the one at nu = 0, and
+    no angle is integrated twice for the same nu."""
     p, sol = sol53_mid
     nus = []
     real = bnlab.linearization._shoot_mode
@@ -160,12 +179,12 @@ def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
 
     monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
     eigenvalues_near_zero(build_mode_operator(p, sol, ell))
-    assert len(nus) <= 16
+    assert len(nus) <= 8
     assert len(set(nus)) == len(nus)
 
 
 def test_ell0_search_in_few_shoots(sol53_mid, monkeypatch):
-    """Below zero the matched angle has no step for Brent to bisect: the
+    """Below zero the matched angle has no step in the forbidden tail: the
     negative ell = 0 eigenvalue takes about as few shoots as the one above
     zero, and no (nu, matching point) pair is integrated twice."""
     p, sol = sol53_mid
@@ -188,22 +207,22 @@ def test_ell0_search_in_few_shoots(sol53_mid, monkeypatch):
     monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
     monkeypatch.setattr(bnlab.linearization, "_eigenvalue_by_index", search)
     eigenvalues_near_zero(build_mode_operator(p, sol, 0))
-    assert len(below_zero) == 1 and below_zero[0] <= 16
-    assert len(shots) <= 24
+    assert len(below_zero) == 1 and below_zero[0] <= 8
+    assert len(shots) <= 13
     assert len(set(shots)) == len(shots)
     at_zero = [s_m for nu, s_m in shots if nu == 0.0]
     assert len(at_zero) == len({s_m for _, s_m in shots}) == 2
 
 
 def _one_node_at_every_nu(op, nu, s_match=None):
-    return 1.5 * math.pi + max(nu, 0.0)
+    return 1.5 * math.pi + max(nu, 0.0), float(nu > 0.0)
 
 
 @pytest.mark.parametrize("name,fault", [
     # theta never falls below pi: the potential bound is no lower bracket
     ("_shoot_mode", _one_node_at_every_nu),
-    # too few iterations for Brent to reach its tolerance
-    ("brentq", functools.partial(brentq, maxiter=3)),
+    # too few iterations for the Newton search to reach its tolerance
+    ("_SEARCH_MAXITER", 3),
     # an unreachable tolerance: DOP853 stops with return code -3
     ("_MODE_RTOL", 1e-30),
 ])

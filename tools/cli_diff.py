@@ -32,8 +32,10 @@ COMMANDS = [
      {"--output": "out.json", "--profile": "profile.csv"}),
     (["decompose", "--n", "5", "--q", "3", "--eps-tilde", "1e-3"],
      {"--output": "out.json"}),
-    (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
-      "--ell-max", "2"], {"--output": "out.json"}),
+    *((["spectrum", "--n", n, "--q", q, "--eps-tilde", et, "--ell-max", "2"],
+       {"--output": "out.json"})
+      for n, q, et in (("5", "3", "1e-2"), ("4", "3", "1e-5"),
+                       ("3", "5", "1e-3"))),
     (["verify"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
