@@ -1,5 +1,5 @@
-"""Standard bubbles and their harmonic correction on the ball, by Poisson
-quadrature and in closed form.
+"""Standard bubbles and their harmonic correction on the ball, in closed form
+and by Poisson quadrature: one polar rule in two angles, spectral for every N.
 
 Two height conventions coexist: the un-normalized profile
 U_{lambda,a}(x) = (lambda/(1+lambda^2|x-a|^2))^{(N-2)/2}, which solves
@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import omega_n
 from .errors import DomainError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, plane_frame
 
 __all__ = [
     "Bubble",
@@ -61,34 +61,15 @@ def normalized_bubble_r2(N: int, r2):
     return (k / (k + r2)) ** ((N - 2.0) / 2.0)
 
 
-def _plane_basis(N: int, a: np.ndarray, x: np.ndarray):
-    """Orthonormal (e1, e2) spanning {a, x}; arbitrary completion if degenerate."""
-    e1 = None
-    if np.linalg.norm(a) > 1e-14:
-        e1 = a / np.linalg.norm(a)
-    elif np.linalg.norm(x) > 1e-14:
-        e1 = x / np.linalg.norm(x)
-    if e1 is None:
-        e1 = np.zeros(N)
-        e1[0] = 1.0
-    v = x - (x @ e1) * e1
-    if np.linalg.norm(v) > 1e-12:
-        e2 = v / np.linalg.norm(v)
-    else:
-        # any unit vector orthogonal to e1
-        t = np.zeros(N)
-        t[int(np.argmin(np.abs(e1)))] = 1.0
-        v = t - (t @ e1) * e1
-        e2 = v / np.linalg.norm(v)
-    return e1, e2
-
-
 def harmonic_correction(b: Bubble, x) -> float:
     """Harmonic extension of the bubble's sphere trace, by Poisson quadrature.
 
-    psi solves -D psi = 0 in the unit ball, psi = U_{lam,a} on the sphere.  The
-    boundary data is axially symmetric about the center axis, so the sphere
-    integral collapses to two angles regardless of N.
+    psi solves -D psi = 0 in the unit ball, psi = U_{lam,a} on the sphere.  With
+    a and x in the plane of a frame (e1, e2), the sphere point
+    xi = cos(th) e1 + sin(th) (cos(ph) e2 + sin(ph) eta), eta a unit vector
+    orthogonal to both, enters only through th and ph.  The measure
+    sin^{N-2}(th) sin^{N-3}(ph) dth dph omega_{N-2} is smooth for every N, so
+    Gauss-Legendre in both angles on [0, pi] is spectral.
     """
     N = b.N
     xv = np.asarray(x, dtype=float)
@@ -100,46 +81,21 @@ def harmonic_correction(b: Bubble, x) -> float:
     if r >= 1.0 - 1e-14:
         return eval_bubble(b, xv)
 
-    e1, e2 = _plane_basis(N, b.center, xv)
+    e1, e2 = plane_frame(N, b.center, xv)
     a1, a2 = float(b.center @ e1), float(b.center @ e2)
     x1, x2 = float(xv @ e1), float(xv @ e2)
-    x_rest2 = r * r - x1 * x1 - x2 * x2
-    a_rest2 = max(0.0, float(b.center @ b.center) - a1 * a1 - a2 * a2)
-    half = (N - 2.0) / 2.0
-    wN = omega_n(N)
-
-    def kernel_times_data(u, v):
-        # u, v: coordinates of the unit-sphere point along (e1, e2)
-        dxi2 = (u - x1) ** 2 + (v - x2) ** 2 + x_rest2 + \
-            np.maximum(0.0, 1.0 - u * u - v * v)
-        da2 = (u - a1) ** 2 + (v - a2) ** 2 + a_rest2 + \
-            np.maximum(0.0, 1.0 - u * u - v * v)
-        poisson = (1.0 - r * r) / (wN * dxi2 ** (N / 2.0))
-        data = (b.lam / (1.0 + b.lam**2 * da2)) ** half
-        return poisson * data
-
-    if N == 3:
-        # xi = (sqrt(1-t^2) cos(phi) e2' ... ), standard polar about e1
-        t, wt = gauss_legendre(-1.0, 1.0, _POISSON_NODES)
-        phi = np.linspace(0.0, 2.0 * np.pi, _POISSON_NODES, endpoint=False)
-        dphi = 2.0 * np.pi / _POISSON_NODES
-        tt, pp = np.meshgrid(t, phi, indexing="ij")
-        u = tt
-        v = np.sqrt(np.maximum(0.0, 1.0 - tt * tt)) * np.cos(pp)
-        # third coordinate enters only through 1 - u^2 - v^2 above
-        vals = kernel_times_data(u, v)
-        return float(np.sum(vals * wt[:, None]) * dphi)
-
-    # N >= 4: integrate over the (u, v) disk with weight (1-u^2-v^2)^{(N-4)/2}
-    rho, wr = gauss_legendre(0.0, 1.0, _POISSON_NODES)
-    alpha = np.linspace(0.0, 2.0 * np.pi, _POISSON_NODES, endpoint=False)
-    dalpha = 2.0 * np.pi / _POISSON_NODES
-    rr, aa = np.meshgrid(rho, alpha, indexing="ij")
-    u = rr * np.cos(aa)
-    v = rr * np.sin(aa)
-    weight = (1.0 - rr * rr) ** ((N - 4.0) / 2.0) * rr
-    vals = kernel_times_data(u, v) * weight
-    return float(omega_n(N - 2) * np.sum(vals * wr[:, None]) * dalpha)
+    t, wt = gauss_legendre(0.0, np.pi, _POISSON_NODES)
+    th, ph = np.meshgrid(t, t, indexing="ij")
+    # xi along e1 and e2, and the square of the rest
+    u = np.cos(th)
+    v = np.sin(th) * np.cos(ph)
+    rest2 = (np.sin(th) * np.sin(ph)) ** 2
+    dxi2 = (u - x1) ** 2 + (v - x2) ** 2 + rest2
+    da2 = (u - a1) ** 2 + (v - a2) ** 2 + rest2
+    poisson = (1.0 - r * r) / (omega_n(N) * dxi2 ** (N / 2.0))
+    data = (b.lam / (1.0 + b.lam**2 * da2)) ** ((N - 2.0) / 2.0)
+    weight = np.outer(wt * np.sin(t) ** (N - 2.0), wt * np.sin(t) ** (N - 3.0))
+    return float(omega_n(N - 2) * np.sum(poisson * data * weight))
 
 
 def harmonic_correction_exact(b: Bubble, x) -> float:

@@ -40,8 +40,8 @@ def gamma_fn(x: float) -> float:
 
 def omega_n(N: int) -> float:
     """Surface area of the unit sphere S^{N-1} in R^N: 2 pi^{N/2} / Gamma(N/2)."""
-    if N < 2:
-        raise DomainError(f"omega_n requires N >= 2, got {N}")
+    if N < 1:
+        raise DomainError(f"omega_n requires N >= 1, got {N}")
     return 2.0 * math.pi ** (N / 2.0) / gamma_fn(N / 2.0)
 
 

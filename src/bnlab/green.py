@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import omega_n
 from .errors import DomainError, SingularityError
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, plane_frame
 
 __all__ = [
     "BallGreen",
@@ -47,6 +47,9 @@ class BallGreen:
     def __post_init__(self):
         if self.N < 3:
             raise DomainError(f"BallGreen requires N >= 3, got {self.N}")
+        if not (np.isfinite(self.constant_scale) and self.constant_scale):
+            raise DomainError("Green constant scale must be finite and "
+                              f"nonzero, got {self.constant_scale}")
 
     # once per instance: every Green-function evaluation reads it
     @cached_property
@@ -121,32 +124,17 @@ def robin_gradient(g: BallGreen, x) -> np.ndarray:
     return (g.N - 2.0) * g.c * t ** (1.0 - g.N) * (2.0 * xv)
 
 
-def _axis(y: np.ndarray, N: int) -> np.ndarray:
-    ny = float(np.linalg.norm(y))
-    if ny < 1e-14:
-        e = np.zeros(N)
-        e[0] = 1.0
-        return e
-    return y / ny
-
-
-def _perp(axis: np.ndarray) -> np.ndarray:
-    t = np.zeros(axis.shape[0])
-    t[int(np.argmin(np.abs(axis)))] = 1.0
-    v = t - (t @ axis) * axis
-    return v / np.linalg.norm(v)
-
-
-def _polar_sphere_quad(fn, N: int, radius: float, axis: np.ndarray,
+def _polar_sphere_quad(fn, N: int, radius: float, y: np.ndarray,
                        order: int):
-    """Integrate an axially symmetric scalar field over a sphere.
+    """Integrate a scalar field over a sphere, axially symmetric about the
+    line through 0 and y (the first axis if y = 0).
 
-    fn receives the full N-dimensional point; symmetry about `axis` reduces
-    the surface integral to int_0^pi fn(cos th) sin^{N-2}(th) dth times
+    fn receives the unit direction sigma; the symmetry reduces the surface
+    integral to int_0^pi fn(cos th) sin^{N-2}(th) dth times
     omega_{N-1} radius^{N-1}.  The polar-angle form keeps the integrand
     smooth at the poles for every N, so Gauss-Legendre is spectral.
     """
-    e_perp = _perp(axis)
+    axis, e_perp = plane_frame(N, y, y)
     th, w = gauss_legendre(0.0, np.pi, order)
     total = 0.0
     for ti, wi in zip(th, w):
@@ -181,7 +169,7 @@ def surface_identity_suite(g: BallGreen, y) -> dict:
 
 def _surface_identities_at(g: BallGreen, yv):
     N = g.N
-    axis = _axis(yv, N)
+    axis = plane_frame(N, yv, yv)[0]
     ny = float(np.linalg.norm(yv))
     scale = (N - 2.0) * robin(g, yv)
 
@@ -191,13 +179,13 @@ def _surface_identities_at(g: BallGreen, yv):
             dgdn = float(grad_green(g, sigma, yv) @ sigma)
             return (1.0 - ny * float(sigma @ axis)) * dgdn * dgdn
 
-        lhs1 = _polar_sphere_quad(dgdn2_weighted, N, 1.0, axis, o)
+        lhs1 = _polar_sphere_quad(dgdn2_weighted, N, 1.0, yv, o)
 
         def dgdn2_axis(sigma):
             dgdn = float(grad_green(g, sigma, yv) @ sigma)
             return dgdn * dgdn * float(sigma @ axis)
 
-        lhs2 = _polar_sphere_quad(dgdn2_axis, N, 1.0, axis, o)
+        lhs2 = _polar_sphere_quad(dgdn2_axis, N, 1.0, yv, o)
         rhs1 = scale
         rhs2 = float(robin_gradient(g, yv) @ axis)
         r1 = abs(lhs1 - rhs1) / abs(rhs1)
@@ -214,7 +202,6 @@ def _surface_identities_at(g: BallGreen, yv):
 
 def _local_identity_at(g: BallGreen, yv):
     N = g.N
-    axis = _axis(yv, N)
     d = 0.3 * (1.0 - float(np.linalg.norm(yv)))
     rhs = -(N - 2.0) / 2.0 * regular_part(g, yv, yv)
 
@@ -231,7 +218,7 @@ def _local_identity_at(g: BallGreen, yv):
                 - (N - 2.0) / 2.0 * gg * dgdn
             )
 
-        lhs = _polar_sphere_quad(integrand, N, d, axis, o)
+        lhs = _polar_sphere_quad(integrand, N, d, yv, o)
         return abs(lhs - rhs) / abs(rhs)
 
     return [("local_pohozaev", run(_SURFACE_ORDER),
@@ -247,21 +234,18 @@ def greens_representation_residual(g: BallGreen, x) -> float:
     """
     xv = g._inside(x)
     N = g.N
-    axis = _axis(xv, N)
-    e_perp = _perp(axis)
     nx = float(np.linalg.norm(xv))
-    th, wt = gauss_legendre(0.0, np.pi, _REPRESENTATION_ORDER)
-    total = 0.0
-    for ti, wi in zip(th, wt):
-        ct = np.cos(ti)
-        sigma = ct * axis + np.sin(ti) * e_perp
-        rho_max = -nx * ct + np.sqrt(1.0 - nx * nx * (1.0 - ct * ct))
+
+    def inner(sigma):
+        xs = float(xv @ sigma)
+        rho_max = -xs + np.sqrt(1.0 - nx * nx + xs * xs)
         rho, wr = gauss_legendre(0.0, rho_max, _REPRESENTATION_ORDER)
-        inner = sum(
+        return sum(
             wj * green(g, xv, xv + rj * sigma) * rj ** (N - 1)
             for rj, wj in zip(rho, wr)
         )
-        total += wi * inner * np.sin(ti) ** (N - 2.0)
-    integral = omega_n(N - 1) * total * 2.0 * N
+
+    integral = _polar_sphere_quad(inner, N, 1.0, xv,
+                                  _REPRESENTATION_ORDER) * 2.0 * N
     target = 1.0 - nx * nx
     return abs(integral - target) / abs(target)

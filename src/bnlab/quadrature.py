@@ -4,7 +4,8 @@ Improper radial integrals are handled by the tangent substitution
 r = tan(theta), which maps [0, inf) onto [0, pi/2) and removes the infinite
 tail analytically.  Integrands with an O(1)-scale core inside a domain many
 orders of magnitude wide are handled by composite Gauss-Legendre on
-geometrically growing panels.
+geometrically growing panels.  Sphere integrals share one orthonormal
+frame builder.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "gauss_legendre",
     "improper_radial",
     "geometric_panel_rule",
+    "plane_frame",
 ]
 
 _RADIAL_PANELS = 4  # equal panels in theta of improper_radial
@@ -61,3 +63,27 @@ def geometric_panel_rule(a: float, b: float, n_per_panel: int = 32,
     e = np.array(edges)[:, None]
     x, w = gauss_legendre(e[:-1], e[1:], n_per_panel)
     return x.ravel(), w.ravel()
+
+
+def plane_frame(N: int, a: np.ndarray, x: np.ndarray):
+    """Orthonormal (e1, e2) in R^N whose span contains a and x.
+
+    e1 points along a, else along x, else along the first axis; e2 points
+    along the part of x orthogonal to e1, else along any unit vector
+    orthogonal to e1.
+    """
+    e1 = np.zeros(N)
+    if np.linalg.norm(a) > 1e-14:
+        e1 = a / np.linalg.norm(a)
+    elif np.linalg.norm(x) > 1e-14:
+        e1 = x / np.linalg.norm(x)
+    else:
+        e1[0] = 1.0
+    v = x - (x @ e1) * e1
+    if np.linalg.norm(v) <= 1e-12:
+        v = np.zeros(N)
+        v[int(np.argmin(np.abs(e1)))] = 1.0
+    # a second projection: one alone leaves x's roundoff along e1, which
+    # grows relative to v as x nears the e1 line
+    v = v - (v @ e1) * e1
+    return e1, v / np.linalg.norm(v)

@@ -74,17 +74,24 @@ def test_kernel_solves_linearized_equation():
 
 
 def test_harmonic_correction_quadrature_vs_exact():
-    # the two-angle reduction is spectrally accurate for N = 3, 4; for odd
-    # N >= 5 a half-integer power appears and convergence is only algebraic
     cases = [
-        (Bubble(3, 4.0, np.array([0.3, 0.1, 0.0])), np.array([0.2, -0.4, 0.1]), 1e-12),
-        (Bubble(4, 2.0, np.zeros(4)), np.array([0.5, 0.0, 0.0, 0.0]), 1e-12),
-        (Bubble(5, 7.0, np.array([0.0, 0.2, 0.0, 0.0, 0.0])), np.zeros(5), 1e-5),
+        (Bubble(3, 4.0, np.array([0.3, 0.1, 0.0])), np.array([0.2, -0.4, 0.1])),
+        (Bubble(4, 2.0, np.zeros(4)), np.array([0.5, 0.0, 0.0, 0.0])),
+        (Bubble(5, 7.0, np.array([0.0, 0.2, 0.0, 0.0, 0.0])), np.zeros(5)),
+        # off-axis: x is not on the line through 0 and the center
+        (Bubble(5, 20.0, np.array([0.1, 0.2, 0.0, -0.1, 0.0])),
+         np.array([0.3, -0.1, 0.2, 0.0, 0.1])),
+        (Bubble(6, 5.0, np.array([0.2, 0.0, 0.1, 0.0, 0.0, 0.0])),
+         np.array([0.0, 0.4, 0.0, -0.2, 0.0, 0.1])),
+        (Bubble(7, 3.0, np.array([0.2, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0])),
+         np.array([0.0, 0.4, 0.0, -0.2, 0.0, 0.0, 0.1])),
+        # centered bubble at x = 0: the frame falls back to the first axes
+        (Bubble(5, 6.0), np.zeros(5)),
     ]
-    for b, x, tol in cases:
+    for b, x in cases:
         hq = harmonic_correction(b, x)
         hx = harmonic_correction_exact(b, x)
-        assert hq == pytest.approx(hx, rel=tol)
+        assert hq == pytest.approx(hx, rel=1e-12)
 
 
 def test_harmonic_correction_centered_is_constant():

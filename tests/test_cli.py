@@ -123,6 +123,9 @@ _BAD_FLAGS = st.one_of(
     st.sampled_from([(_SPECTRUM_UNREACHABLE, "--tol", -1.0),
                      (_SPECTRUM_UNREACHABLE, "--ell-max", 1),
                      (_SPECTRUM_UNREACHABLE, "--potential-scale", math.nan)]),
+    # a negative scale is a valid fault (exit 1); these are not
+    st.tuples(st.just(["verify"]), st.just("--fault-green-scale"),
+              st.sampled_from([0.0, math.inf, -math.inf, math.nan])),
 )
 
 
@@ -130,8 +133,8 @@ _BAD_FLAGS = st.one_of(
 @given(_BAD_FLAGS)
 @example((_SPECTRUM_UNREACHABLE, "--tol", -1.0))
 def test_sweep_and_spectrum_exit_code_contract(case):
-    """A bad value of a sweep or spectrum flag exits 2 with one stderr line
-    and no warning."""
+    """A bad value of a sweep, spectrum or verify flag exits 2 with one
+    stderr line and no warning."""
     command, flag, value = case
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
@@ -249,6 +252,17 @@ def test_verify_fault_injection(tmp_path):
     doc = json.loads(out.read_text())
     assert not doc["all_pass"]
     assert any(not c["pass"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("scale, rc", [(-1.0, EXIT_VERIFY_FAILED),
+                                       (0.0, EXIT_BAD_CONFIG)])
+def test_verify_fault_scale_sign_and_zero(tmp_path, scale, rc):
+    """A negative Green scale is a fault that verify reports; a zero scale
+    is rejected before any JSON is written."""
+    out = tmp_path / "v.json"
+    assert main(["verify", "--fault-green-scale", repr(scale),
+                 "--output", str(out)]) == rc
+    assert out.exists() == (rc == EXIT_VERIFY_FAILED)
 
 
 def test_decompose_command(tmp_path):

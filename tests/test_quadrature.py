@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bnlab.quadrature import gauss_legendre, geometric_panel_rule, improper_radial
+from bnlab.quadrature import (
+    gauss_legendre,
+    geometric_panel_rule,
+    improper_radial,
+    plane_frame,
+)
 
 
 def test_gauss_legendre_polynomial_exact():
@@ -40,3 +47,40 @@ def test_geometric_panel_smooth():
     x, w = geometric_panel_rule(0.0, math.pi / 2.0, first=0.5)
     val = w @ np.cos(x)
     assert val == pytest.approx(1.0, rel=1e-13)
+
+
+@st.composite
+def _frame_cases(draw):
+    """(N, a, x); all but the general case hit a fallback of the frame."""
+    N = draw(st.integers(3, 7))
+    points = st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N)
+    a, x = np.array(draw(points)), np.array(draw(points))
+    case = draw(st.sampled_from(["general", "a=0", "x=0", "a=x=0", "x||a"]))
+    if case in ("a=0", "a=x=0"):
+        a = np.zeros(N)
+    if case in ("x=0", "a=x=0"):
+        x = np.zeros(N)
+    if case == "x||a":
+        x = draw(st.floats(-2.0, 2.0)) * a
+    return N, a, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_frame_cases())
+# x near the e1 line: one projection alone leaves e1.e2 at -1.4e-14
+@example((5, np.array([0.0, 0.6875, 0.0, 0.0, 0.6875]),
+          np.array([0.0, 0.6875, 0.0, 0.0, 0.703125])))
+def test_plane_frame_is_orthonormal_and_spans_both_points(case):
+    N, a, x = case
+    e1, e2 = plane_frame(N, a, x)
+    gram = np.array([[e1 @ e1, e1 @ e2], [e2 @ e1, e2 @ e2]])
+    assert np.abs(gram - np.eye(2)).max() <= 1e-14
+    # e2 is only decided by x when x is 1e-12 or more off the e1 line
+    for p in (a, x):
+        assert np.linalg.norm(p - (p @ e1) * e1 - (p @ e2) * e2) <= 1e-12
+    if np.linalg.norm(a) > 1e-14:
+        assert e1 @ a > 0.0
+    elif np.linalg.norm(x) > 1e-14:
+        assert e1 @ x > 0.0
+    else:
+        assert e1[0] == 1.0

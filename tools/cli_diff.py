@@ -37,6 +37,7 @@ COMMANDS = [
       for n, q, et in (("5", "3", "1e-2"), ("4", "3", "1e-5"),
                        ("3", "5", "1e-3"))),
     (["verify"], {"--output": "out.json"}),
+    (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
     (["sweep", "--n", "5", "--q", "3", "--skip-spectrum"],
@@ -78,13 +79,16 @@ def rel_change(old, new) -> float:
 
 
 def _leaves(obj, key=""):
-    """(key, value) pairs of a JSON document; list indices collapse to []."""
+    """(key, value) pairs of a JSON document.  A list element that is a dict
+    with a string "name" is keyed [name]; other list indices collapse to []."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             yield from _leaves(v, f"{key}.{k}" if key else k)
     elif isinstance(obj, list):
         for v in obj:
-            yield from _leaves(v, key + "[]")
+            name = v.get("name") if isinstance(v, dict) else None
+            tag = f"[{name}]" if isinstance(name, str) else "[]"
+            yield from _leaves(v, key + tag)
     else:
         yield key, obj
 
