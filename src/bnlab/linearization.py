@@ -35,13 +35,10 @@ eps_tilde = 1e-3, nu = -0.5).
 Each shoot runs Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving
 ODEs I, II.10) through scipy.integrate.ode: the method and error norm of
 solve_ivp's DOP853, with a compiled step loop, and with rtol = 1e-14 below
-the 2.2e-14 floor to which solve_ivp clamps.  Two settings differ from that
-code's defaults.  Legs towards smaller s run forward in t = -s, because it
-takes its first step with the sign given and would otherwise start outward
-past R_tilde.  Its stiffness test is off: in the forbidden ell = 0 tail at
-nu < 0 the step is bound by stability, and the test stops integrations
-there that complete without it (N = 3, q = 5, eps_tilde = 1e-4, nu = -0.5
-at rtol = 1e-13).
+the 2.2e-14 floor to which solve_ivp clamps.  Its stiffness test is off: in
+the forbidden ell = 0 tail at nu < 0 the step is bound by stability, and
+the test stops integrations there that complete without it (N = 3, q = 5,
+eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
 
 Accuracy near zero is that of the shoot.  Measured on the ell = 1
 eigenvalue against its closed-form limit at N = 3, 4 and 5, the absolute
@@ -54,13 +51,15 @@ eigenvalue with |nu| below _NU_RESOLVED = 1e-13, where the error is at most
 
 Below zero the tail where the potential is smaller than -nu is classically
 forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
-about exp(-2 sqrt(-nu) R_tilde) wide, on which a search can only bisect.  The
-search for an eigenvalue below zero therefore matches two shoots (Pryce,
-1993; SLEIGN2): a second leg integrates the profile and the angle phi of the
-solution that vanishes at R_tilde back from R_tilde to the bubble length
-s_m, and Theta = theta(s_m) - phi(s_m) + pi is smooth in nu, with the same
-count floor(Theta / pi) and the same roots.  Searches at nu >= 0 cross no
-forbidden tail and keep the one-sided angle.
+about exp(-2 sqrt(-nu) R_tilde) wide, on which a search can only bisect.
+The certificate does not search there.  It needs the eigenvalue nearest
+zero, and when the mode has m0 = count(0) > 0 eigenvalues below zero, one
+more shoot at nu_w = -|nu_above| counts those in [nu_w, 0): if
+count(nu_w) = m0 there are none, and |nu_above| is the distance of the
+spectrum from zero.  Otherwise the eigenvalue m0 - 1 lies in that window
+and is searched inside it, where sqrt(-nu) R_tilde <= sqrt(|lambda_above|)
+and the tail is short.  A Morse eigenvalue further down (nu = -0.39 at
+N = 5, eps_tilde = 1e-2; -0.59 at N = 4, eps_tilde = 1e-5) is not computed.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ _S_START = 1e-3
 # relative tolerance of the mode shoot, which runs Hairer's DOP853 through
 # scipy.integrate.ode: unlike solve_ivp it takes an rtol below 2.2e-14.
 # Near zero it sets the absolute error of nu; the module docstring says why
-# backward legs run in -s and why the stiffness test is off.
+# the stiffness test is off.
 _MODE_RTOL = 1e-14
 # smallest |nu| = |lambda| / R_tilde^2 reported as resolved, measured at
 # _MODE_RTOL; do not lower it without measuring again
@@ -113,8 +112,6 @@ class ModeOperator:
     ell: int
     eps_tilde: float
     R_tilde: float
-    # u'(R_tilde) of the height-1 profile: the start of the backward leg
-    du_at_R_tilde: float
     # multiplies the whole potential; 1.0 is the physical operator, other
     # values manufacture synthetic (near-)degenerate test problems
     potential_scale: float = 1.0
@@ -122,14 +119,6 @@ class ModeOperator:
     @property
     def centrifugal(self) -> float:
         return self.ell * (self.ell + self.params.N - 2.0)
-
-    @property
-    def match_point(self) -> float:
-        """Where the two legs of a matched shoot meet: the bubble length
-        sqrt(N(N-2)), scaled with the profile's length, or R_tilde."""
-        N = self.params.N
-        return min(self.R_tilde,
-                   math.sqrt(N * (N - 2.0)) * _length_scale(self.eps_tilde))
 
 
 def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
@@ -141,7 +130,6 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
         ell=ell,
         eps_tilde=sol.eps_tilde,
         R_tilde=sol.R_tilde,
-        du_at_R_tilde=sol.shoot_result.du_at_zero,
         potential_scale=potential_scale,
     )
 
@@ -156,10 +144,9 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
-def _shoot_mode(op: ModeOperator, nu: float,
-                s_match: float | None = None) -> tuple[float, float]:
-    """Pruefer angle of the mode solution at nu and its nu-derivative, by one
-    shoot.
+def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
+    """Pruefer angle theta(R_tilde) of the mode solution at nu and its
+    nu-derivative, by one shoot.
 
     The base profile is integrated together with the Pruefer angle theta of
     the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
@@ -169,14 +156,6 @@ def _shoot_mode(op: ModeOperator, nu: float,
     zeros on (0, R_tilde), which by Sturm oscillation is the number of
     eigenvalues below nu.  theta_nu = d theta / d nu >= 0 is carried as a
     fourth state, by the variational equation of the angle's equation.
-
-    With s_match < R_tilde the forward leg stops there, and a backward leg
-    carries the profile and the angle phi of the solution with v(R_tilde) =
-    0, v'(R_tilde) < 0 (phi = pi) down to s_match.  The returned angle
-    theta(s_match) - phi(s_match) + pi is a multiple of pi exactly when the
-    two solutions are proportional, increases in nu and equals
-    theta(R_tilde) at s_match = R_tilde, so it keeps the count and the
-    roots of the one-sided angle; its derivative is theta_nu - phi_nu.
     """
     p = op.params
     et = op.eps_tilde
@@ -186,108 +165,77 @@ def _shoot_mode(op: ModeOperator, nu: float,
     w2 = op.potential_scale * (p.two_star - 1.0)
     wq = op.potential_scale * (p.q - 1.0)
     scale_len = _length_scale(et)
-    R2 = op.R_tilde**2
+    # theta_nu starts at 0 and stays >= 0 (Sturm comparison), but dop853
+    # takes one scalar atol, 1e-160 here, and stalls on a state that starts
+    # at exactly 0.  z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale
+    # of theta_nu (the source term s sin^2 integrates to about
+    # R_tilde^2 / 4), so its relative error control is meaningful from the
+    # first step.
+    off = op.R_tilde**2
 
-    def leg(s_from, s_to, y0):
-        # Hairer's code takes first_step with the sign it is given, so a leg
-        # towards smaller s would first march outward past R_tilde (and end
-        # about pi off at N = 4, eps_tilde = 1e8).  Every leg runs forward
-        # in t = d s instead; the state stays (u, u', angle, z) in s, so
-        # each derivative is multiplied by d.
-        d = 1.0 if s_to > s_from else -1.0
-        # The angle's nu-derivative starts at 0 and keeps the sign of d
-        # (Sturm comparison), but dop853 takes one scalar atol, 1e-160 here,
-        # and stalls on a state that starts at exactly 0.  z = angle_nu +
-        # d R_tilde^2 has |z| >= R_tilde^2, the scale of theta_nu (the
-        # source term s sin^2 integrates to about R_tilde^2 / 4), so its
-        # relative error control is meaningful from the first step.
-        off = d * R2
-
-        def rhs(t, y):
-            # Python floats: arithmetic on numpy scalars costs more
-            u, du, th, z = y.tolist()
-            s = d * t
-            up = u if u > 0.0 else 0.0
-            # two powers per call; the others are products of these
-            u2 = up ** e2
-            uq = et * up ** eq
-            k = (w2 * u2 + wq * uq + nu) * s * s - cl
-            # products, not double angles (see the module docstring)
-            c, sn = math.cos(th), math.sin(th)
-            cc, ss, sc = c * c, sn * sn, sn * c
-            return (
-                d * du,
-                d * (-nm1 / s * du - (u2 + uq) * up),
-                d * (cc + nm2 * sc + k * ss) / s,
-                d * ((nm2 * (cc - ss) + 2.0 * (k - 1.0) * sc) / s * (z - off)
-                     + s * ss),
-            )
-
-        r = ode(rhs).set_integrator("dop853", rtol=_MODE_RTOL, atol=1e-160,
-                                    first_step=1e-4 * scale_len,
-                                    nsteps=2**31 - 1)
-        r.set_initial_value([*y0, off], d * s_from)
-        # IWORK(4) < 0 switches Hairer's stiffness test off, which would stop
-        # the forbidden ell = 0 tail at nu < 0; the scipy wrapper has no
-        # keyword for it
-        r._integrator.iwork[3] = -1
-        with warnings.catch_warnings():
-            # the wrapper warns before it reports a failed run; the error
-            # below carries the return code instead
-            warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-            y = r.integrate(d * s_to)
-        if not r.successful():
-            raise IntegrationFailureError(
-                f"mode integration failed on [{s_from}, {s_to}]: "
-                f"dop853 return code {r.get_return_code()}"
-            )
-        return float(y[2]), float(y[3]) - off
+    def rhs(s, y):
+        # Python floats: arithmetic on numpy scalars costs more
+        u, du, th, z = y.tolist()
+        up = u if u > 0.0 else 0.0
+        # two powers per call; the others are products of these
+        u2 = up ** e2
+        uq = et * up ** eq
+        k = (w2 * u2 + wq * uq + nu) * s * s - cl
+        # products, not double angles (see the module docstring)
+        c, sn = math.cos(th), math.sin(th)
+        cc, ss, sc = c * c, sn * sn, sn * c
+        return (
+            du,
+            -nm1 / s * du - (u2 + uq) * up,
+            (cc + nm2 * sc + k * ss) / s,
+            (nm2 * (cc - ss) + 2.0 * (k - 1.0) * sc) / s * (z - off) + s * ss,
+        )
 
     s0 = _S_START * scale_len
-    s_m = op.R_tilde if s_match is None else s_match
     a2, a4 = _series_coeffs(p, et)
+    r = ode(rhs).set_integrator("dop853", rtol=_MODE_RTOL, atol=1e-160,
+                                first_step=1e-4 * scale_len,
+                                nsteps=2**31 - 1)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    theta, theta_nu = leg(s0, s_m, [
+    r.set_initial_value([
         1.0 + a2 * s0**2 + a4 * s0**4,
         2.0 * a2 * s0 + 4.0 * a4 * s0**3,
         math.atan2(1.0, op.ell),
-    ])
-    if s_m >= op.R_tilde:
-        return theta, theta_nu
-    phi, phi_nu = leg(op.R_tilde, s_m, [0.0, op.du_at_R_tilde, math.pi])
-    return theta - phi + math.pi, theta_nu - phi_nu
+        off,
+    ], s0)
+    # IWORK(4) < 0 switches Hairer's stiffness test off, which would stop
+    # the forbidden ell = 0 tail at nu < 0; the scipy wrapper has no
+    # keyword for it
+    r._integrator.iwork[3] = -1
+    with warnings.catch_warnings():
+        # the wrapper warns before it reports a failed run; the error below
+        # carries the return code instead
+        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+        y = r.integrate(op.R_tilde)
+    if not r.successful():
+        raise IntegrationFailureError(
+            f"mode integration failed on [{s0}, {op.R_tilde}]: "
+            f"dop853 return code {r.get_return_code()}"
+        )
+    return float(y[2]), float(y[3]) - off
 
 
-def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
+def _eigenvalue_by_index(op: ModeOperator, theta, j: int, lo: float) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    theta(nu) is the memoised one-sided shoot (Pruefer angle and its
-    nu-derivative) of the operator's mode and m0 the number of eigenvalues
-    below zero.  The root of theta(nu) = (j + 1) pi is found by Newton's
-    method on the angle and its carried derivative, safeguarded as in
-    Numerical Recipes' rtsafe.  The count keeps a bracket [lo, hi].  A
-    Newton step is taken when it lands inside the bracket and either keeps
-    the direction of the last step or is at most half the step before it;
-    otherwise the search bisects, expands x4 while there is no upper end,
-    and shoots the lower bound itself while there is no lower end.  The
-    search starts at nu = 0, whose one-sided shoot the count has already
-    made, and stops once a step is within _XTOL_REL of nu (see there).  An
-    eigenvalue below zero lies above the operator's lower bound and is
-    searched on the matched angle, which has the same count and roots but
-    no step in the forbidden tail.
+    theta(nu) is the memoised mode shoot (Pruefer angle and its
+    nu-derivative) and lo a nu with at most j eigenvalues below it.  The
+    root of theta(nu) = (j + 1) pi is found by Newton's method on the angle
+    and its carried derivative, safeguarded as in Numerical Recipes'
+    rtsafe.  The count keeps a bracket [lo, hi].  A Newton step is taken
+    when it lands inside the bracket and either keeps the direction of the
+    last step or is at most half the step before it; otherwise the search
+    bisects, or expands x4 while there is no upper end.  The search starts
+    at nu = 0, whose shoot the count has already made, and stops once a
+    step is within _XTOL_REL of nu (see there).
     """
     target = (j + 1) * math.pi
-    if m0 <= j:
-        bound, hi = 0.0, math.inf
-    else:
-        theta = functools.cache(
-            lambda nu: _shoot_mode(op, nu, op.match_point))
-        # the operator is bounded below by -max potential
-        bound = -1.1 * (op.potential_scale
-                        * ((op.params.two_star - 1.0) + op.eps_tilde
-                           * (op.params.q - 1.0))) - 1e-6
-        hi = 0.0
-    lo = -math.inf
+    hi = math.inf
     # dx is the last step (nu -= dx) and dx_old the one before; the first
     # expansion goes to lambda = 4 in unit-ball units
     nu, dx, dx_old = 0.0, -1.0 / op.R_tilde**2, math.inf
@@ -296,19 +244,13 @@ def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
         # the count is <= j exactly where th < target
         if th < target:
             lo = nu
-        elif nu == bound:
-            raise IntegrationFailureError(
-                f"eigenvalue {j} lies below the potential bound {bound}"
-            )
         else:
             hi = nu
         step = (th - target) / dth if dth > 0.0 else math.inf
-        if not (max(lo, bound) < nu - step <= hi
+        if not (lo < nu - step <= hi
                 and (step * dx > 0.0 or 2.0 * abs(step) <= abs(dx_old))):
             if hi == math.inf:
                 step = -4.0 * abs(dx)
-            elif lo == -math.inf:
-                step = nu - bound
             else:
                 step = nu - 0.5 * (lo + hi)
         dx_old, dx = dx, step
@@ -324,17 +266,28 @@ def _eigenvalue_by_index(op: ModeOperator, theta, j: int, m0: int) -> float:
 def eigenvalues_near_zero(op: ModeOperator):
     """The eigenvalues adjacent to zero (unit-ball units) and their count.
 
-    Returns (below, above, n_negative); below is None when the spectrum is
-    entirely positive.
+    Returns (below, above, n_negative).  below is the largest eigenvalue
+    below zero if it lies in [-|above|, 0), and None otherwise: then no
+    eigenvalue is nearer to zero from below than above is from above.
     """
     # one integration per nu: the search above zero starts from nu = 0
     theta = functools.cache(lambda nu: _shoot_mode(op, nu))
     m0 = int(theta(0.0)[0] // math.pi)
-    above = _eigenvalue_by_index(op, theta, m0, m0) * op.R_tilde**2
+    nu_above = _eigenvalue_by_index(op, theta, m0, 0.0)
     below = None
     if m0 > 0:
-        below = _eigenvalue_by_index(op, theta, m0 - 1, m0) * op.R_tilde**2
-    return below, above, m0
+        # eigenvalues in [nu_w, 0): m0 minus the count at nu_w
+        nu_w = -abs(nu_above)
+        count = int(theta(nu_w)[0] // math.pi)
+        if count > m0:
+            raise IntegrationFailureError(
+                f"Sturm count {count} at nu = {nu_w} exceeds the count "
+                f"{m0} at nu = 0"
+            )
+        if count < m0:
+            below = (_eigenvalue_by_index(op, theta, m0 - 1, nu_w)
+                     * op.R_tilde**2)
+    return below, nu_above * op.R_tilde**2, m0
 
 
 def check_certificate_options(ell_max: int, tol: float = 1e-3,

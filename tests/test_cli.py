@@ -304,6 +304,26 @@ def test_spectrum_command(tmp_path):
     assert [m["ell"] for m in doc["modes"]] == [0, 1, 2]
     assert doc["modes"][0]["n_negative"] == 1
     assert not any("resolved" in m for m in doc["modes"])
+    # the Morse eigenvalue lies below -|above|: the JSON gives the window
+    # the certificate checked instead of its value
+    m = doc["modes"][0]
+    assert m["nearest_below_zero"] is None
+    assert m["no_eigenvalue_in"] == [-m["nearest_above_zero"], 0.0]
+    assert not any("no_eigenvalue_in" in m for m in doc["modes"][1:])
+
+
+def test_spectrum_reports_eigenvalue_inside_window(tmp_path):
+    """With the potential scaled by 0.45 the ell = 0 Morse eigenvalue
+    (-14.06) lies inside [-|above|, 0) = [-22.32, 0): it is reported, and
+    it is the mode's distance from zero."""
+    out = tmp_path / "sp.json"
+    assert main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+                 "--ell-max", "2", "--potential-scale", "0.45",
+                 "--output", str(out)]) == EXIT_OK
+    m = json.loads(out.read_text())["modes"][0]
+    assert m["n_negative"] == 1 and "no_eigenvalue_in" not in m
+    assert m["nearest_below_zero"] == pytest.approx(-14.0557272, rel=1e-7)
+    assert m["min_abs"] == -m["nearest_below_zero"]
 
 
 def test_unresolved_eigenvalue_is_flagged(monkeypatch, tmp_path):
@@ -347,8 +367,8 @@ def test_spectrum_at_large_eps_tilde(tmp_path):
 
 @pytest.mark.parametrize("n,q", [("6", "2.6"), ("7", "2.2")])
 def test_spectrum_writes_no_warning(capsys, n, q):
-    """The backward leg of the matched ell = 0 shoot starts from a given
-    first step; scipy's own guess overflows there and numpy warns."""
+    """spectrum at N = 6 and 7 raises no warning and writes nothing to
+    stderr."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["spectrum", "--n", n, "--q", q, "--eps-tilde", "1e-2",

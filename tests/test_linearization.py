@@ -4,7 +4,7 @@ small positive eigenvalue of the translation mode, and the certificate."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
@@ -55,82 +55,90 @@ def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
             <= _shoot_mode(op, hi)[0] // math.pi)
 
 
+def _count(op, nu):
+    return int(_shoot_mode(op, nu)[0] // math.pi)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from([("5,3,1e-2", 1.0), ("4,3,1e-5", 1.0),
-                        ("5,3,1e-2", 1.2)]),
+                        ("5,3,1e-2", 1.2), ("4,3,1e-5", 1.2)]),
        st.floats(0.0, 1.0))
-def test_matched_count_equals_one_sided_count(sol53_mid, sol43_deep, case,
-                                              frac):
-    """Matching the Pruefer angles at the bubble length keeps the count of
-    eigenvalues below nu exact: for ell = 0 and nu between the potential
-    bound and zero, floor(Theta / pi) equals floor(theta(R_tilde) / pi)."""
+@example(case=("5,3,1e-2", 1.2), frac=1.0)
+def test_count_constant_across_window(sol53_mid, sol43_deep, case, frac):
+    """For ell = 0 no eigenvalue lies in [nu_w, 0), nu_w = -|nu_above|: the
+    count of eigenvalues below nu equals the Morse index m0 = count(0) for
+    every nu in that window, its lower edge included, so the search reports
+    no eigenvalue below zero."""
     cell, scale = case
     p, sol = sol43_deep if cell == "4,3,1e-5" else sol53_mid
     op = build_mode_operator(p, sol, 0, potential_scale=scale)
-    bound = op.potential_scale * ((p.two_star - 1.0)
-                                  + op.eps_tilde * (p.q - 1.0))
-    nu = -1.1 * bound * frac
-    assert op.match_point < op.R_tilde
-    assert (_shoot_mode(op, nu, op.match_point)[0] // math.pi
-            == _shoot_mode(op, nu)[0] // math.pi)
+    below, above, m0 = eigenvalues_near_zero(op)
+    assert m0 >= 1 and below is None
+    assert _count(op, -frac * abs(above) / op.R_tilde**2) == m0
 
 
 @pytest.mark.parametrize("cell", ["5,3,1e-2", "4,3,1e-5"])
-@pytest.mark.parametrize("ell,matched", [(0, False), (1, False), (2, False),
-                                         (0, True)])
+@pytest.mark.parametrize("ell,below", [(0, False), (1, False), (2, False),
+                                       (0, True)])
 def test_carried_nu_derivative_matches_central_difference(
-        sol53_mid, sol43_deep, cell, ell, matched):
+        sol53_mid, sol43_deep, cell, ell, below):
     """The fourth state of the mode shoot is d theta / d nu: it matches a
-    central difference of the angle, one-sided at lambda = 10 (unit-ball
-    units) and matched at nu = -0.1, both away from the roots."""
+    central difference of the angle at lambda = 10 and, for ell = 0, below
+    zero at lambda = -10 (unit-ball units), as the search inside the window
+    [-|above|, 0) uses it; both are away from the roots."""
     p, sol = sol43_deep if cell == "4,3,1e-5" else sol53_mid
     op = build_mode_operator(p, sol, ell)
-    s_m = op.match_point if matched else None
-    nu = -0.1 if matched else 10.0 / op.R_tilde**2
+    nu = (-10.0 if below else 10.0) / op.R_tilde**2
     h = 1e-5 * abs(nu)
-    diff = (_shoot_mode(op, nu + h, s_m)[0]
-            - _shoot_mode(op, nu - h, s_m)[0]) / (2.0 * h)
-    assert _shoot_mode(op, nu, s_m)[1] == pytest.approx(diff, rel=1e-6)
+    diff = (_shoot_mode(op, nu + h)[0]
+            - _shoot_mode(op, nu - h)[0]) / (2.0 * h)
+    assert _shoot_mode(op, nu)[1] == pytest.approx(diff, rel=1e-6)
 
 
 def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
-    """The matched search converges superlinearly, so at the search
-    tolerance its root is much closer to the tight root of the one-sided
-    angle than the tolerance itself."""
+    """With the potential scaled by 0.45 the ell = 0 Morse eigenvalue
+    (lambda = -14.06) lies nearer to zero than the one above (22.32), so it
+    is searched inside the window [-|above|, 0).  The Newton search
+    converges superlinearly, so at the search tolerance its root is much
+    closer to the tight root of the angle than the tolerance itself."""
     p, sol = sol53_mid
-    op = build_mode_operator(p, sol, 0)
-    below = eigenvalues_near_zero(op)[0] / op.R_tilde**2
+    op = build_mode_operator(p, sol, 0, potential_scale=0.45)
+    below, above, m0 = eigenvalues_near_zero(op)
+    assert m0 == 1 and -abs(above) <= below < 0.0
+    below /= op.R_tilde**2
     ref = brentq(lambda nu: _shoot_mode(op, nu)[0] - math.pi,
                  below * (1.0 + 1e-6), below * (1.0 - 1e-6),
                  xtol=1e-18, rtol=1e-13)
     assert below == pytest.approx(ref, rel=1e-8)
 
 
-def test_backward_leg_at_large_eps_tilde():
-    """R_tilde = 6.3e-4 at N = 4, eps_tilde = 1e8.  Near the negative ell = 0
-    eigenvalue the matched angle is just below pi; a backward leg that
-    started outward past R_tilde ended about pi off (-0.0059)."""
-    p = Params(4, 3.0)
-    op = build_mode_operator(p, solution_at(p, 1e8), 0)
-    nu = -4.8357912374e7
-    matched = _shoot_mode(op, nu, op.match_point)[0]
-    assert matched == pytest.approx(3.12480737, abs=1e-7)
-    assert matched // math.pi == _shoot_mode(op, nu)[0] // math.pi
+def test_window_count_at_long_scaled_radius():
+    """At N = 3, q = 5, eps_tilde = 1e-4 (R_tilde = 8.7e4) the Morse
+    eigenvalue lies at nu of about -1.2, behind a forbidden tail about 1e5
+    long.  The count at the window edge nu_w = -|nu_above| sees no
+    eigenvalue in [nu_w, 0) without crossing that tail: sqrt(-nu_w)
+    R_tilde = sqrt(|lambda_above|) = 1.6."""
+    p = Params(3, 5.0)
+    op = build_mode_operator(p, solution_at(p, 1e-4), 0)
+    below, above, m0 = eigenvalues_near_zero(op)
+    assert below is None and m0 == 1
+    assert above == pytest.approx(2.4683552, rel=1e-6)
+    assert _count(op, -above / op.R_tilde**2) == m0
 
 
 @pytest.mark.parametrize("rtol", [None, 1e-13], ids=["default", "1e-13"])
-def test_matched_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
-    """At N = 3, q = 5, eps_tilde = 1e-4 (R_tilde = 8.7e4) the backward leg
-    crosses a forbidden tail about 1e5 long, where the step is bound by
-    stability.  DOP853's stiffness test stops it at rtol = 1e-13; with the
-    test off it completes, and Theta agrees with that of the former
-    solve_ivp shoot."""
+def test_one_sided_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
+    """At N = 3, q = 5, eps_tilde = 1e-4 (R_tilde = 8.7e4) a shoot at
+    nu = -0.5 crosses a forbidden tail about 1e5 long, where the step is
+    bound by stability.  DOP853's stiffness test stops it at rtol = 1e-13;
+    with the test off it completes at both tolerances and counts the one
+    eigenvalue below nu, the Morse eigenvalue."""
     if rtol is not None:
         monkeypatch.setattr(bnlab.linearization, "_MODE_RTOL", rtol)
     p = Params(3, 5.0)
     op = build_mode_operator(p, solution_at(p, 1e-4), 0)
-    assert _shoot_mode(op, -0.5, op.match_point)[0] == pytest.approx(
-        3.702047042746759, abs=1e-9)
+    assert _shoot_mode(op, -0.5)[0] == pytest.approx(3.14160898027218,
+                                                     abs=1e-9)
 
 
 def test_ell1_plateau_holds_at_the_deep_end():
@@ -164,63 +172,77 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
         assert _shoot_mode(op, mid)[0] // math.pi == k
 
 
+@pytest.fixture
+def shot_nus(monkeypatch):
+    """The nu of every mode shoot made while the test runs."""
+    nus = []
+    real = bnlab.linearization._shoot_mode
+
+    def logged(op, nu):
+        nus.append(nu)
+        return real(op, nu)
+
+    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", logged)
+    return nus
+
+
 @pytest.mark.parametrize("ell", [1, 2])
-def test_mode_search_in_few_shoots(sol53_mid, monkeypatch, ell):
+def test_mode_search_in_few_shoots(sol53_mid, shot_nus, ell):
     """Newton on the Pruefer angle and its carried nu-derivative finds the
     eigenvalue above zero in a few shoots, counting the one at nu = 0, and
     no angle is integrated twice for the same nu."""
     p, sol = sol53_mid
-    nus = []
+    eigenvalues_near_zero(build_mode_operator(p, sol, ell))
+    assert len(shot_nus) <= 8
+    assert len(set(shot_nus)) == len(shot_nus)
+
+
+def test_ell0_search_in_few_shoots(sol53_mid, shot_nus):
+    """ell = 0 costs the search above zero plus one shoot: the count at the
+    window edge -|nu_above|, which finds no eigenvalue in the window.  No nu
+    is shot twice and none lies below the window."""
+    p, sol = sol53_mid
+    op = build_mode_operator(p, sol, 0)
+    below, above, m0 = eigenvalues_near_zero(op)
+    assert below is None and m0 == 1
+    assert len(shot_nus) <= 8 + 1
+    assert len(set(shot_nus)) == len(shot_nus)
+    assert shot_nus[-1] == -above / op.R_tilde**2 == min(shot_nus)
+
+
+def test_certificate_shoots_no_deep_nu(monkeypatch):
+    """At N = 3, q = 5, eps_tilde = 1e-5 (R_tilde = 8.7e5) no shoot of the
+    certificate goes below lambda = -100: the Morse eigenvalue (nu of about
+    -1.2, behind a forbidden tail about 1e6 long) is not searched.  The whole
+    certificate takes at most 40 mode shoots (34 measured; the unresolved
+    ell = 1 eigenvalue ends by bisection), at most 9 of them for ell = 0."""
+    p = Params(3, 5.0)
+    sol = solution_at(p, 1e-5)
+    ells = []
     real = bnlab.linearization._shoot_mode
 
-    def counting(op, nu, s_match=None):
-        nus.append(nu)
-        return real(op, nu, s_match)
+    def guarded(op, nu):
+        if nu < -100.0 / op.R_tilde**2:
+            pytest.fail(f"mode shoot at lambda = {nu * op.R_tilde**2}")
+        ells.append(op.ell)
+        return real(op, nu)
 
-    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
-    eigenvalues_near_zero(build_mode_operator(p, sol, ell))
-    assert len(nus) <= 8
-    assert len(set(nus)) == len(nus)
-
-
-def test_ell0_search_in_few_shoots(sol53_mid, monkeypatch):
-    """Below zero the matched angle has no step in the forbidden tail: the
-    negative ell = 0 eigenvalue takes about as few shoots as the one above
-    zero, and no (nu, matching point) pair is integrated twice."""
-    p, sol = sol53_mid
-    shots = []
-    below_zero = []
-    real_shoot = bnlab.linearization._shoot_mode
-    real_search = bnlab.linearization._eigenvalue_by_index
-
-    def counting(op, nu, s_match=None):
-        shots.append((nu, s_match))
-        return real_shoot(op, nu, s_match)
-
-    def search(op, theta, j, m0):
-        before = len(shots)
-        nu = real_search(op, theta, j, m0)
-        if j < m0:
-            below_zero.append(len(shots) - before)
-        return nu
-
-    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", counting)
-    monkeypatch.setattr(bnlab.linearization, "_eigenvalue_by_index", search)
-    eigenvalues_near_zero(build_mode_operator(p, sol, 0))
-    assert len(below_zero) == 1 and below_zero[0] <= 8
-    assert len(shots) <= 13
-    assert len(set(shots)) == len(shots)
-    at_zero = [s_m for nu, s_m in shots if nu == 0.0]
-    assert len(at_zero) == len({s_m for _, s_m in shots}) == 2
+    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", guarded)
+    _, rep = nondegeneracy_certificate(p, sol, ell_max=2)
+    assert [m["n_negative"] for m in rep["per_mode"].values()] == [1, 0, 0]
+    assert rep["per_mode"][0]["nearest_below"] is None
+    assert len(ells) <= 40 and ells.count(0) <= 9
 
 
-def _one_node_at_every_nu(op, nu, s_match=None):
-    return 1.5 * math.pi + max(nu, 0.0), float(nu > 0.0)
+def _extra_node_below(op, nu):
+    # one node at nu = 0, but two at every nu < 0: not monotone
+    angle = (2.5 if nu < 0.0 else 1.5) * math.pi + max(nu, 0.0)
+    return angle, float(nu > 0.0)
 
 
 @pytest.mark.parametrize("name,fault", [
-    # theta never falls below pi: the potential bound is no lower bracket
-    ("_shoot_mode", _one_node_at_every_nu),
+    # the count at the window edge exceeds the count at zero
+    ("_shoot_mode", _extra_node_below),
     # too few iterations for the Newton search to reach its tolerance
     ("_SEARCH_MAXITER", 3),
     # an unreachable tolerance: DOP853 stops with return code -3
@@ -228,10 +250,10 @@ def _one_node_at_every_nu(op, nu, s_match=None):
 ])
 def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
                                              fault):
-    """A lower bracket end that already lies above the eigenvalue, a root
-    solve that does not converge and a failed mode integration raise
-    instead of returning a number, and the CLI reports them in one line
-    (the integrator's own warning is not printed)."""
+    """A Sturm count that falls as nu grows, a root solve that does not
+    converge and a failed mode integration raise instead of returning a
+    number, and the CLI reports them in one line (the integrator's own
+    warning is not printed)."""
     monkeypatch.setattr(bnlab.linearization, name, fault)
     rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                "--ell-max", "2"])
@@ -250,11 +272,12 @@ def test_mode_operator_validation(sol53_mid):
 
 
 def test_morse_index_one(sol53_mid):
+    """One eigenvalue below zero, and none of them in [-above, 0)."""
     p, sol = sol53_mid
     op = build_mode_operator(p, sol, 0)
     below, above, m0 = eigenvalues_near_zero(op)
     assert m0 == 1
-    assert below is not None and below < 0
+    assert below is None
     assert above > 0
 
 
@@ -319,10 +342,9 @@ def test_ell0_spectrum_converges_at_large_eps_tilde():
     unit-ball eigenvalues settle with O(1/eps_tilde) corrections, once both
     series starts scale with the profile's length eps_tilde^{-1/2}."""
     p = Params(4, 3.0)
-    (b6, a6, m6), (b8, a8, m8) = [
+    (_, a6, m6), (_, a8, m8) = [
         eigenvalues_near_zero(build_mode_operator(p, solution_at(p, et), 0))
         for et in (1e6, 1e8)
     ]
     assert m6 == m8 == 1
-    assert b8 == pytest.approx(b6, rel=1e-5)
     assert a8 == pytest.approx(a6, rel=1e-5)

@@ -7,7 +7,8 @@ Each SRC is a directory that holds the `bnlab` package (a checkout's
 interpreter with that tree first on sys.path, writing its JSON and CSV
 outputs to files.  For each command the script prints `identical`, or the
 largest relative change of every JSON key and CSV column that changed,
-plus any change in exit code or stderr.  Standard library only.
+the JSON keys present in only one run, and any change in exit code or
+stderr.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ COMMANDS = [
        {"--output": "out.json"})
       for n, q, et in (("5", "3", "1e-2"), ("4", "3", "1e-5"),
                        ("3", "5", "1e-3"))),
+    (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+      "--ell-max", "2", "--potential-scale", "0.45"],
+     {"--output": "out.json"}),
     (["verify"], {"--output": "out.json"}),
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
@@ -98,12 +102,27 @@ def _max_by_key(pairs, changes: dict) -> None:
         changes[key] = max(changes.get(key, 0.0), rel_change(old, new))
 
 
+def _numbered(doc) -> dict:
+    """{(key, i): value} for the i-th leaf under each key of _leaves."""
+    seen: dict = {}
+    out = {}
+    for k, v in _leaves(doc):
+        i = seen[k] = seen.get(k, -1) + 1
+        out[k, i] = v
+    return out
+
+
 def json_changes(old: str, new: str) -> dict:
-    a, b = list(_leaves(json.loads(old))), list(_leaves(json.loads(new)))
-    if [k for k, _ in a] != [k for k, _ in b]:
-        return {"<keys>": math.inf}
+    """Largest relative change per key; a key that one document has more
+    often than the other is reported as present only in that one."""
+    a, b = _numbered(json.loads(old)), _numbered(json.loads(new))
     changes: dict = {}
-    _max_by_key(((k, x, y) for (k, x), (_, y) in zip(a, b)), changes)
+    for side, these, those in (("old", a, b), ("new", b, a)):
+        for k, i in these:
+            if (k, i) not in those:
+                changes[f"{k} <only in {side}>"] = math.inf
+    _max_by_key(((k, a[k, i], b[k, i]) for k, i in a if (k, i) in b),
+                changes)
     return changes
 
 
