@@ -76,7 +76,8 @@ def default_grid(n: int = 25, lo: float = 1e-8, hi: float = 1e-2) -> np.ndarray:
     return np.logspace(np.log10(hi), np.log10(lo), n)
 
 
-def _record(p: Params, sol: RadialSolution, sn2: float) -> SweepRecord:
+def _record(sol: RadialSolution, sn2: float) -> SweepRecord:
+    p = sol.params
     power = p.q + 2.0 - p.two_star
     return SweepRecord(
         eps_tilde=sol.eps_tilde,
@@ -86,11 +87,25 @@ def _record(p: Params, sol: RadialSolution, sn2: float) -> SweepRecord:
         S_eps=sol.energy,
         blowup_product=sol.eps * sol.mu**power,
         deficit=sn2 / p.N - sol.energy,
-        profile_dist=profile_distance(p, sol),
-        upper_bound_ratio=upper_bound_check(p, sol),
+        profile_dist=profile_distance(sol),
+        upper_bound_ratio=upper_bound_check(sol),
         nehari_residual=sol.nehari_residual,
         pohozaev_residual=sol.pohozaev_residual,
     )
+
+
+def _solutions(p: Params, grid, jobs: int = 1) -> list:
+    """The solutions at the eps_tilde values of grid, in grid order, without
+    the points where the shoot finds no first zero.  jobs > 1 solves them in
+    that many worker processes."""
+    solve = functools.partial(solution_at, p)
+    ets = [float(et) for et in grid]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            sols = list(pool.map(solve, ets))
+    else:
+        sols = list(map(solve, ets))
+    return [sol for sol in sols if sol is not None]
 
 
 def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
@@ -108,21 +123,9 @@ def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
     )
     if np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
         raise DomainError("eps_tilde grid must be positive, strictly decreasing")
-    solve = functools.partial(solution_at, p)
-    ets = [float(et) for et in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sols = list(pool.map(solve, ets))
-    else:
-        sols = list(map(solve, ets))
+    sols = _solutions(p, grid, jobs)
     sn2 = sobolev_sn2_exact(p.N)
-    records, kept = [], []
-    for sol in sols:
-        if sol is None:
-            continue
-        records.append(_record(p, sol, sn2))
-        kept.append(sol)
-    return records, kept
+    return [_record(sol, sn2) for sol in sols], sols
 
 
 def _aitken(x0: float, x1: float, x2: float) -> float:
@@ -171,19 +174,24 @@ def deficit_rate_fit(p: Params, records) -> FitReport:
     keep = deficit > 1e-13
     eps, deficit = eps[keep], deficit[keep]
     tail = len(eps) // 2
-    x, y = np.log(eps[tail:]), np.log(deficit[tail:])
-    slope, intercept = np.polyfit(x, y, 1)
     target = (2.0 * p.N - 4.0) / ((p.N - 2.0) * p.q - 4.0)
+    return _slope_fit(np.log(eps[tail:]), np.log(deficit[tail:]), target)
+
+
+def _slope_fit(x, y, target: float) -> FitReport:
+    """Least-squares line y = slope x + intercept, with the slope against its
+    target and exp(intercept) as the limit estimate."""
+    slope, intercept = np.polyfit(x, y, 1)
     return FitReport(
         limit_estimate=float(np.exp(intercept)),
         target=target,
-        rel_error=abs(slope - target) / target,
+        rel_error=abs(slope - target) / abs(target),
         slope_estimate=float(slope),
         slope_target=target,
     )
 
 
-def profile_distance(p: Params, sol: RadialSolution) -> float:
+def profile_distance(sol: RadialSolution) -> float:
     """sup over the fixed grid of |u_tilde(s) - U(s)|, U the normalized bubble.
 
     u_tilde is the height-1 rescaling of the solution,
@@ -191,10 +199,10 @@ def profile_distance(p: Params, sol: RadialSolution) -> float:
     """
     s = _PROFILE_GRID[_PROFILE_GRID <= sol.R_tilde]
     u, _ = sol.shoot_result.eval(s)
-    return float(np.max(np.abs(u - normalized_bubble_r2(p.N, s * s))))
+    return float(np.max(np.abs(u - normalized_bubble_r2(sol.params.N, s * s))))
 
 
-def upper_bound_check(p: Params, sol: RadialSolution) -> float:
+def upper_bound_check(sol: RadialSolution) -> float:
     """sup of u_eps over the sharp bubble bound with constant 1.
 
     In scaled variables the ratio is u_tilde(s)/U(s) on [0, R_tilde]; the
@@ -203,16 +211,18 @@ def upper_bound_check(p: Params, sol: RadialSolution) -> float:
     Rt = sol.R_tilde
     s = np.concatenate(([0.0], np.geomspace(1e-3, Rt, _UPPER_BOUND_POINTS)))
     u, _ = sol.shoot_result.eval(s)
-    return float(np.max(u / normalized_bubble_r2(p.N, s * s)))
+    return float(np.max(u / normalized_bubble_r2(sol.params.N, s * s)))
 
 
-def boundary_green_limit(p: Params, solutions) -> FitReport:
+def boundary_green_limit(solutions) -> FitReport:
     """Deviation of mu * u_eps from its Green-function limit on a radius band.
 
     The limit away from the concentration point is
     (1/N) alpha_N^{2*} omega_N G(x, 0); the deviation per solution is the
-    sup over the band relative to the sup of the limit function.
+    sup over the band relative to the sup of the limit function.  All
+    solutions share the (N, q) of the first.
     """
+    p = solutions[0].params
     N = p.N
     r = np.linspace(*_GREEN_BAND, _GREEN_BAND_POINTS)
     g = BallGreen(N)
@@ -245,19 +255,12 @@ def branch_map(p: Params) -> dict:
     For N = 3 and q in (2, 4] the map is non-monotone: eps attains an
     interior minimum eps0, above which two solution heights coexist.
     """
-    mu, eps, ets = [], [], []
-    for et in _BRANCH_GRID:
-        sol = solution_at(p, float(et))
-        if sol is None:
-            continue
-        ets.append(sol.eps_tilde)
-        mu.append(sol.mu)
-        eps.append(sol.eps)
-    mu = np.array(mu)
-    eps = np.array(eps)
+    sols = _solutions(p, _BRANCH_GRID)
+    mu = np.array([sol.mu for sol in sols])
     order = np.argsort(mu)
-    mu, eps = mu[order], eps[order]
-    ets = np.array(ets)[order]
+    mu = mu[order]
+    eps = np.array([sol.eps for sol in sols])[order]
+    ets = np.array([sol.eps_tilde for sol in sols])[order]
     i0 = int(np.argmin(eps))
     has_fold = 0 < i0 < len(eps) - 1
     return {

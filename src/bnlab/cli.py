@@ -100,11 +100,11 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _solution_doc(p: Params, sol) -> dict:
+def _solution_doc(sol) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "n": p.N,
-        "q": p.q,
+        "n": sol.params.N,
+        "q": sol.params.q,
         "eps": sol.eps,
         "eps_tilde": sol.eps_tilde,
         "mu": sol.mu,
@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
         f"{_fmt(r)},{_fmt(u)},{_fmt(du)}" for r, u, du in zip(*sol.profile())
     ]
     _emit("\n".join(rows) + "\n", args.profile)
-    _emit(_json(_solution_doc(p, sol)) + "\n", args.output)
+    _emit(_json(_solution_doc(sol)) + "\n", args.output)
     return EXIT_OK
 
 
@@ -195,11 +195,11 @@ def cmd_sweep(args) -> int:
         "blowup_fit": fit_doc(asy.blowup_rate_fit(p, records)),
         "deficit_fit": fit_doc(asy.deficit_rate_fit(p, records)),
     }
-    green = asy.boundary_green_limit(p, sols)
+    green = asy.boundary_green_limit(sols)
     doc["boundary_green_deviations"] = list(green.details["deviations"])
     doc["boundary_green_decreasing"] = green.details["decreasing"]
     if not args.skip_decomposition:
-        decs = [fit_decomposition(p, s) for s in sols]
+        decs = [fit_decomposition(s) for s in sols]
         dfit = perturbation_order_fit(p, decs)
         doc["decomposition_fit"] = fit_doc(dfit)
         doc["alpha_final"] = decs[-1].alpha
@@ -228,8 +228,8 @@ def cmd_decompose(args) -> int:
 
     p = _params(args)
     sol = _solve_solution(p, args)
-    d = fit_decomposition(p, sol)
-    doc = _solution_doc(p, sol)
+    d = fit_decomposition(sol)
+    doc = _solution_doc(sol)
     doc.update({
         "alpha": d.alpha,
         "alpha_target": cst.alpha_n(p.N),
@@ -264,7 +264,7 @@ def cmd_spectrum(args) -> int:
             modes[-1]["no_eigenvalue_in"] = [-abs(m["nearest_above"]), 0.0]
         if not m["resolved"]:
             modes[-1]["resolved"] = False
-    doc = _solution_doc(p, sol)
+    doc = _solution_doc(sol)
     doc.update({
         "potential_scale": args.potential_scale,
         "tol": args.tol,
@@ -322,7 +322,7 @@ def _verify_checks(green_scale: float):
         robin,
         surface_identity_suite,
     )
-    from .solver import scale_to_unit_ball, shoot
+    from .solver import solution_at
 
     # gamma function: recurrence and two exact values
     x = 3.7
@@ -411,7 +411,7 @@ def _verify_checks(green_scale: float):
 
     # solver identity gates at a moderate parameter
     p = Params(4, 3.0)
-    sol = scale_to_unit_ball(p, shoot(p, 1e-3, 1e4))
+    sol = solution_at(p, 1e-3)
     yield ("solver_nehari", sol.nehari_residual, 1e-6)
     yield ("solver_pohozaev", sol.pohozaev_residual, 1e-6)
     yield (

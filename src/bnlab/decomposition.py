@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .asymptotics import FitReport, _slope_fit
 from .constants import Params, omega_n
 from .errors import FitFailureError
 from .quadrature import geometric_panel_rule
@@ -61,14 +62,14 @@ def _du_bubble_dlam(N: int, lam: float, s: np.ndarray) -> np.ndarray:
     )
 
 
-def fit_decomposition(p: Params, sol: RadialSolution) -> DecompositionResult:
+def fit_decomposition(sol: RadialSolution) -> DecompositionResult:
     """Fit (alpha, lambda) by the orthogonality conditions of the projection.
 
     alpha(lam) is the linear projection coefficient; lambda solves
     <grad(u - alpha PU), grad d_lam PU> = 0 by a bracketed root solve.  The
     translation conditions hold identically for centered radial data.
     """
-    N = p.N
+    N = sol.params.N
     s, w = geometric_panel_rule(0.0, sol.R_tilde, n_per_panel=48,
                                 first=np.sqrt(N * (N - 2.0)))
     w = w * s ** (N - 1)
@@ -126,29 +127,18 @@ def w_decay_exponent(p: Params) -> float:
     return (N + 2.0) / 2.0
 
 
-def perturbation_order_fit(p: Params, results) -> "FitReport":
+def perturbation_order_fit(p: Params, results) -> FitReport:
     """Least-squares slope of log ||w|| against log lambda.
 
     The theoretical order is an upper bound, so steeper decay than the table
     value is success, not failure.  At N = 6 the (ln lambda)^{2/3} factor is
     removed before fitting.
     """
-    from .asymptotics import FitReport
-
     results = [d for d in results if np.isfinite(d.w_h1_norm) and d.w_h1_norm > 0]
     if len(results) < 6:
         raise FitFailureError("perturbation fit needs at least 6 decompositions")
     lam = np.array([d.lam for d in results])
-    w = np.array([d.w_h1_norm for d in results])
-    y = np.log(w)
+    y = np.log([d.w_h1_norm for d in results])
     if p.N == 6:
         y = y - (2.0 / 3.0) * np.log(np.log(lam))
-    slope, intercept = np.polyfit(np.log(lam), y, 1)
-    target = -w_decay_exponent(p)
-    return FitReport(
-        limit_estimate=float(np.exp(intercept)),
-        target=target,
-        rel_error=abs(slope - target) / abs(target),
-        slope_estimate=float(slope),
-        slope_target=target,
-    )
+    return _slope_fit(np.log(lam), y, -w_decay_exponent(p))

@@ -4,6 +4,9 @@ the surface-integral identities.
 
 The regular part is always evaluated from the image term directly, never as
 a difference of two singular terms, so the diagonal is cancellation-free.
+surface_identity_suite evaluates its three identities from one table of
+(name, integrand, radius, right-hand side, denominator) rows, each by one
+polar-angle rule at two orders.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class BallGreen:
         return xv
 
 
-def _image_distance(g: BallGreen, x: np.ndarray, y: np.ndarray) -> float:
+def _image_distance(x: np.ndarray, y: np.ndarray) -> float:
     """|y| |x - y*| where y* = y / |y|^2; symmetric and regular at y=0.
 
     |y|^2 |x - y*|^2 = |x|^2 |y|^2 - 2 x.y + 1.
@@ -86,7 +89,7 @@ def regular_part(g: BallGreen, x, y) -> float:
     """H(x,y), from the image term; finite on the diagonal."""
     xv = g._inside(x, strict=False)
     yv = g._inside(y, strict=False)
-    b = _image_distance(g, xv, yv)
+    b = _image_distance(xv, yv)
     return g.c * b ** (2.0 - g.N)
 
 
@@ -103,7 +106,7 @@ def grad_green(g: BallGreen, x, y) -> np.ndarray:
     dist = float(np.linalg.norm(d))
     if dist == 0.0:
         raise SingularityError("grad_green evaluated on the diagonal")
-    b = _image_distance(g, xv, yv)
+    b = _image_distance(xv, yv)
     grad_b2_half = float(yv @ yv) * xv - yv  # d/dx of b^2 / 2
     return -(g.N - 2.0) * g.c * (
         d / dist**g.N - grad_b2_half / b**g.N
@@ -147,82 +150,58 @@ def surface_identity_suite(g: BallGreen, y) -> dict:
     """Relative residuals of the three surface identities at the point y.
 
     1. oint_{sphere} (x-y, n) (dG/dn)^2 dS = (N-2) R(y)
-    2. oint_{sphere} (dG/dn)^2 n dS = grad R(y)
+    2. oint_{sphere} (dG/dn)^2 n dS = grad R(y), along the axis through y
     3. local identity on a small sphere around y, with right-hand side
        -(N-2)/2 H(y,y)
 
-    Residuals are also evaluated at half the order; non-convergence (residual
-    not decreasing with order) is flagged per identity.
+    Each identity is a row (name, integrand, radius, rhs, denominator) of
+    one table, evaluated at _SURFACE_ORDER and at half that order;
+    non-convergence (residual not decreasing with order) is flagged per
+    identity.
     """
     yv = g._inside(y)
-    out = {}
-    for name, res_hi, res_lo in (
-        _surface_identities_at(g, yv) + _local_identity_at(g, yv)
-    ):
-        out[name] = {
-            "residual": res_hi,
-            "residual_half_order": res_lo,
-            "converged": res_hi <= res_lo + 1e-14,
-        }
-    return out
-
-
-def _surface_identities_at(g: BallGreen, yv):
     N = g.N
     axis = plane_frame(N, yv, yv)[0]
     ny = float(np.linalg.norm(yv))
     scale = (N - 2.0) * robin(g, yv)
+    grad_r = float(robin_gradient(g, yv) @ axis)
+    d = 0.3 * (1.0 - ny)
+    local_rhs = -(N - 2.0) / 2.0 * regular_part(g, yv, yv)
 
-    def run(o):
-        # on the unit sphere the point x and its outer normal are both sigma
-        def dgdn2_weighted(sigma):
-            dgdn = float(grad_green(g, sigma, yv) @ sigma)
-            return (1.0 - ny * float(sigma @ axis)) * dgdn * dgdn
+    # on the unit sphere the point x and its outer normal are both sigma
+    def pohozaev(sigma):
+        dgdn = float(grad_green(g, sigma, yv) @ sigma)
+        return (1.0 - ny * float(sigma @ axis)) * dgdn * dgdn
 
-        lhs1 = _polar_sphere_quad(dgdn2_weighted, N, 1.0, yv, o)
+    def robin_grad(sigma):
+        dgdn = float(grad_green(g, sigma, yv) @ sigma)
+        return dgdn * dgdn * float(sigma @ axis)
 
-        def dgdn2_axis(sigma):
-            dgdn = float(grad_green(g, sigma, yv) @ sigma)
-            return dgdn * dgdn * float(sigma @ axis)
+    def local(sigma):
+        x = yv + d * sigma
+        grad = grad_green(g, x, yv)
+        dgdn = float(grad @ sigma)
+        # -(dG/dn)(y-x).gradG collapses to -d (dG/dn)^2 on the sphere
+        return (
+            -d * dgdn * dgdn
+            + 0.5 * d * float(grad @ grad)
+            - (N - 2.0) / 2.0 * green(g, x, yv) * dgdn
+        )
 
-        lhs2 = _polar_sphere_quad(dgdn2_axis, N, 1.0, yv, o)
-        rhs1 = scale
-        rhs2 = float(robin_gradient(g, yv) @ axis)
-        r1 = abs(lhs1 - rhs1) / abs(rhs1)
-        r2 = abs(lhs2 - rhs2) / max(abs(rhs2), scale)
-        return r1, r2
-
-    r1_hi, r2_hi = run(_SURFACE_ORDER)
-    r1_lo, r2_lo = run(_SURFACE_ORDER // 2)
-    return [
-        ("pohozaev_surface", r1_hi, r1_lo),
-        ("robin_gradient_surface", r2_hi, r2_lo),
-    ]
-
-
-def _local_identity_at(g: BallGreen, yv):
-    N = g.N
-    d = 0.3 * (1.0 - float(np.linalg.norm(yv)))
-    rhs = -(N - 2.0) / 2.0 * regular_part(g, yv, yv)
-
-    def run(o):
-        def integrand(sigma):
-            x = yv + d * sigma
-            gg = green(g, x, yv)
-            grad = grad_green(g, x, yv)
-            dgdn = float(grad @ sigma)
-            # -(dG/dn)(y-x).gradG collapses to -d (dG/dn)^2 on the sphere
-            return (
-                -d * dgdn * dgdn
-                + 0.5 * d * float(grad @ grad)
-                - (N - 2.0) / 2.0 * gg * dgdn
-            )
-
-        lhs = _polar_sphere_quad(integrand, N, d, yv, o)
-        return abs(lhs - rhs) / abs(rhs)
-
-    return [("local_pohozaev", run(_SURFACE_ORDER),
-             run(_SURFACE_ORDER // 2))]
+    table = (
+        ("pohozaev_surface", pohozaev, 1.0, scale, abs(scale)),
+        ("robin_gradient_surface", robin_grad, 1.0, grad_r,
+         max(abs(grad_r), scale)),
+        ("local_pohozaev", local, d, local_rhs, abs(local_rhs)),
+    )
+    out = {}
+    for name, integrand, radius, rhs, denom in table:
+        hi, lo = (
+            abs(_polar_sphere_quad(integrand, N, radius, yv, o) - rhs) / denom
+            for o in (_SURFACE_ORDER, _SURFACE_ORDER // 2)
+        )
+        out[name] = {"residual": hi, "converged": hi <= lo + 1e-14}
+    return out
 
 
 def greens_representation_residual(g: BallGreen, x) -> float:

@@ -123,6 +123,10 @@ class ModeOperator:
 
 def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
                         potential_scale: float = 1.0) -> ModeOperator:
+    """The mode-ell operator at sol; p must be the solution's own (N, q)."""
+    if p != sol.params:
+        raise DomainError(f"parameters {p} do not match the solution's "
+                          f"{sol.params}")
     if ell < 0:
         raise DomainError(f"mode index must be nonnegative, got {ell}")
     return ModeOperator(

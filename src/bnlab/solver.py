@@ -21,6 +21,13 @@ carries B at its own relative accuracy.  The energy functionals and the
 boundary flux are accumulated as extra ODE components, so their accuracy is
 the integrator tolerance rather than any resampling grid.
 
+shoot(p, eps_tilde) has no other knobs: it integrates over the span
+_estimate_r_max, 30 times the blow-up estimate of R_tilde and at least 1e3,
+at the module tolerance _SHOOT_RTOL.  The integration stops at the first
+zero, so the span only caps it: spans of 1e3 and 1e4 gave the same bits as
+the default at N = 4 and 5, eps_tilde = 1e-3 to 1e-2.  scale_to_unit_ball
+reads (N, q) from the shoot it maps.
+
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
 eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
@@ -50,8 +57,10 @@ __all__ = [
 ]
 
 _R_START = 1e-4  # series start, in units of _length_scale
-# absolute tolerance of v and v': in effect none, so they are held to rtol
-# relative to their own size, which is O(eps_tilde) like the tail constant
+# relative tolerance of the shoot, and the absolute tolerance of v and v':
+# in effect none, so they are held to _SHOOT_RTOL relative to their own
+# size, which is O(eps_tilde) like the tail constant
+_SHOOT_RTOL = 2e-12
 _V_ATOL = 1e-300
 _QUAD_ATOL = 1e-14
 _ZERO_TOL = 1e-10  # largest |u| accepted at the located first zero
@@ -150,23 +159,18 @@ def _deviation_series(p: Params, eps_tilde: float):
     return c2, c4
 
 
-def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
-          rtol: float = 2e-12) -> ShootResult:
+def shoot(p: Params, eps_tilde: float) -> ShootResult:
     """Integrate the deviation from the bubble until the first zero of
-    u = U + v or r_max (by default the blow-up estimate of _estimate_r_max).
+    u = U + v or the end of the span _estimate_r_max.
 
-    v and v' are held to rtol alone; the accumulated quadratures also get
-    the absolute tolerance _QUAD_ATOL.
+    v and v' are held to _SHOOT_RTOL alone; the accumulated quadratures also
+    get the absolute tolerance _QUAD_ATOL.
     """
     if not 0.0 < eps_tilde < np.inf:
         raise DomainError(
             f"eps_tilde must be positive and finite, got {eps_tilde}"
         )
-    if r_max is None:
-        r_max = _estimate_r_max(p, eps_tilde)
     s0 = _R_START * _length_scale(eps_tilde)
-    if not r_max > s0:
-        raise DomainError(f"r_max must exceed {s0}, got {r_max}")
     N, q, p2 = p.N, p.q, p.two_star
     k = N * (N - 2.0)
     half = (N - 2.0) / 2.0
@@ -213,10 +217,10 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
         s0**N / N,
         (1.0 + eps_tilde) * s0**N / N,
     )
-    tols = dict(method="DOP853", rtol=rtol,
+    tols = dict(method="DOP853", rtol=_SHOOT_RTOL,
                 atol=(_V_ATOL, _V_ATOL) + (_QUAD_ATOL,) * 4)
-    sol = solve_ivp(rhs, (s0, r_max), y0, dense_output=True, events=hit_zero,
-                    **tols)
+    sol = solve_ivp(rhs, (s0, _estimate_r_max(p, eps_tilde)), y0,
+                    dense_output=True, events=hit_zero, **tols)
     if sol.status == -1:
         raise IntegrationFailureError(f"integrator failed: {sol.message}")
 
@@ -262,7 +266,7 @@ def shoot(p: Params, eps_tilde: float, r_max: Optional[float] = None,
     )
 
 
-def scale_to_unit_ball(p: Params, s: ShootResult) -> RadialSolution:
+def scale_to_unit_ball(s: ShootResult) -> RadialSolution:
     """Map a shooting profile with a first zero back to the unit ball.
 
     The integrals are scale-invariant combinations of the quadratures
@@ -275,6 +279,7 @@ def scale_to_unit_ball(p: Params, s: ShootResult) -> RadialSolution:
     """
     if s.first_zero is None:
         raise DomainError("shoot result has no first zero; nothing to scale")
+    p = s.params
     N, q = p.N, p.q
     Rt = s.first_zero
     half = (N - 2.0) / 2.0
@@ -306,9 +311,9 @@ def scale_to_unit_ball(p: Params, s: ShootResult) -> RadialSolution:
 
 def solution_at(p: Params, eps_tilde: float) -> Optional[RadialSolution]:
     """The ball solution of shooting parameter eps_tilde, or None when the
-    shoot finds no first zero within its default span."""
+    shoot finds no first zero within its span."""
     s = shoot(p, eps_tilde)
-    return None if s.first_zero is None else scale_to_unit_ball(p, s)
+    return None if s.first_zero is None else scale_to_unit_ball(s)
 
 
 def _estimate_r_max(p: Params, eps_tilde: float) -> float:

@@ -32,13 +32,13 @@ def sweep53(p53):
 
 
 @pytest.fixture(scope="session")
-def decs43(p43, sweep43):
-    return [fit_decomposition(p43, s) for s in sweep43[1]]
+def decs43(sweep43):
+    return [fit_decomposition(s) for s in sweep43[1]]
 
 
 @pytest.fixture(scope="session")
-def decs53(p53, sweep53):
-    return [fit_decomposition(p53, s) for s in sweep53[1]]
+def decs53(sweep53):
+    return [fit_decomposition(s) for s in sweep53[1]]
 
 
 @pytest.fixture(scope="session")

@@ -93,9 +93,9 @@ def test_criterion_6_profile_convergence(sweep43, sweep53):
         assert dist[-1] <= 1e-2
 
 
-def test_criterion_7_boundary_green_limit(p43, p53, sweep43, sweep53):
-    for p, (_, sols) in ((p43, sweep43), (p53, sweep53)):
-        fit = boundary_green_limit(p, sols)
+def test_criterion_7_boundary_green_limit(sweep43, sweep53):
+    for _, sols in (sweep43, sweep53):
+        fit = boundary_green_limit(sols)
         assert fit.details["decreasing"]
         assert fit.rel_error <= 5e-2
 

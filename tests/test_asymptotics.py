@@ -83,11 +83,10 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_profile_distance_and_upper_bound(sweep43):
-    p = Params(4, 3.0)
     _, sols = sweep43
-    d = profile_distance(p, sols[-1])
+    d = profile_distance(sols[-1])
     assert 0.0 < d < 1e-2
-    ratio = upper_bound_check(p, sols[-1])
+    ratio = upper_bound_check(sols[-1])
     assert ratio == pytest.approx(1.0, abs=1e-9)
 
 

@@ -41,7 +41,7 @@ def test_fit_reads_interpolant_once(p43):
         return dense(s)
 
     sol.shoot_result.dense = counting
-    fit_decomposition(p43, sol)
+    fit_decomposition(sol)
     assert len(calls) == 1
 
 
@@ -51,7 +51,7 @@ def test_w_norm_matches_quad_oracle(N):
     integrated adaptively between fixed breakpoints."""
     p = Params(N, 3.0)
     sol = solution_at(p, 1e-2)
-    d = fit_decomposition(p, sol)
+    d = fit_decomposition(sol)
     lam = d.lam_scaled
 
     def integrand(s):

@@ -14,10 +14,9 @@ from bnlab import (
     DomainError,
     Params,
     build_mode_operator,
+    default_grid,
     eigenvalues_near_zero,
     nondegeneracy_certificate,
-    scale_to_unit_ball,
-    shoot,
     solution_at,
 )
 from bnlab.cli import EXIT_NUMERICAL, main
@@ -27,7 +26,7 @@ from bnlab.linearization import _shoot_mode
 @pytest.fixture(scope="module")
 def sol53_mid():
     p = Params(5, 3.0)
-    return p, scale_to_unit_ball(p, shoot(p, 1e-2, 1e3))
+    return p, solution_at(p, 1e-2)
 
 
 @pytest.fixture(scope="module")
@@ -264,11 +263,39 @@ def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
 
 
 def test_mode_operator_validation(sol53_mid):
+    """A negative ell, or (N, q) other than the solution's own, is refused:
+    Params(4, 3) with a (5, 3) solution would certify a wrong lambda_1
+    (0.0617 against 0.0253)."""
     p, sol = sol53_mid
     with pytest.raises(DomainError):
         build_mode_operator(p, sol, -1)
+    with pytest.raises(DomainError):
+        build_mode_operator(Params(4, 3.0), sol, 1)
+    with pytest.raises(DomainError):
+        nondegeneracy_certificate(Params(4, 3.0), sol)
     op = build_mode_operator(p, sol, 2)
     assert op.centrifugal == pytest.approx(2 * (2 + 3))
+
+
+@pytest.mark.parametrize("cell", [(3, 5.0), (4, 3.0), (5, 3.0), (6, 2.6),
+                                  (7, 2.4)], ids=str)
+def test_default_sweep_certificates_within_shoot_budget(request, shot_nus,
+                                                        cell):
+    """The certificates of a default sweep (ell_max = 4 at eps_tilde = 1e-2,
+    1e-5 and 1e-8) take at most 130 mode shoots per cell (104 to 119
+    measured).  No verdict is asserted: the deep points are not certified
+    yet, as the fixed tol meets lambda_1 ~ mu^-2."""
+    p = Params(*cell)
+    fixture = {(4, 3.0): "sweep43", (5, 3.0): "sweep53"}.get(cell)
+    if fixture is None:
+        sols = [solution_at(p, et) for et in default_grid(25)[[0, 12, 24]]]
+    else:
+        sols = request.getfixturevalue(fixture)[1][::12]
+    assert [s.eps_tilde for s in sols] == pytest.approx([1e-2, 1e-5, 1e-8])
+    shot_nus.clear()
+    for sol in sols:
+        nondegeneracy_certificate(p, sol)
+    assert len(shot_nus) <= 130
 
 
 def test_morse_index_one(sol53_mid):
@@ -306,7 +333,7 @@ def test_higher_modes_bounded_away(sol53_mid):
 def test_eigenvalues_bracket_zero_consistently(sol53_mid):
     """Dirichlet eigenvalues interlace as the domain (R_tilde) grows."""
     p, _ = sol53_mid
-    sols = [scale_to_unit_ball(p, shoot(p, et, 1e3)) for et in (1e-2, 3e-3)]
+    sols = [solution_at(p, et) for et in (1e-2, 3e-3)]
     vals = []
     for s in sols:
         op = build_mode_operator(p, s, 1)

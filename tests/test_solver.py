@@ -2,7 +2,6 @@
 map from the shooting parameter to the physical perturbation strength."""
 
 import functools
-import inspect
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from bnlab import (
     Params,
     UnreachableEpsError,
     default_grid,
-    scale_to_unit_ball,
     shoot,
     sobolev_sn2_exact,
     solution_at,
@@ -29,12 +27,12 @@ from bnlab.solver import _LOG_ET_SPAN, _estimate_r_max
 @pytest.fixture(scope="module")
 def sol43():
     p = Params(4, 3.0)
-    return p, scale_to_unit_ball(p, shoot(p, 1e-3, 1e4))
+    return p, solution_at(p, 1e-3)
 
 
 def test_shoot_finds_first_zero():
     p = Params(4, 3.0)
-    s = shoot(p, 1e-2, 1e3)
+    s = shoot(p, 1e-2)
     assert s.first_zero is not None
     assert s.first_zero > 10.0
     assert s.du_at_zero < 0.0
@@ -127,7 +125,7 @@ def test_solve_for_eps_unreachable(shoot_calls):
 def test_series_start_matches_integration():
     """Shooting from two different start radii agrees to high accuracy."""
     p = Params(5, 3.0)
-    s = shoot(p, 1e-2, 1e3)
+    s = shoot(p, 1e-2)
     u, du = s.eval(np.array([1e-5, 0.5, 3.0]))
     assert u[0] == pytest.approx(1.0, abs=1e-9)
     assert abs(du[0]) < 1e-4
@@ -203,13 +201,14 @@ def test_solve_for_eps_reaches_exactly_the_span(cell, log_target):
             solve_for_eps(Params(*cell), eps)
 
 
-def test_first_zero_stable_when_rtol_halved():
+def test_first_zero_stable_when_rtol_halved(monkeypatch):
     """At N=5, eps_tilde=1.78e-9 (R_tilde ~ 1e4) the first zero is
     converged in the integrator tolerance."""
     p = Params(5, 3.0)
-    rtol = inspect.signature(shoot).parameters["rtol"].default
     a = shoot(p, 1.78e-9).first_zero
-    b = shoot(p, 1.78e-9, rtol=rtol / 2.0).first_zero
+    monkeypatch.setattr(bnlab.solver, "_SHOOT_RTOL",
+                        bnlab.solver._SHOOT_RTOL / 2.0)
+    b = shoot(p, 1.78e-9).first_zero
     assert abs(a / b - 1.0) <= 1e-11
 
 

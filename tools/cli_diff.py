@@ -46,6 +46,9 @@ COMMANDS = [
      {"--output": "out.json", "--records": "records.csv"}),
     (["sweep", "--n", "5", "--q", "3", "--skip-spectrum"],
      {"--output": "out.json", "--records": "records.csv"}),
+    (["sweep", "--n", "4", "--q", "3", "--points", "8",
+      "--spectrum-points", "1", "--ell-max", "2"],
+     {"--output": "out.json", "--records": "records.csv"}),
 ]
 
 _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
