@@ -54,9 +54,10 @@ class SweepRecord:
     upper_bound_ratio: float  # sup u_tilde / U on [0, R_tilde]
     nehari_residual: float
     pohozaev_residual: float
+    params: Params = field(repr=False)  # the solution's (N, q); not a column
 
 
-SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.name != "params")
 
 
 @dataclass
@@ -91,6 +92,7 @@ def _record(sol: RadialSolution, sn2: float) -> SweepRecord:
         upper_bound_ratio=upper_bound_check(sol),
         nehari_residual=sol.nehari_residual,
         pohozaev_residual=sol.pohozaev_residual,
+        params=p,
     )
 
 
@@ -128,6 +130,15 @@ def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
     return [_record(sol, sn2) for sol in sols], sols
 
 
+def _require_params(p: Params, items) -> None:
+    """Raise DomainError unless every record or decomposition in items was
+    made at the cell p."""
+    for item in items:
+        if item.params != p:
+            raise DomainError(f"parameters {p} do not match the records' "
+                              f"{item.params}")
+
+
 def _aitken(x0: float, x1: float, x2: float) -> float:
     d1, d2 = x1 - x0, x2 - x1
     denom = d2 - d1
@@ -144,6 +155,7 @@ def blowup_rate_fit(p: Params, records) -> FitReport:
     removes it; stability is gauged by re-extrapolating without the last
     point.
     """
+    _require_params(p, records)
     if len(records) < 6:
         raise FitFailureError("blow-up fit needs at least 6 records")
     eps = np.array([r.eps for r in records])
@@ -167,6 +179,7 @@ def deficit_rate_fit(p: Params, records) -> FitReport:
 
     The target exponent is (2N-4)/((N-2)q - 4).
     """
+    _require_params(p, records)
     if len(records) < 6:
         raise FitFailureError("deficit fit needs at least 6 records")
     eps = np.array([r.eps for r in records])

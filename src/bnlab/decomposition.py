@@ -14,12 +14,12 @@ nodes once; every pairing is then a weighted dot product of node values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .asymptotics import FitReport, _slope_fit
+from .asymptotics import FitReport, _require_params, _slope_fit
 from .constants import Params, omega_n
 from .errors import FitFailureError
 from .quadrature import geometric_panel_rule
@@ -42,6 +42,7 @@ class DecompositionResult:
     lam_scaled: float  # lam / R_tilde
     w_h1_norm: float
     ortho_residuals: tuple  # (against grad PU, against grad d_lambda PU)
+    params: Params = field(repr=False)  # the solution's (N, q)
 
 
 def _du_bubble(N: int, lam: float, s: np.ndarray) -> np.ndarray:
@@ -109,6 +110,7 @@ def fit_decomposition(sol: RadialSolution) -> DecompositionResult:
         lam_scaled=lam_s,
         w_h1_norm=w_norm,
         ortho_residuals=(r1, r2),
+        params=sol.params,
     )
 
 
@@ -134,6 +136,7 @@ def perturbation_order_fit(p: Params, results) -> FitReport:
     value is success, not failure.  At N = 6 the (ln lambda)^{2/3} factor is
     removed before fitting.
     """
+    _require_params(p, results)
     results = [d for d in results if np.isfinite(d.w_h1_norm) and d.w_h1_norm > 0]
     if len(results) < 6:
         raise FitFailureError("perturbation fit needs at least 6 decompositions")

@@ -10,6 +10,8 @@ frame builder.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -22,9 +24,18 @@ __all__ = [
 _RADIAL_PANELS = 4  # equal panels in theta of improper_radial
 
 
+@functools.cache
+def _reference_rule(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n and kept read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _reference_rule(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

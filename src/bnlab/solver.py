@@ -28,6 +28,11 @@ zero, so the span only caps it: spans of 1e3 and 1e4 gave the same bits as
 the default at N = 4 and 5, eps_tilde = 1e-3 to 1e-2.  scale_to_unit_ball
 reads (N, q) from the shoot it maps.
 
+ShootResult.dense is the DOP853 interpolant of (v, v'), stacked into arrays
+once per shoot and read at all requested radii in one vectorised pass; its
+values are those of scipy's OdeSolution bit for bit, without its Python
+loop over the steps.
+
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
 eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
@@ -82,8 +87,8 @@ class ShootResult:
     mass_crit: float
     mass_q: float
     du_at_zero: float
-    # interpolant of the deviation (v, v', ...) from the bubble; eval adds
-    # the bubble back
+    # the stacked DOP853 interpolant of the deviation (v, v') from the
+    # bubble, read in one pass; eval adds the bubble back
     dense: Callable = field(repr=False, default=None)
 
     def eval(self, s):
@@ -262,8 +267,42 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         mass_crit=float(mass_crit),
         mass_q=float(mass_q),
         du_at_zero=du_zero,
-        dense=sol.sol,
+        dense=_StackedDense(sol.sol),
     )
+
+
+class _StackedDense:
+    """The DOP853 interpolant of (v, v') over every step, stacked into arrays
+    once and read at any 1-D array of radii in one vectorised pass.
+
+    It chooses each point's step as scipy's OdeSolution does and repeats the
+    elementwise operations of Dop853DenseOutput._call_impl in their order,
+    so its values are those of the OdeSolution bit for bit.  The last step
+    keeps its full length when the event ends it, as its interpolant does.
+    """
+
+    def __init__(self, ode_solution):
+        steps = ode_solution.interpolants
+        self.ts = ode_solution.ts
+        self.t_old = np.array([d.t_old for d in steps])
+        self.h = np.array([d.h for d in steps])
+        self.y_old = np.array([d.y_old[:2] for d in steps])
+        # coefficient rows in the order _call_impl applies them (last first),
+        # indexed [row, step, component]
+        self.F = np.stack([d.F[::-1, :2] for d in steps], axis=1)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, s, side="left") - 1,
+                      0, len(self.h) - 1)
+        x = ((s - self.t_old[seg]) / self.h[seg])[:, None]
+        factors = (x, 1 - x)
+        y = np.zeros((len(s), 2))
+        for i, f in enumerate(self.F):
+            y += f[seg]
+            y *= factors[i % 2]
+        y += self.y_old[seg]
+        return y.T
 
 
 def scale_to_unit_ball(s: ShootResult) -> RadialSolution:

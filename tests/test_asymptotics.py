@@ -12,6 +12,7 @@ from bnlab import (
     branch_map,
     default_grid,
     deficit_rate_fit,
+    perturbation_order_fit,
     profile_distance,
     sweep_with_solutions,
     upper_bound_check,
@@ -70,6 +71,20 @@ def test_fit_requires_enough_records(sweep43):
         blowup_rate_fit(p, sweep43[0][:4])
     with pytest.raises(FitFailureError):
         deficit_rate_fit(p, sweep43[0][:4])
+
+
+def test_record_fits_reject_another_cell(sweep43, decs43):
+    """The records and decompositions carry their solution's (N, q); a fit
+    asked for another cell refuses instead of judging against its target."""
+    records = sweep43[0]
+    assert all(r.params == Params(4, 3.0) for r in records)
+    other = Params(5, 3.0)
+    with pytest.raises(DomainError):
+        blowup_rate_fit(other, records)
+    with pytest.raises(DomainError):
+        deficit_rate_fit(other, records)
+    with pytest.raises(DomainError):
+        perturbation_order_fit(other, decs43)
 
 
 def test_parallel_sweep_matches_serial():

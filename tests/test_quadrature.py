@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bnlab.quadrature
 from bnlab.quadrature import (
     gauss_legendre,
     geometric_panel_rule,
@@ -84,3 +85,15 @@ def test_plane_frame_is_orthonormal_and_spans_both_points(case):
         assert e1 @ x > 0.0
     else:
         assert e1[0] == 1.0
+
+
+def test_gauss_legendre_reads_one_cached_reference_rule():
+    """The [-1, 1] rule is computed once per order, kept read-only, and
+    mapped to [a, b] as before."""
+    x, w = gauss_legendre(0.5, 3.0, 48)
+    x0, w0 = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(x, 1.25 * x0 + 1.75)
+    assert np.array_equal(w, 1.25 * w0)
+    ref = bnlab.quadrature._reference_rule(48)
+    assert ref is bnlab.quadrature._reference_rule(48)
+    assert not ref[0].flags.writeable and not ref[1].flags.writeable

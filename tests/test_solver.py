@@ -250,3 +250,32 @@ def test_profile_obeys_scaling_law(cell, log_et):
     np.testing.assert_allclose(u[1:-1], sol.R_tilde**half * ut, rtol=1e-10)
     np.testing.assert_allclose(du[1:-1], sol.R_tilde ** (half + 1.0) * dut,
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("N,q,et", [(3, 5.0, 1e-8), (5, 3.0, 10.0),
+                                    (4, 3.0, 1e-3), (4, 3.0, 1e-8),
+                                    (6, 2.6, 1e-5)])
+def test_stacked_interpolant_matches_scipy(monkeypatch, N, q, et):
+    """ShootResult.dense returns the values of scipy's OdeSolution for
+    (v, v') bit for bit: at random radii, at every step knot, at the start,
+    at R_tilde and past it.  The stacked reader uses the private attributes
+    of Dop853DenseOutput (F, t_old, h, y_old); a scipy that changes them
+    fails here."""
+    odes = []
+
+    class Capture(bnlab.solver._StackedDense):
+        def __init__(self, ode_solution):
+            odes.append(ode_solution)
+            super().__init__(ode_solution)
+
+    monkeypatch.setattr(bnlab.solver, "_StackedDense", Capture)
+    s = shoot(Params(N, q), et)
+    ode = odes[0]
+    Rt = s.first_zero
+    assert ode.ts[-1] == Rt
+    rng = np.random.default_rng(7)
+    radii = np.concatenate((
+        rng.uniform(0.0, Rt, 2000), np.geomspace(ode.ts[0], Rt, 500),
+        ode.ts, [0.0, Rt, np.nextafter(Rt, np.inf), 1.01 * Rt],
+    ))
+    assert np.array_equal(s.dense(radii), ode(radii)[:2])

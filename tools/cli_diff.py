@@ -44,8 +44,9 @@ COMMANDS = [
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
-    (["sweep", "--n", "5", "--q", "3", "--skip-spectrum"],
-     {"--output": "out.json", "--records": "records.csv"}),
+    *((["sweep", "--n", n, "--q", "3", "--skip-spectrum"],
+       {"--output": "out.json", "--records": "records.csv"})
+      for n in ("4", "5")),
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1", "--ell-max", "2"],
      {"--output": "out.json", "--records": "records.csv"}),
