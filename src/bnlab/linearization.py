@@ -32,10 +32,9 @@ digits where theta is near a multiple of pi, as in the forbidden ell = 0
 tail, where it took 4.5 times the right-hand-side calls (N = 3, q = 5,
 eps_tilde = 1e-3, nu = -0.5).
 
-Each shoot runs Hairer's Fortran DOP853 (Hairer, Norsett & Wanner, Solving
-ODEs I, II.10) through scipy.integrate.ode: the method and error norm of
-solve_ivp's DOP853, with a compiled step loop, and with rtol = 1e-14 below
-the 2.2e-14 floor to which solve_ivp clamps.  Its stiffness test is off: in
+Each shoot runs Hairer's compiled DOP853 on a long-lived integrator of
+bnlab.dop853, the runner of the base shoot too, with rtol = 1e-14 below the
+2.2e-14 floor to which solve_ivp clamps.  Its stiffness test is off: in
 the forbidden ell = 0 tail at nu < 0 the step is bound by stability, and
 the test stops integrations there that complete without it (N = 3, q = 5,
 eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
@@ -66,13 +65,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode
 
 from .constants import Params
+from .dop853 import Dop853
 from .errors import DomainError, FitFailureError, IntegrationFailureError
 from .solver import RadialSolution, _length_scale
 
@@ -85,10 +83,9 @@ __all__ = [
 ]
 
 _S_START = 1e-3
-# relative tolerance of the mode shoot, which runs Hairer's DOP853 through
-# scipy.integrate.ode: unlike solve_ivp it takes an rtol below 2.2e-14.
-# Near zero it sets the absolute error of nu; the module docstring says why
-# the stiffness test is off.
+# relative tolerance of the mode shoot, which runs Hairer's DOP853: unlike
+# solve_ivp it takes an rtol below 2.2e-14.  Near zero it sets the absolute
+# error of nu; the module docstring says why the stiffness test is off.
 _MODE_RTOL = 1e-14
 # smallest |nu| = |lambda| / R_tilde^2 reported as resolved, measured at
 # _MODE_RTOL; do not lower it without measuring again
@@ -148,6 +145,32 @@ def _series_coeffs(p: Params, eps_tilde: float):
     return a2, a4
 
 
+def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
+    """Right-hand side of the mode shoot: the base profile (u, u'), the
+    Pruefer angle theta and z = theta_nu + off.  cl = ell(ell+N-2),
+    nm1 = N-1, nm2 = N-2, e2 = 2*-2, eq = q-2, and w2, wq are 2*-1 and
+    q-1 times the potential scale."""
+    # Python floats: arithmetic on numpy scalars costs more
+    u, du, th, z = y.tolist()
+    up = u if u > 0.0 else 0.0
+    # two powers per call; the others are products of these
+    u2 = up ** e2
+    uq = et * up ** eq
+    k = (w2 * u2 + wq * uq + nu) * s * s - cl
+    # products, not double angles (see the module docstring)
+    c, sn = math.cos(th), math.sin(th)
+    cc, ss, sc = c * c, sn * sn, sn * c
+    return (
+        du,
+        -nm1 / s * du - (u2 + uq) * up,
+        (cc + nm2 * sc + k * ss) / s,
+        (nm2 * (cc - ss) + 2.0 * (k - 1.0) * sc) / s * (z - off) + s * ss,
+    )
+
+
+_DOP853 = Dop853(_mode_rhs)  # the mode shoots' integrator
+
+
 def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     """Pruefer angle theta(R_tilde) of the mode solution at nu and its
     nu-derivative, by one shoot.
@@ -163,11 +186,6 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     """
     p = op.params
     et = op.eps_tilde
-    cl = op.centrifugal
-    nm1, nm2 = p.N - 1.0, p.N - 2.0
-    e2, eq = p.two_star - 2.0, p.q - 2.0
-    w2 = op.potential_scale * (p.two_star - 1.0)
-    wq = op.potential_scale * (p.q - 1.0)
     scale_len = _length_scale(et)
     # theta_nu starts at 0 and stays >= 0 (Sturm comparison), but dop853
     # takes one scalar atol, 1e-160 here, and stalls on a state that starts
@@ -177,50 +195,20 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     # first step.
     off = op.R_tilde**2
 
-    def rhs(s, y):
-        # Python floats: arithmetic on numpy scalars costs more
-        u, du, th, z = y.tolist()
-        up = u if u > 0.0 else 0.0
-        # two powers per call; the others are products of these
-        u2 = up ** e2
-        uq = et * up ** eq
-        k = (w2 * u2 + wq * uq + nu) * s * s - cl
-        # products, not double angles (see the module docstring)
-        c, sn = math.cos(th), math.sin(th)
-        cc, ss, sc = c * c, sn * sn, sn * c
-        return (
-            du,
-            -nm1 / s * du - (u2 + uq) * up,
-            (cc + nm2 * sc + k * ss) / s,
-            (nm2 * (cc - ss) + 2.0 * (k - 1.0) * sc) / s * (z - off) + s * ss,
-        )
-
     s0 = _S_START * scale_len
     a2, a4 = _series_coeffs(p, et)
-    r = ode(rhs).set_integrator("dop853", rtol=_MODE_RTOL, atol=1e-160,
-                                first_step=1e-4 * scale_len,
-                                nsteps=2**31 - 1)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    r.set_initial_value([
+    y0 = (
         1.0 + a2 * s0**2 + a4 * s0**4,
         2.0 * a2 * s0 + 4.0 * a4 * s0**3,
         math.atan2(1.0, op.ell),
         off,
-    ], s0)
-    # IWORK(4) < 0 switches Hairer's stiffness test off, which would stop
-    # the forbidden ell = 0 tail at nu < 0; the scipy wrapper has no
-    # keyword for it
-    r._integrator.iwork[3] = -1
-    with warnings.catch_warnings():
-        # the wrapper warns before it reports a failed run; the error below
-        # carries the return code instead
-        warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-        y = r.integrate(op.R_tilde)
-    if not r.successful():
-        raise IntegrationFailureError(
-            f"mode integration failed on [{s0}, {op.R_tilde}]: "
-            f"dop853 return code {r.get_return_code()}"
-        )
+    )
+    args = (et, op.centrifugal, p.N - 1.0, p.N - 2.0, p.two_star - 2.0,
+            p.q - 2.0, op.potential_scale * (p.two_star - 1.0),
+            op.potential_scale * (p.q - 1.0), nu, off)
+    y, _ = _DOP853.run(args, y0, s0, op.R_tilde, _MODE_RTOL, 1e-160,
+                       first_step=1e-4 * scale_len)
     return float(y[2]), float(y[3]) - off
 
 

@@ -28,10 +28,12 @@ zero, so the span only caps it: spans of 1e3 and 1e4 gave the same bits as
 the default at N = 4 and 5, eps_tilde = 1e-3 to 1e-2.  scale_to_unit_ball
 reads (N, q) from the shoot it maps.
 
-ShootResult.dense is the DOP853 interpolant of (v, v'), stacked into arrays
-once per shoot and read at all requested radii in one vectorised pass; its
-values are those of scipy's OdeSolution bit for bit, without its Python
-loop over the steps.
+The shoot runs Hairer's compiled DOP853 (bnlab.dop853), which records each
+accepted step end and stops at the first one with u <= 0.  The zero is
+located on that step's interpolant, and the step is redone as an
+integration that ends on it.  ShootResult.dense is the DOP853 interpolant
+of (v, v'), rebuilt from the recorded step ends with the stages of all
+steps in one vectorised pass, and read at all requested radii in another.
 
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
@@ -46,10 +48,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
+from .dop853 import Dop853
 from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
 
 __all__ = [
@@ -62,12 +66,15 @@ __all__ = [
 ]
 
 _R_START = 1e-4  # series start, in units of _length_scale
-# relative tolerance of the shoot, and the absolute tolerance of v and v':
-# in effect none, so they are held to _SHOOT_RTOL relative to their own
-# size, which is O(eps_tilde) like the tail constant
+# relative tolerance of the shoot, and the absolute tolerance of the
+# quadratures.  DOP853 takes one scalar atol, so (v, v') are carried times
+# the exact power of two _V_SCALE: their atol is _QUAD_ATOL / _V_SCALE =
+# 1.2e-300, in effect none, so they are held to _SHOOT_RTOL relative to
+# their own size, which is O(eps_tilde) like the tail constant
 _SHOOT_RTOL = 2e-12
-_V_ATOL = 1e-300
 _QUAD_ATOL = 1e-14
+_V_SCALE = 2.0**950
+_EPS = np.finfo(float).eps
 _ZERO_TOL = 1e-10  # largest |u| accepted at the located first zero
 PROFILE_POINTS = 4097
 
@@ -87,8 +94,9 @@ class ShootResult:
     mass_crit: float
     mass_q: float
     du_at_zero: float
-    # the stacked DOP853 interpolant of the deviation (v, v') from the
-    # bubble, read in one pass; eval adds the bubble back
+    # the DOP853 interpolant of the deviation (v, v') from the bubble,
+    # rebuilt from the recorded step ends and read in one pass; eval adds
+    # the bubble back
     dense: Callable = field(repr=False, default=None)
 
     def eval(self, s):
@@ -164,6 +172,55 @@ def _deviation_series(p: Params, eps_tilde: float):
     return c2, c4
 
 
+def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
+    """Right-hand side of the shoot: (v, v') times _V_SCALE, then the four
+    quadratures.  k = N(N-2), half = (N-2)/2 and p2 = 2*."""
+    # Python floats: arithmetic on numpy scalars costs more
+    V, dV, *_ = y.tolist()
+    v, dv = V / _V_SCALE, dV / _V_SCALE
+    t = k / (k + s * s)
+    U = t**half
+    fU = U * t * t  # U^{2*-1}
+    x = v / U
+    if x > -1.0:
+        u = U + v
+        # u^{2*-1} - U^{2*-1}, free of cancellation for small v/U
+        df = fU * math.expm1((p2 - 1.0) * math.log1p(x))
+        uq1 = u ** (q - 1.0)
+    else:  # a stage past the zero: f(u) = f(max(u, 0))
+        u = uq1 = 0.0
+        df = -fU
+    f = fU + df  # u^{2*-1}
+    du = dv - s / N * U * t  # U' = -(s/N) U t
+    sn = s ** (N - 1)
+    return (
+        dV,
+        (-(N - 1.0) / s * dv - df - eps_tilde * uq1) * _V_SCALE,
+        du * du * sn,
+        f * u * sn,
+        uq1 * u * sn,
+        (f + eps_tilde * uq1) * sn,
+    )
+
+
+def _deviation_rows(s, y, N, k, half, p2, q, eps_tilde):
+    """The (v, v') rows of _deviation_rhs, unscaled, at arrays of radii s
+    and states y[:, :2]: the interpolant's stages need no other rows."""
+    v, dv = y[:, 0], y[:, 1]
+    t = k / (k + s * s)
+    U = t**half
+    fU = U * t * t
+    x = v / U
+    inside = x > -1.0
+    df = np.where(inside, fU * np.expm1(
+        (p2 - 1.0) * np.log1p(np.where(inside, x, 0.0))), -fU)
+    uq1 = np.where(inside, U + v, 0.0) ** (q - 1.0)
+    return np.stack((dv, -(N - 1.0) / s * dv - df - eps_tilde * uq1), axis=1)
+
+
+_DOP853 = Dop853(_deviation_rhs)  # the base shoot's integrator
+
+
 def shoot(p: Params, eps_tilde: float) -> ShootResult:
     """Integrate the deviation from the bubble until the first zero of
     u = U + v or the end of the span _estimate_r_max.
@@ -176,74 +233,52 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
             f"eps_tilde must be positive and finite, got {eps_tilde}"
         )
     s0 = _R_START * _length_scale(eps_tilde)
-    N, q, p2 = p.N, p.q, p.two_star
-    k = N * (N - 2.0)
-    half = (N - 2.0) / 2.0
+    N = p.N
+    args = (N, N * (N - 2.0), (N - 2.0) / 2.0, p.two_star, p.q, eps_tilde)
+    ts, ys = [], []
 
-    def rhs(s, y):
-        v, dv = y[0], y[1]
-        t = k / (k + s * s)
-        U = t**half
-        fU = U * t * t  # U^{2*-1}
-        x = v / U
-        if x > -1.0:
-            u = U + v
-            # u^{2*-1} - U^{2*-1}, free of cancellation for small v/U
-            df = fU * math.expm1((p2 - 1.0) * math.log1p(x))
-            uq1 = u ** (q - 1.0)
-        else:  # a stage past the zero: f(u) = f(max(u, 0))
-            u = uq1 = 0.0
-            df = -fU
-        f = fU + df  # u^{2*-1}
-        du = dv - s / N * U * t  # U' = -(s/N) U t
-        sn = s ** (N - 1)
-        return (
-            dv,
-            -(N - 1.0) / s * dv - df - eps_tilde * uq1,
-            du * du * sn,
-            f * u * sn,
-            uq1 * u * sn,
-            (f + eps_tilde * uq1) * sn,
-        )
-
-    def hit_zero(s, y):
-        return normalized_bubble_r2(N, s * s) + y[0]
-
-    hit_zero.terminal = True
-    hit_zero.direction = -1.0
+    def record(s, y):
+        """Keep each step end; stop at the first with u <= 0."""
+        ts.append(s)
+        ys.append(y.tolist())
+        u = normalized_bubble_r2(N, s * s) + ys[-1][0] / _V_SCALE
+        return -1 if u <= 0.0 else 0
 
     c2, c4 = _deviation_series(p, eps_tilde)
     y0 = (
-        c2 * s0**2 + c4 * s0**4,
-        2.0 * c2 * s0 + 4.0 * c4 * s0**3,
+        (c2 * s0**2 + c4 * s0**4) * _V_SCALE,
+        (2.0 * c2 * s0 + 4.0 * c4 * s0**3) * _V_SCALE,
         # leading-order contributions of [0, s0] to the quadratures
         ((1.0 + eps_tilde) / N) ** 2 * s0 ** (N + 2) / (N + 2.0),
         s0**N / N,
         s0**N / N,
         (1.0 + eps_tilde) * s0**N / N,
     )
-    tols = dict(method="DOP853", rtol=_SHOOT_RTOL,
-                atol=(_V_ATOL, _V_ATOL) + (_QUAD_ATOL,) * 4)
-    sol = solve_ivp(rhs, (s0, _estimate_r_max(p, eps_tilde)), y0,
-                    dense_output=True, events=hit_zero, **tols)
-    if sol.status == -1:
-        raise IntegrationFailureError(f"integrator failed: {sol.message}")
+    _, crossed = _DOP853.run(args, y0, s0, _estimate_r_max(p, eps_tilde),
+                             _SHOOT_RTOL, _QUAD_ATOL, solout=record)
+    t_ends = np.array(ts)
+    dense = _StackedDense(lambda s, y: _deviation_rows(s, y, *args), t_ends,
+                          np.array(ys)[:, :2] / _V_SCALE)
 
-    r_grid = sol.t
-    if sol.status == 1 and len(sol.t_events[0]):
-        first_zero = float(sol.t_events[0][0])
-        # the event state comes from the interpolant of the step that
-        # crosses the zero, which is less accurate than a step end point and
-        # straddles the kink of max(u, 0)^{q-1}: it put 1e-10 errors into
-        # the flux at eps_tilde ~ 1.  Redo that step so it ends on the zero.
-        fin = solve_ivp(rhs, (sol.t[-2], first_zero), sol.y[:, -2], **tols)
-        if fin.status != 0:
-            raise IntegrationFailureError(
-                f"integrator failed: {fin.message}"
-            )
-        r_grid = np.concatenate((sol.t[:-2], fin.t))
-        y_end = fin.y[:, -1]
-        u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0]
+    r_grid = t_ends
+    if crossed:
+        first_zero = brentq(
+            lambda s: normalized_bubble_r2(N, s * s) + dense([s])[0, 0],
+            t_ends[-2], t_ends[-1], xtol=4.0 * _EPS, rtol=4.0 * _EPS)
+        # the zero comes from the interpolant of the step that crosses it,
+        # which is less accurate than a step end point and straddles the
+        # kink of max(u, 0)^{q-1}: it put 1e-10 errors into the flux at
+        # eps_tilde ~ 1.  Redo that step so it ends on the zero, first
+        # trying it in one step: Hairer's initial-step guess fails there
+        # with return code -3 at N = 3, q = 5, eps_tilde = 1e-14
+        # (R_tilde = 8.7e14).
+        redone = []
+        y_end, _ = _DOP853.run(args, ys[-2], t_ends[-2], first_zero,
+                               _SHOOT_RTOL, _QUAD_ATOL,
+                               first_step=first_zero - t_ends[-2],
+                               solout=lambda s, y: redone.append(s))
+        r_grid = np.concatenate((t_ends[:-2], redone))
+        u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0] / _V_SCALE
         if abs(u_end) > _ZERO_TOL:
             raise IntegrationFailureError(
                 f"event root not polished below tol: |u|={abs(u_end)}"
@@ -267,7 +302,7 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         mass_crit=float(mass_crit),
         mass_q=float(mass_q),
         du_at_zero=du_zero,
-        dense=_StackedDense(sol.sol),
+        dense=dense,
     )
 
 
@@ -275,21 +310,38 @@ class _StackedDense:
     """The DOP853 interpolant of (v, v') over every step, stacked into arrays
     once and read at any 1-D array of radii in one vectorised pass.
 
-    It chooses each point's step as scipy's OdeSolution does and repeats the
-    elementwise operations of Dop853DenseOutput._call_impl in their order,
-    so its values are those of the OdeSolution bit for bit.  The last step
-    keeps its full length when the event ends it, as its interpolant does.
+    It is rebuilt from the step ends ts and the states y there (columns v,
+    v') that the integration recorded.  rows(s, y), the (v, v') rows of the
+    right-hand side, read only (v, v'), so the 12 stages, the FSAL stage and
+    the 3 extra stages of every step are formed at once from the tableau of
+    scipy.integrate.DOP853, and the coefficient rows F as solve_ivp's DOP853
+    dense output forms them (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6).  A read at a step end returns the recorded state to rounding.
+    The last step keeps its full length when the first zero ends the shoot
+    inside it.
     """
 
-    def __init__(self, ode_solution):
-        steps = ode_solution.interpolants
-        self.ts = ode_solution.ts
-        self.t_old = np.array([d.t_old for d in steps])
-        self.h = np.array([d.h for d in steps])
-        self.y_old = np.array([d.y_old[:2] for d in steps])
-        # coefficient rows in the order _call_impl applies them (last first),
-        # indexed [row, step, component]
-        self.F = np.stack([d.F[::-1, :2] for d in steps], axis=1)
+    def __init__(self, rows, ts, y):
+        self.ts = ts
+        self.t_old, self.h, self.y_old = ts[:-1], np.diff(ts), y[:-1]
+        h = self.h[:, None]
+        f_ends = rows(ts, y)
+        K = np.empty((16, len(self.h), 2))
+        K[0], K[12] = f_ends[:-1], f_ends[1:]  # the first and FSAL stages
+        # stages 1-11 of each step, then the 3 extra ones of its interpolant
+        for s, a, c in [*zip(range(1, 12), DOP853.A[1:], DOP853.C[1:]),
+                        *zip(range(13, 16), DOP853.A_EXTRA, DOP853.C_EXTRA)]:
+            dy = np.tensordot(a[:s], K[:s], 1) * h
+            K[s] = rows(self.t_old + c * self.h, self.y_old + dy)
+        delta_y = y[1:] - self.y_old
+        F = np.empty((7,) + delta_y.shape)
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (K[12] + K[0])
+        F[3:] = h * np.tensordot(DOP853.D, K, 1)
+        # indexed [row, step, component], in the order of the read below
+        # (last row first)
+        self.F = F[::-1]
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

@@ -31,6 +31,9 @@ COMMANDS = [
      {"--output": "out.json", "--profile": "profile.csv"}),
     (["solve", "--n", "3", "--q", "5", "--eps", "0.3"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # a deep secant solve
+    (["solve", "--n", "5", "--q", "3", "--eps", "1e-6"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
     (["decompose", "--n", "5", "--q", "3", "--eps-tilde", "1e-3"],
      {"--output": "out.json"}),
     *((["spectrum", "--n", n, "--q", q, "--eps-tilde", et, "--ell-max", "2"],
@@ -44,9 +47,10 @@ COMMANDS = [
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
-    *((["sweep", "--n", n, "--q", "3", "--skip-spectrum"],
+    *((["sweep", "--n", n, "--q", q, "--skip-spectrum"],
        {"--output": "out.json", "--records": "records.csv"})
-      for n in ("4", "5")),
+      # at N = 3, q = 5 R_tilde reaches 8.7e8
+      for n, q in (("4", "3"), ("5", "3"), ("3", "5"))),
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1", "--ell-max", "2"],
      {"--output": "out.json", "--records": "records.csv"}),
