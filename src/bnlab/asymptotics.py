@@ -130,15 +130,6 @@ def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
     return [_record(sol, sn2) for sol in sols], sols
 
 
-def _require_params(p: Params, items) -> None:
-    """Raise DomainError unless every record or decomposition in items was
-    made at the cell p."""
-    for item in items:
-        if item.params != p:
-            raise DomainError(f"parameters {p} do not match the records' "
-                              f"{item.params}")
-
-
 def _aitken(x0: float, x1: float, x2: float) -> float:
     d1, d2 = x1 - x0, x2 - x1
     denom = d2 - d1
@@ -147,17 +138,18 @@ def _aitken(x0: float, x1: float, x2: float) -> float:
     return x2 - d2 * d2 / denom
 
 
-def blowup_rate_fit(p: Params, records) -> FitReport:
-    """Extrapolate the tail of blowup_product and compare with the target.
+def blowup_rate_fit(records) -> FitReport:
+    """Extrapolate the tail of blowup_product and compare with the target
+    alpha_{N,q} R(0) at the records' (N, q).
 
     On a log-uniform grid the leading correction decays geometrically in the
     record index, so Aitken's delta-squared applied to the last three values
     removes it; stability is gauged by re-extrapolating without the last
     point.
     """
-    _require_params(p, records)
     if len(records) < 6:
         raise FitFailureError("blow-up fit needs at least 6 records")
+    p = records[0].params
     eps = np.array([r.eps for r in records])
     if eps[0] / eps[-1] < 1e3:
         raise FitFailureError("blow-up fit needs at least 3 decades of eps")
@@ -174,14 +166,14 @@ def blowup_rate_fit(p: Params, records) -> FitReport:
     )
 
 
-def deficit_rate_fit(p: Params, records) -> FitReport:
+def deficit_rate_fit(records) -> FitReport:
     """Least-squares slope of log(deficit) vs log(eps) over the tail half.
 
-    The target exponent is (2N-4)/((N-2)q - 4).
+    The target exponent is (2N-4)/((N-2)q - 4) at the records' (N, q).
     """
-    _require_params(p, records)
     if len(records) < 6:
         raise FitFailureError("deficit fit needs at least 6 records")
+    p = records[0].params
     eps = np.array([r.eps for r in records])
     deficit = np.array([r.deficit for r in records])
     keep = deficit > 1e-13
@@ -227,8 +219,9 @@ def upper_bound_check(sol: RadialSolution) -> float:
     return float(np.max(u / normalized_bubble_r2(sol.params.N, s * s)))
 
 
-def boundary_green_limit(solutions) -> FitReport:
-    """Deviation of mu * u_eps from its Green-function limit on a radius band.
+def boundary_green_limit(solutions) -> np.ndarray:
+    """Deviation of mu * u_eps from its Green-function limit on a radius band,
+    one per solution, in the solutions' order.
 
     The limit away from the concentration point is
     (1/N) alpha_N^{2*} omega_N G(x, 0); the deviation per solution is the
@@ -247,13 +240,7 @@ def boundary_green_limit(solutions) -> FitReport:
     for sol in solutions:
         u, _ = sol.eval_unit(r)
         devs.append(float(np.max(np.abs(sol.mu * u - target)) / scale))
-    devs = np.array(devs)
-    return FitReport(
-        limit_estimate=float(devs[-1]),
-        target=0.0,
-        rel_error=float(devs[-1]),
-        details={"deviations": devs, "decreasing": bool(np.all(np.diff(devs) < 0))},
-    )
+    return np.array(devs)
 
 
 def _radial_point(N: int, r: float) -> np.ndarray:

@@ -192,17 +192,15 @@ def cmd_sweep(args) -> int:
         "q": p.q,
         "points_requested": args.points,
         "points_converged": len(records),
-        "blowup_fit": fit_doc(asy.blowup_rate_fit(p, records)),
-        "deficit_fit": fit_doc(asy.deficit_rate_fit(p, records)),
+        "blowup_fit": fit_doc(asy.blowup_rate_fit(records)),
+        "deficit_fit": fit_doc(asy.deficit_rate_fit(records)),
     }
-    green = asy.boundary_green_limit(sols)
-    doc["boundary_green_deviations"] = list(green.details["deviations"])
-    doc["boundary_green_decreasing"] = green.details["decreasing"]
-    if not args.skip_decomposition:
-        decs = [fit_decomposition(s) for s in sols]
-        dfit = perturbation_order_fit(p, decs)
-        doc["decomposition_fit"] = fit_doc(dfit)
-        doc["alpha_final"] = decs[-1].alpha
+    devs = asy.boundary_green_limit(sols)
+    doc["boundary_green_deviations"] = list(devs)
+    doc["boundary_green_decreasing"] = bool(np.all(np.diff(devs) < 0))
+    decs = [fit_decomposition(s) for s in sols]
+    doc["decomposition_fit"] = fit_doc(perturbation_order_fit(decs))
+    doc["alpha_final"] = decs[-1].alpha
     if not args.skip_spectrum:
         certs = []
         idx = np.unique(np.linspace(0, len(sols) - 1, args.spectrum_points)
@@ -486,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CSV records path (stdout when omitted)")
     sp.add_argument("--jobs", type=int, default=1,
                     help="parallel workers for sweep points")
-    sp.add_argument("--skip-decomposition", action="store_true")
     sp.add_argument("--skip-spectrum", action="store_true")
     sp.add_argument("--spectrum-points", type=int, default=3,
                     help="sweep points receiving a nondegeneracy certificate")

@@ -28,9 +28,6 @@ __all__ = [
     "sobolev_sn2_from_mass",
 ]
 
-_RADIAL_NODES = 512
-
-
 def gamma_fn(x: float) -> float:
     """Gamma(x) for x > 0."""
     if not x > 0.0:
@@ -111,8 +108,7 @@ def c_nq(p: Params) -> float:
 def c_nq_quadrature(p: Params) -> float:
     """Oracle for c_nq: the same integral by quadrature."""
     N, a = p.N, _beta_exponent(p)
-    return improper_radial(lambda r: r ** (N - 1) * (1.0 + r * r) ** (-a),
-                           n=_RADIAL_NODES)
+    return improper_radial(lambda r: r ** (N - 1) * (1.0 + r * r) ** (-a))
 
 
 def alpha_nq(p: Params) -> float:
@@ -140,7 +136,7 @@ def _grad_sq_unnormalized_bubble(N: int) -> float:
         up = -(N - 2.0) * r * (1.0 + r * r) ** (-N / 2.0)
         return up * up * r ** (N - 1)
 
-    return omega_n(N) * improper_radial(f, n=_RADIAL_NODES)
+    return omega_n(N) * improper_radial(f)
 
 
 def sobolev_sn2_exact(N: int) -> float:
@@ -172,5 +168,4 @@ def sobolev_sn2_from_mass(N: int) -> float:
         u = (1.0 / (1.0 + r * r)) ** ((N - 2.0) / 2.0)
         return u**two_star * r ** (N - 1)
 
-    return (alpha_n(N) ** two_star * omega_n(N)
-            * improper_radial(f, n=_RADIAL_NODES))
+    return alpha_n(N) ** two_star * omega_n(N) * improper_radial(f)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .asymptotics import FitReport, _require_params, _slope_fit
+from .asymptotics import FitReport, _slope_fit
 from .constants import Params, omega_n
 from .errors import FitFailureError
 from .quadrature import geometric_panel_rule
@@ -71,8 +71,7 @@ def fit_decomposition(sol: RadialSolution) -> DecompositionResult:
     translation conditions hold identically for centered radial data.
     """
     N = sol.params.N
-    s, w = geometric_panel_rule(0.0, sol.R_tilde, n_per_panel=48,
-                                first=np.sqrt(N * (N - 2.0)))
+    s, w = geometric_panel_rule(0.0, sol.R_tilde, np.sqrt(N * (N - 2.0)))
     w = w * s ** (N - 1)
     du = sol.shoot_result.eval(s)[1]
 
@@ -129,17 +128,18 @@ def w_decay_exponent(p: Params) -> float:
     return (N + 2.0) / 2.0
 
 
-def perturbation_order_fit(p: Params, results) -> FitReport:
-    """Least-squares slope of log ||w|| against log lambda.
+def perturbation_order_fit(results) -> FitReport:
+    """Least-squares slope of log ||w|| against log lambda, against the table
+    order at the decompositions' (N, q).
 
     The theoretical order is an upper bound, so steeper decay than the table
     value is success, not failure.  At N = 6 the (ln lambda)^{2/3} factor is
     removed before fitting.
     """
-    _require_params(p, results)
     results = [d for d in results if np.isfinite(d.w_h1_norm) and d.w_h1_norm > 0]
     if len(results) < 6:
         raise FitFailureError("perturbation fit needs at least 6 decompositions")
+    p = results[0].params
     lam = np.array([d.lam for d in results])
     y = np.log([d.w_h1_norm for d in results])
     if p.N == 6:

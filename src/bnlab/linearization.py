@@ -299,9 +299,10 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
                               ell_max: int = 4, tol: float = 1e-3,
                               potential_scale: float = 1.0):
     """True iff every mode ell <= ell_max keeps its spectrum at a resolved
-    distance >= tol from zero; the report carries per-mode distances, whether
-    each is resolved (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the
-    centrifugal monotonicity check that covers ell > ell_max."""
+    distance >= tol from zero and the distances do not fall from ell = 2 to
+    ell_max, the centrifugal monotonicity that covers ell > ell_max; the
+    report carries per-mode distances, whether each is resolved
+    (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the monotonicity check."""
     check_certificate_options(ell_max, tol, potential_scale)
     report = {"per_mode": {}}
     min_abs = []
@@ -327,6 +328,7 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     # mode's is
     report["resolved"] = all(m["resolved"]
                              for m in report["per_mode"].values())
-    ok = report["resolved"] and all(d >= tol for d in min_abs)
+    ok = (report["resolved"] and report["monotone_from_ell2"]
+          and all(d >= tol for d in min_abs))
     report["min_abs_overall"] = min(min_abs)
     return ok, report

@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _RADIAL_PANELS = 4  # equal panels in theta of improper_radial
+_RADIAL_PER_PANEL = 128  # Gauss-Legendre nodes in each of them
+_GEOMETRIC_PER_PANEL = 48  # Gauss-Legendre nodes per geometric panel
 
 
 @functools.cache
@@ -39,23 +41,21 @@ def gauss_legendre(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def improper_radial(f, n: int = 256) -> float:
+def improper_radial(f) -> float:
     """Integrate f over [0, inf) via r = tan(theta) and composite Gauss-Legendre.
 
     `f` must accept a numpy array and decay fast enough to be integrable.
     """
     edges = np.linspace(0.0, np.pi / 2, _RADIAL_PANELS + 1)
-    per_panel = max(4, n // _RADIAL_PANELS)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        theta, w = gauss_legendre(a, b, per_panel)
+        theta, w = gauss_legendre(a, b, _RADIAL_PER_PANEL)
         r = np.tan(theta)
         total += float(np.sum(w * f(r) / np.cos(theta) ** 2))
     return total
 
 
-def geometric_panel_rule(a: float, b: float, n_per_panel: int = 32,
-                         first: float = 1.0):
+def geometric_panel_rule(a: float, b: float, first: float):
     """Composite Gauss-Legendre nodes and weights on panels growing
     geometrically from `a`; `w @ f(x)` approximates the integral over [a, b].
 
@@ -72,7 +72,7 @@ def geometric_panel_rule(a: float, b: float, n_per_panel: int = 32,
         step *= 2.0
     edges.append(b)
     e = np.array(edges)[:, None]
-    x, w = gauss_legendre(e[:-1], e[1:], n_per_panel)
+    x, w = gauss_legendre(e[:-1], e[1:], _GEOMETRIC_PER_PANEL)
     return x.ravel(), w.ravel()
 
 

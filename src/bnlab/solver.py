@@ -109,10 +109,8 @@ class ShootResult:
         dv = np.empty_like(s)
         small = s < _R_START * _length_scale(self.eps_tilde)
         if np.any(small):
-            c2, c4 = _deviation_series(self.params, self.eps_tilde)
-            ss = s[small]
-            v[small] = c2 * ss**2 + c4 * ss**4
-            dv[small] = 2.0 * c2 * ss + 4.0 * c4 * ss**3
+            v[small], dv[small] = _deviation_series(self.params,
+                                                    self.eps_tilde, s[small])
         if np.any(~small):
             vals = self.dense(s[~small])
             v[~small] = vals[0]
@@ -162,14 +160,15 @@ def _length_scale(eps_tilde: float) -> float:
     return min(1.0, eps_tilde**-0.5)
 
 
-def _deviation_series(p: Params, eps_tilde: float):
-    """v = c2 s^2 + c4 s^4: the series of u minus that of U, through s^4."""
+def _deviation_series(p: Params, eps_tilde: float, s):
+    """(v, v') at s for v = c2 s^2 + c4 s^4: the series of u minus that of
+    U, through s^4."""
     N, p2, q = p.N, p.two_star, p.q
     c2 = -eps_tilde / (2.0 * N)
     c4 = (eps_tilde * (p2 - 1.0 + q - 1.0) + eps_tilde**2 * (q - 1.0)) / (
         8.0 * N * (N + 2.0)
     )
-    return c2, c4
+    return c2 * s**2 + c4 * s**4, 2.0 * c2 * s + 4.0 * c4 * s**3
 
 
 def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
@@ -244,10 +243,10 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         u = normalized_bubble_r2(N, s * s) + ys[-1][0] / _V_SCALE
         return -1 if u <= 0.0 else 0
 
-    c2, c4 = _deviation_series(p, eps_tilde)
+    v0, dv0 = _deviation_series(p, eps_tilde, s0)
     y0 = (
-        (c2 * s0**2 + c4 * s0**4) * _V_SCALE,
-        (2.0 * c2 * s0 + 4.0 * c4 * s0**3) * _V_SCALE,
+        v0 * _V_SCALE,
+        dv0 * _V_SCALE,
         # leading-order contributions of [0, s0] to the quadratures
         ((1.0 + eps_tilde) / N) ** 2 * s0 ** (N + 2) / (N + 2.0),
         s0**N / N,

@@ -172,7 +172,7 @@ def test_sweep_negative_spectrum_points_rejected(capsys, tmp_path):
     out = tmp_path / "s.json"
     assert main([
         "sweep", "--n", "4", "--q", "3", "--points", "6",
-        "--skip-decomposition", "--spectrum-points", "0",
+        "--spectrum-points", "0",
         "--records", os.devnull, "--output", str(out),
     ]) == EXIT_OK
     assert json.loads(out.read_text())["nondegeneracy"] == []
@@ -204,7 +204,7 @@ def test_sweep_outputs(tmp_path):
     rc = main([
         "sweep", "--n", "4", "--q", "3", "--points", "13",
         "--records", str(rec), "--output", str(out),
-        "--skip-decomposition", "--skip-spectrum",
+        "--skip-spectrum",
     ])
     assert rc == EXIT_OK
     lines = rec.read_text().splitlines()
@@ -227,7 +227,7 @@ def test_sweep_deterministic(tmp_path):
             "sweep", "--n", "4", "--q", "3", "--points", "7",
             "--eps-tilde-min", "1e-6",
             "--records", str(rec), "--output", "/dev/null",
-            "--skip-decomposition", "--skip-spectrum",
+            "--skip-spectrum",
         ])
         outs.append(rec.read_bytes())
     assert outs[0] == outs[1]
@@ -343,7 +343,6 @@ def test_unresolved_eigenvalue_is_flagged(monkeypatch, tmp_path):
 
     out = tmp_path / "sw.json"
     assert main(["sweep", "--n", "5", "--q", "3", "--points", "6",
-                 "--skip-decomposition",
                  "--spectrum-points", "1", "--ell-max", "2",
                  "--records", os.devnull, "--output", str(out)]) == EXIT_OK
     [cert] = json.loads(out.read_text())["nondegeneracy"]

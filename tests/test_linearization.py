@@ -353,6 +353,19 @@ def test_certificate_structure(sol53_mid):
         nondegeneracy_certificate(p, sol, ell_max=1)
 
 
+def test_certificate_requires_monotone_from_ell2(sol53_mid, monkeypatch):
+    """Distances that fall from ell = 2 to ell = 3 leave ell > ell_max
+    uncovered, so the verdict fails though every mode is far from zero."""
+    p, sol = sol53_mid
+    dist = {0: 5.0, 1: 1.0, 2: 50.0, 3: 40.0, 4: 60.0}
+    monkeypatch.setattr(bnlab.linearization, "eigenvalues_near_zero",
+                        lambda op: (None, dist[op.ell], 0))
+    ok, rep = nondegeneracy_certificate(p, sol, ell_max=4, tol=1e-3)
+    assert rep["resolved"] and rep["min_abs_overall"] == 1.0
+    assert not rep["monotone_from_ell2"]
+    assert not ok
+
+
 def test_certificate_rejects_synthetic_degeneracy(sol53_mid):
     """Scaling down the potential drags an eigenvalue through zero; the
     certificate must notice once the distance falls below its tolerance."""

@@ -39,7 +39,7 @@ def test_improper_radial_algebraic_tail():
 def test_geometric_panel_endpoint_layer():
     # int_0^1 sqrt(r) dr = 2/3, integrand non-smooth at the left endpoint;
     # a thin first panel confines the singular error
-    x, w = geometric_panel_rule(0.0, 1.0, n_per_panel=32, first=1e-6)
+    x, w = geometric_panel_rule(0.0, 1.0, first=1e-6)
     val = w @ np.sqrt(x)
     assert val == pytest.approx(2.0 / 3.0, rel=1e-8)
 

@@ -43,6 +43,11 @@ COMMANDS = [
     (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
       "--ell-max", "2", "--potential-scale", "0.45"],
      {"--output": "out.json"}),
+    # at ell_max = 4 the certificate's mode-ordering check (ell = 2..4) is not
+    # empty
+    (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+      "--ell-max", "4"],
+     {"--output": "out.json"}),
     (["verify"], {"--output": "out.json"}),
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
@@ -53,6 +58,9 @@ COMMANDS = [
       for n, q in (("4", "3"), ("5", "3"), ("3", "5"))),
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1", "--ell-max", "2"],
+     {"--output": "out.json", "--records": "records.csv"}),
+    # the default sweep: three certificates at ell_max = 4
+    (["sweep", "--n", "5", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
 ]
 
