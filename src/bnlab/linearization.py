@@ -41,12 +41,37 @@ eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
 
 Accuracy near zero is that of the shoot.  Measured on the ell = 1
 eigenvalue against its closed-form limit at N = 3, 4 and 5, the absolute
-error of a scaled eigenvalue nu is 2e-16 to 7e-16 (4e-15 at rtol = 1e-13):
-nu = 3e-13 is resolved to 0.1%, 3e-14 to 0.8%, 8e-15 to 8% and 1e-15 only
-to about 30%; 5e-16 is off by a factor 16.  The ell = 1 eigenvalue
-(~ mu^{-2}) falls below 1e-14 at the deep end of the default sweeps.  An
-eigenvalue with |nu| below _NU_RESOLVED = 1e-13, where the error is at most
-0.7%, is reported as not resolved.
+error of a scaled eigenvalue nu from the Pruefer shoot is 2e-16 to 7e-16
+(4e-15 at rtol = 1e-13): nu = 3e-13 is resolved to 0.1%, 3e-14 to 0.8%,
+8e-15 to 8% and 1e-15 only to about 30%; 5e-16 is off by a factor 16.  An
+eigenvalue of the Pruefer shoot with |nu| below _NU_RESOLVED = 1e-13, where
+the error is at most 0.7%, is reported as not resolved.
+
+The physical ell = 1 operator (potential_scale = 1) is shot differently.
+Differentiating the profile equation gives L_1 u' = 0 exactly: u' is the
+translation kernel at nu = 0 (Bianchi & Egnell, J. Funct. Anal. 100, 1991),
+and lambda_1 ~ mu^{-2} falls to nu = 1e-26 at the deep end of the default
+sweeps, far below the Pruefer shoot's error.  There the Pruefer angle
+cancels u' against its own rounding: in the tail u' ~ s^{1-N} is the
+decaying solution, which a forward shoot loses, so both the value and the
+count go wrong (at N = 4, eps_tilde = 1e-8 its mu^2 lambda_1 reads 9.68
+times the limit, and its count at 2 lambda_1 reads 0).  The kernel shoot
+carries the deviation from u' instead: v = c u' + nu y with c = 1/(2 a2),
+(L_1 - nu) y = c u', and w = dy/dnu with (L_1 - nu) w = y.  lambda_1 is the
+first root of v(R_tilde; nu) = c u'(R_tilde) + nu y(R_tilde; nu), whose
+nu-derivative is y + nu w, and the zero count of v is the number of its
+sign changes at the accepted step ends, 0 at nu = 0 by construction.  The
+same Newton search finds the root from nu = 0, where its first step is the
+perturbation estimate -c u'(R_tilde) / y(R_tilde; 0): 2 or 3 shoots per
+eigenvalue at the 15 certified points of the default sweeps at N = 3 to 7,
+against 4 to 22 on the angle.  Its error is relative to nu: it agrees with
+the Pruefer root to within 6e-16 in nu wherever that one is resolved, a
+shoot at rtol x 100 moves it by at most 7e-11 relative, and mu^2 lambda_1
+is within 1.2e-5 of its closed-form limit at eps_tilde = 1e-8 for
+N = 3, 4, 5.  So its search stops on a relative step alone and its value
+is reported as resolved.  Modes ell != 1 and operators with
+potential_scale != 1 have no exact kernel, and no such cancellation: they
+stay on the Pruefer shoot.
 
 Below zero the tail where the potential is smaller than -nu is classically
 forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
@@ -83,19 +108,20 @@ __all__ = [
 ]
 
 _S_START = 1e-3
-# relative tolerance of the mode shoot, which runs Hairer's DOP853: unlike
+# relative tolerance of the mode shoots, which run Hairer's DOP853: unlike
 # solve_ivp it takes an rtol below 2.2e-14.  Near zero it sets the absolute
-# error of nu; the module docstring says why the stiffness test is off.
+# error of nu of the Pruefer shoot; the module docstring says why the
+# stiffness test is off.
 _MODE_RTOL = 1e-14
 # smallest |nu| = |lambda| / R_tilde^2 reported as resolved, measured at
 # _MODE_RTOL; do not lower it without measuring again
 _NU_RESOLVED = 1e-13
 # relative tolerance of the eigenvalue search: it stops once a step is this
 # small relative to nu.  A Newton step that small leaves an error far below
-# it; a bisection step that small bounds the error by it.  Below
-# _NU_RESOLVED the stop is _XTOL_REL * _NU_RESOLVED = 5e-20 absolute, far
-# below the shoot's own error of nu, so that a root within that error of
-# nu = 0 still ends the search.
+# it; a bisection step that small bounds the error by it.  On the Pruefer
+# shoot, below _NU_RESOLVED the stop is _XTOL_REL * _NU_RESOLVED = 5e-20
+# absolute, far below the shoot's own error of nu, so that a root within
+# that error of nu = 0 still ends the search.
 _XTOL_REL = 5e-7
 # most shoots one eigenvalue search may take before it raises
 _SEARCH_MAXITER = 60
@@ -135,14 +161,19 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
     )
 
 
-def _series_coeffs(p: Params, eps_tilde: float):
-    """u = 1 + a2 r^2 + a4 r^4 matching the ODE through order r^2 at 0."""
-    N = p.N
-    f0 = 1.0 + eps_tilde
-    f1 = (p.two_star - 1.0) + eps_tilde * (p.q - 1.0)
-    a2 = -f0 / (2.0 * N)
-    a4 = f0 * f1 / (8.0 * N * (N + 2.0))
-    return a2, a4
+def _series_start(op: ModeOperator):
+    """Start of every mode shoot: s0, the first step, a2, and the base
+    profile (u, u') at s0 from u = 1 + a2 s^2 + a4 s^4, which matches the
+    ODE through order s^2 at 0."""
+    p, et = op.params, op.eps_tilde
+    scale_len = _length_scale(et)
+    s0 = _S_START * scale_len
+    f0 = 1.0 + et
+    f1 = (p.two_star - 1.0) + et * (p.q - 1.0)
+    a2 = -f0 / (2.0 * p.N)
+    a4 = f0 * f1 / (8.0 * p.N * (p.N + 2.0))
+    return (s0, 1e-4 * scale_len, a2,
+            (1.0 + a2 * s0**2 + a4 * s0**4, 2.0 * a2 * s0 + 4.0 * a4 * s0**3))
 
 
 def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
@@ -185,8 +216,6 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     fourth state, by the variational equation of the angle's equation.
     """
     p = op.params
-    et = op.eps_tilde
-    scale_len = _length_scale(et)
     # theta_nu starts at 0 and stays >= 0 (Sturm comparison), but dop853
     # takes one scalar atol, 1e-160 here, and stalls on a state that starts
     # at exactly 0.  z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale
@@ -195,50 +224,117 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     # first step.
     off = op.R_tilde**2
 
-    s0 = _S_START * scale_len
-    a2, a4 = _series_coeffs(p, et)
+    s0, first_step, _, u0 = _series_start(op)
     # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    y0 = (
-        1.0 + a2 * s0**2 + a4 * s0**4,
-        2.0 * a2 * s0 + 4.0 * a4 * s0**3,
-        math.atan2(1.0, op.ell),
-        off,
-    )
-    args = (et, op.centrifugal, p.N - 1.0, p.N - 2.0, p.two_star - 2.0,
-            p.q - 2.0, op.potential_scale * (p.two_star - 1.0),
+    y0 = (*u0, math.atan2(1.0, op.ell), off)
+    args = (op.eps_tilde, op.centrifugal, p.N - 1.0, p.N - 2.0,
+            p.two_star - 2.0, p.q - 2.0,
+            op.potential_scale * (p.two_star - 1.0),
             op.potential_scale * (p.q - 1.0), nu, off)
     y, _ = _DOP853.run(args, y0, s0, op.R_tilde, _MODE_RTOL, 1e-160,
-                       first_step=1e-4 * scale_len)
+                       first_step=first_step)
     return float(y[2]), float(y[3]) - off
 
 
-def _eigenvalue_by_index(op: ModeOperator, theta, j: int, lo: float) -> float:
+def _counted_angle(op: ModeOperator, nu: float) -> tuple[int, float, float]:
+    """The mode shoot as the search reads it: the count floor(theta / pi)
+    of eigenvalues below nu, theta(R_tilde) and its nu-derivative."""
+    th, dth = _shoot_mode(op, nu)
+    return int(th // math.pi), th, dth
+
+
+def _kernel_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, c):
+    """Right-hand side of the ell = 1 kernel shoot: the base profile
+    (u, u'), y with (L_1 - nu) y = c u' and w = dy/dnu with
+    (L_1 - nu) w = y, each with its derivative.  nm1 = N-1, e2 = 2*-2,
+    eq = q-2, w2 = 2*-1 and wq = q-1."""
+    u, du, z, dz, w, dw = y.tolist()
+    up = u if u > 0.0 else 0.0
+    u2 = up ** e2
+    uq = et * up ** eq
+    a = nm1 / s
+    # W + nu minus the ell = 1 centrifugal term (N-1)/s^2
+    k = w2 * u2 + wq * uq + nu - a / s
+    return (du, -a * du - (u2 + uq) * up,
+            dz, -a * dz - k * z - c * du,
+            dw, -a * dw - k * w - z)
+
+
+_KERNEL_DOP853 = Dop853(_kernel_rhs)  # the ell = 1 kernel shoots' integrator
+
+
+def _carries_kernel(op: ModeOperator) -> bool:
+    """Whether op is the physical ell = 1 operator, whose kernel at nu = 0
+    is exactly u' (the translation mode), so that _shoot_kernel applies."""
+    return op.ell == 1 and op.potential_scale == 1.0
+
+
+def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
+    """Zero count of the ell = 1 mode solution v = c u' + nu y at nu, and
+    -v(R_tilde) with its nu-derivative, by one shoot.
+
+    u' solves the ell = 1 equation exactly at nu = 0, so v carries it and
+    the shoot integrates only the deviation y, with (L_1 - nu) y = c u'
+    from y = -s^3 / (2N+4), and w = dy/dnu, with (L_1 - nu) w = y from
+    w = s^5 / ((2N+4)(4N+16)).  c = 1 / (2 a2) makes v ~ s near 0.  The
+    count is the number of sign changes of v at the accepted step ends,
+    R_tilde included; at nu = 0 it is 0, as v = c u' > 0.  -v(R_tilde)
+    rises through zero at lambda_1, as the Pruefer angle rises through pi.
+    """
+    p = op.params
+    s0, first_step, a2, u0 = _series_start(op)
+    c = 0.5 / a2
+    d1 = 2.0 * p.N + 4.0
+    d2 = d1 * (4.0 * p.N + 16.0)
+    y0 = (*u0, -s0**3 / d1, -3.0 * s0**2 / d1,
+          s0**5 / d2, 5.0 * s0**4 / d2)
+    count, neg = 0, False
+
+    def sign_changes(s, y):
+        nonlocal count, neg
+        if (c * y[1] + nu * y[2] < 0.0) != neg:
+            count, neg = count + 1, not neg
+
+    args = (op.eps_tilde, p.N - 1.0, p.two_star - 2.0, p.q - 2.0,
+            p.two_star - 1.0, p.q - 1.0, nu, c)
+    # atol 1e-300 leaves pure relative control: y and w start at s0^3 and
+    # s0^5, and u' is O(R_tilde^{1-N}) at the end
+    y, _ = _KERNEL_DOP853.run(args, y0, s0, op.R_tilde, _MODE_RTOL, 1e-300,
+                              first_step=first_step, solout=sign_changes)
+    return (count, -float(c * y[1] + nu * y[2]),
+            -float(y[2] + nu * y[4]))
+
+
+def _eigenvalue_by_index(op: ModeOperator, shoot, j: int, lo: float,
+                         target: float, nu_floor: float) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
-    theta(nu) is the memoised mode shoot (Pruefer angle and its
-    nu-derivative) and lo a nu with at most j eigenvalues below it.  The
-    root of theta(nu) = (j + 1) pi is found by Newton's method on the angle
-    and its carried derivative, safeguarded as in Numerical Recipes'
-    rtsafe.  The count keeps a bracket [lo, hi].  A Newton step is taken
-    when it lands inside the bracket and either keeps the direction of the
-    last step or is at most half the step before it; otherwise the search
-    bisects, or expands x4 while there is no upper end.  The search starts
-    at nu = 0, whose shoot the count has already made, and stops once a
-    step is within _XTOL_REL of nu (see there).
+    shoot(nu) is a memoised mode shoot that returns the count of
+    eigenvalues below nu, f(nu) and f'(nu), where f rises through target
+    at the eigenvalue; lo is a nu with at most j eigenvalues below it.  The
+    root of f(nu) = target is found by Newton's method on f and its carried
+    derivative, safeguarded as in Numerical Recipes' rtsafe.  The count
+    keeps a bracket [lo, hi].  A Newton step is taken when it lands inside
+    the bracket and either keeps the direction of the last step or is at
+    most half the step before it; otherwise the search bisects, or expands
+    x4 while there is no upper end.  The search starts at nu = 0, whose
+    shoot the count has already made, and stops once a step is within
+    _XTOL_REL of max(|nu|, nu_floor) (see there).
     """
-    target = (j + 1) * math.pi
     hi = math.inf
     # dx is the last step (nu -= dx) and dx_old the one before; the first
     # expansion goes to lambda = 4 in unit-ball units
     nu, dx, dx_old = 0.0, -1.0 / op.R_tilde**2, math.inf
     for _ in range(_SEARCH_MAXITER):
-        th, dth = theta(nu)
-        # the count is <= j exactly where th < target
-        if th < target:
+        count, f, df = shoot(nu)
+        if f == target:
+            # the Newton step would be 0, which the bracket test refuses
+            return nu
+        if count <= j:
             lo = nu
         else:
             hi = nu
-        step = (th - target) / dth if dth > 0.0 else math.inf
+        step = (f - target) / df if df > 0.0 else math.inf
         if not (lo < nu - step <= hi
                 and (step * dx > 0.0 or 2.0 * abs(step) <= abs(dx_old))):
             if hi == math.inf:
@@ -247,7 +343,7 @@ def _eigenvalue_by_index(op: ModeOperator, theta, j: int, lo: float) -> float:
                 step = nu - 0.5 * (lo + hi)
         dx_old, dx = dx, step
         nu -= step
-        if abs(step) <= _XTOL_REL * max(abs(nu), _NU_RESOLVED):
+        if abs(step) <= _XTOL_REL * max(abs(nu), nu_floor):
             return nu
     raise FitFailureError(
         f"eigenvalue {j} search did not converge in {_SEARCH_MAXITER} "
@@ -262,24 +358,33 @@ def eigenvalues_near_zero(op: ModeOperator):
     below zero if it lies in [-|above|, 0), and None otherwise: then no
     eigenvalue is nearer to zero from below than above is from above.
     """
+    R2 = op.R_tilde**2
+    if _carries_kernel(op):
+        # no eigenvalue below zero: v = c u' has no zero at nu = 0; the
+        # search stops on a relative step alone, as the kernel shoot's
+        # error of nu is relative, not the Pruefer shoot's absolute one
+        kernel = functools.cache(lambda nu: _shoot_kernel(op, nu))
+        nu_above = _eigenvalue_by_index(op, kernel, 0, 0.0, 0.0, 0.0)
+        return None, nu_above * R2, kernel(0.0)[0]
     # one integration per nu: the search above zero starts from nu = 0
-    theta = functools.cache(lambda nu: _shoot_mode(op, nu))
-    m0 = int(theta(0.0)[0] // math.pi)
-    nu_above = _eigenvalue_by_index(op, theta, m0, 0.0)
+    angle = functools.cache(lambda nu: _counted_angle(op, nu))
+    m0 = angle(0.0)[0]
+    nu_above = _eigenvalue_by_index(op, angle, m0, 0.0, (m0 + 1) * math.pi,
+                                    _NU_RESOLVED)
     below = None
     if m0 > 0:
         # eigenvalues in [nu_w, 0): m0 minus the count at nu_w
         nu_w = -abs(nu_above)
-        count = int(theta(nu_w)[0] // math.pi)
+        count = angle(nu_w)[0]
         if count > m0:
             raise IntegrationFailureError(
                 f"Sturm count {count} at nu = {nu_w} exceeds the count "
                 f"{m0} at nu = 0"
             )
         if count < m0:
-            below = (_eigenvalue_by_index(op, theta, m0 - 1, nu_w)
-                     * op.R_tilde**2)
-    return below, nu_above * op.R_tilde**2, m0
+            below = _eigenvalue_by_index(op, angle, m0 - 1, nu_w,
+                                         m0 * math.pi, _NU_RESOLVED) * R2
+    return below, nu_above * R2, m0
 
 
 def check_certificate_options(ell_max: int, tol: float = 1e-3,
@@ -318,8 +423,10 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
             "nearest_above": above,
             "n_negative": m0,
             "min_abs": dist,
-            # the nearest eigenvalue has the smallest |nu| of the mode
-            "resolved": dist >= _NU_RESOLVED * op.R_tilde**2,
+            # the nearest eigenvalue has the smallest |nu| of the mode; the
+            # kernel shoot's error is relative to lambda_1
+            "resolved": (_carries_kernel(op)
+                         or dist >= _NU_RESOLVED * op.R_tilde**2),
         }
     report["monotone_from_ell2"] = bool(
         all(min_abs[i] <= min_abs[i + 1] for i in range(2, ell_max))

@@ -8,6 +8,7 @@ import math
 import os
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -330,14 +331,17 @@ def test_unresolved_eigenvalue_is_flagged(monkeypatch, tmp_path):
     """An eigenvalue with |lambda| / R_tilde^2 below the resolution limit is
     marked "resolved": false in the spectrum and sweep JSON, and the
     verdict does not count it as a pass.  At N = 5, eps_tilde = 1e-2 a
-    limit of 1e-4 lies between the ell = 1 eigenvalue (nu = 8.3e-6, lambda
-    = 0.025 > tol) and the others (|nu| >= 4.3e-4)."""
-    monkeypatch.setattr(bnlab.linearization, "_NU_RESOLVED", 1e-4)
+    limit of 1e-3 lies between the ell = 0 eigenvalue above zero
+    (nu = 4.3e-4, lambda = 1.32 > tol) and the ell = 2 one (nu = 1.6e-2).
+    The limit applies to the Pruefer shoot alone: the ell = 1 eigenvalue
+    (nu = 8.3e-6) comes from the kernel shoot, whose error is relative to
+    it, and is not flagged."""
+    monkeypatch.setattr(bnlab.linearization, "_NU_RESOLVED", 1e-3)
     out = tmp_path / "sp.json"
     assert main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                  "--ell-max", "2", "--output", str(out)]) == EXIT_OK
     doc = json.loads(out.read_text())
-    assert [m.get("resolved") for m in doc["modes"]] == [None, False, None]
+    assert [m.get("resolved") for m in doc["modes"]] == [False, None, None]
     assert min(m["min_abs"] for m in doc["modes"]) > doc["tol"]
     assert not doc["nondegenerate"]
 
@@ -383,6 +387,14 @@ def test_json_escapes_strings():
     assert "\n" not in text
     assert json.loads(text) == doc
     assert _json({"name": "gamma_five"}) == '{"name":"gamma_five"}'
+
+
+def test_json_numbers():
+    """Floats print at 17 significant digits, numpy floats as Python ones,
+    and non-finite values as JSON strings."""
+    assert _json([math.nan, math.inf, -np.inf, np.float64(0.1), 1e-300,
+                  2, True, None]) == (
+        '["nan","inf","-inf",0.10000000000000001,1e-300,2,true,null]')
 
 
 def test_unexpected_exception_exits_4_with_one_line(monkeypatch, capsys):

@@ -142,8 +142,10 @@ def test_one_sided_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
 
 def test_ell1_plateau_holds_at_the_deep_end():
     """mu^2 lambda_1 tends to a constant as eps -> 0.  At N = 4 it stays
-    within a factor 1.25 of its eps_tilde = 1e-5 value down to 1e-7, where
-    nu = lambda_1 / R_tilde^2 is 3.7e-15 (rtol = 1e-13 gave 2.10 there)."""
+    within 1e-4 of its eps_tilde = 1e-5 value down to 1e-8, where
+    nu = lambda_1 / R_tilde^2 is 3.3e-17 (2.6e-5 measured at 1.5e-7, 1e-7
+    and 1e-8, the gap of the 1e-5 value to the limit; the Pruefer search
+    was 8% off at 1e-7 and a factor 9.7 at 1e-8)."""
     p = Params(4, 3.0)
 
     def plateau(et):
@@ -152,8 +154,44 @@ def test_ell1_plateau_holds_at_the_deep_end():
             build_mode_operator(p, sol, 1))[1]
 
     ref = plateau(1e-5)
-    for et in (1.5e-7, 1e-7):
-        assert 1.0 / 1.25 <= plateau(et) / ref <= 1.25, et
+    for et in (1.5e-7, 1e-7, 1e-8):
+        assert plateau(et) / ref == pytest.approx(1.0, abs=1e-4), et
+
+
+@pytest.mark.parametrize("cell", [(3, 5.0, 1e-5), (4, 3.0, 1e-8),
+                                  (5, 3.0, 1e-8), (3, 5.0, 1e-8)], ids=str)
+def test_kernel_count_brackets_lambda1_at_the_deep_end(cell):
+    """The ell = 1 kernel shoot counts the zeros of v = c u' + nu y
+    exactly where nu is tiny (1e-26 at N = 3, eps_tilde = 1e-8): none at
+    nu = 0 and at lambda_1 / 2, one at 2 lambda_1.  The Pruefer count reads
+    0 at 2 lambda_1 at each of these cells, as its forward shoot loses the
+    decaying kernel u' ~ s^{1-N} in the tail."""
+    N, q, et = cell
+    p = Params(N, q)
+    op = build_mode_operator(p, solution_at(p, et), 1)
+    nu1 = eigenvalues_near_zero(op)[1] / op.R_tilde**2
+    counts = [bnlab.linearization._shoot_kernel(op, f * nu1)[0]
+              for f in (0.0, 0.5, 2.0)]
+    assert counts == [0, 0, 1]
+
+
+def test_kernel_and_pruefer_lambda1_agree_where_resolved():
+    """Where the Pruefer shoot resolves lambda_1 (nu >= _NU_RESOLVED), the
+    kernel shoot's value agrees with its root to within 1e-15 in nu, the
+    Pruefer shoot's own absolute error (3e-16 to 6e-16 measured).  The
+    Pruefer root is polished by two Newton steps on _shoot_mode."""
+    for N, q, et in [(4, 3.0, 1e-2), (4, 3.0, 1e-4), (5, 3.0, 1e-2),
+                     (5, 3.0, 1e-4), (3, 5.0, 1e-2), (3, 5.0, 1e-3),
+                     (6, 2.6, 1e-2), (7, 2.4, 1e-2)]:
+        p = Params(N, q)
+        op = build_mode_operator(p, solution_at(p, et), 1)
+        nu_kernel = eigenvalues_near_zero(op)[1] / op.R_tilde**2
+        nu = nu_kernel
+        for _ in range(2):
+            th, dth = _shoot_mode(op, nu)
+            nu -= (th - math.pi) / dth
+        assert nu >= bnlab.linearization._NU_RESOLVED
+        assert abs(nu_kernel - nu) <= 1e-15, (N, q, et)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -172,31 +210,54 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
 
 
 @pytest.fixture
-def shot_nus(monkeypatch):
-    """The nu of every mode shoot made while the test runs."""
-    nus = []
-    real = bnlab.linearization._shoot_mode
+def shots(monkeypatch):
+    """The nu of every mode shoot made while the test runs, by shoot: the
+    Pruefer shoot and the ell = 1 kernel shoot."""
+    shots = {"_shoot_mode": [], "_shoot_kernel": []}
+    for name, nus in shots.items():
+        real = getattr(bnlab.linearization, name)
 
-    def logged(op, nu):
-        nus.append(nu)
-        return real(op, nu)
+        def logged(op, nu, real=real, nus=nus):
+            nus.append(nu)
+            return real(op, nu)
 
-    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", logged)
-    return nus
+        monkeypatch.setattr(bnlab.linearization, name, logged)
+    return shots
 
 
 @pytest.mark.parametrize("ell", [1, 2])
-def test_mode_search_in_few_shoots(sol53_mid, shot_nus, ell):
-    """Newton on the Pruefer angle and its carried nu-derivative finds the
-    eigenvalue above zero in a few shoots, counting the one at nu = 0, and
-    no angle is integrated twice for the same nu."""
+def test_mode_search_in_few_shoots(sol53_mid, shots, ell):
+    """Newton on the carried nu-derivative finds the eigenvalue above zero
+    in a few shoots, counting the one at nu = 0, and no nu is shot twice:
+    ell = 1 on the kernel shoot alone (3 measured), ell = 2 on the Pruefer
+    angle."""
+    shoot, budget = {1: ("_shoot_kernel", 5), 2: ("_shoot_mode", 8)}[ell]
     p, sol = sol53_mid
     eigenvalues_near_zero(build_mode_operator(p, sol, ell))
-    assert len(shot_nus) <= 8
-    assert len(set(shot_nus)) == len(shot_nus)
+    nus = shots.pop(shoot)
+    assert 1 <= len(nus) <= budget
+    assert len(set(nus)) == len(nus)
+    assert not any(shots.values())
 
 
-def test_ell0_search_in_few_shoots(sol53_mid, shot_nus):
+def test_search_returns_an_exact_root(sol53_mid):
+    """A shoot whose residual is exactly zero ends the search there: the
+    Newton step from it is 0, which the bracket test would refuse and
+    expand from.  A kernel shoot hit v(R_tilde) = 0.0 so at N = 4,
+    eps_tilde = 1.24e-6, and took 6 shoots in place of 3."""
+    op = build_mode_operator(*sol53_mid, 1)
+    nus = []
+
+    def shoot(nu):
+        nus.append(nu)
+        return int(nu > 1.0), nu - 1.0, 1.0
+
+    assert bnlab.linearization._eigenvalue_by_index(
+        op, shoot, 0, 0.0, 0.0, 0.0) == 1.0
+    assert nus == [0.0, 1.0]
+
+
+def test_ell0_search_in_few_shoots(sol53_mid, shots):
     """ell = 0 costs the search above zero plus one shoot: the count at the
     window edge -|nu_above|, which finds no eigenvalue in the window.  No nu
     is shot twice and none lies below the window."""
@@ -204,33 +265,36 @@ def test_ell0_search_in_few_shoots(sol53_mid, shot_nus):
     op = build_mode_operator(p, sol, 0)
     below, above, m0 = eigenvalues_near_zero(op)
     assert below is None and m0 == 1
-    assert len(shot_nus) <= 8 + 1
-    assert len(set(shot_nus)) == len(shot_nus)
-    assert shot_nus[-1] == -above / op.R_tilde**2 == min(shot_nus)
+    nus = shots["_shoot_mode"]
+    assert len(nus) <= 8 + 1
+    assert len(set(nus)) == len(nus)
+    assert nus[-1] == -above / op.R_tilde**2 == min(nus)
 
 
 def test_certificate_shoots_no_deep_nu(monkeypatch):
     """At N = 3, q = 5, eps_tilde = 1e-5 (R_tilde = 8.7e5) no shoot of the
     certificate goes below lambda = -100: the Morse eigenvalue (nu of about
     -1.2, behind a forbidden tail about 1e6 long) is not searched.  The whole
-    certificate takes at most 40 mode shoots (34 measured; the unresolved
-    ell = 1 eigenvalue ends by bisection), at most 9 of them for ell = 0."""
+    certificate takes at most 18 mode shoots (16 measured: 6 for ell = 0,
+    3 kernel shoots for ell = 1 and 7 for ell = 2), at most 9 of them for
+    ell = 0."""
     p = Params(3, 5.0)
     sol = solution_at(p, 1e-5)
     ells = []
-    real = bnlab.linearization._shoot_mode
+    for name in ("_shoot_mode", "_shoot_kernel"):
+        real = getattr(bnlab.linearization, name)
 
-    def guarded(op, nu):
-        if nu < -100.0 / op.R_tilde**2:
-            pytest.fail(f"mode shoot at lambda = {nu * op.R_tilde**2}")
-        ells.append(op.ell)
-        return real(op, nu)
+        def guarded(op, nu, real=real):
+            if nu < -100.0 / op.R_tilde**2:
+                pytest.fail(f"mode shoot at lambda = {nu * op.R_tilde**2}")
+            ells.append(op.ell)
+            return real(op, nu)
 
-    monkeypatch.setattr(bnlab.linearization, "_shoot_mode", guarded)
+        monkeypatch.setattr(bnlab.linearization, name, guarded)
     _, rep = nondegeneracy_certificate(p, sol, ell_max=2)
     assert [m["n_negative"] for m in rep["per_mode"].values()] == [1, 0, 0]
     assert rep["per_mode"][0]["nearest_below"] is None
-    assert len(ells) <= 40 and ells.count(0) <= 9
+    assert len(ells) <= 18 and ells.count(0) <= 9
 
 
 def _extra_node_below(op, nu):
@@ -279,12 +343,13 @@ def test_mode_operator_validation(sol53_mid):
 
 @pytest.mark.parametrize("cell", [(3, 5.0), (4, 3.0), (5, 3.0), (6, 2.6),
                                   (7, 2.4)], ids=str)
-def test_default_sweep_certificates_within_shoot_budget(request, shot_nus,
+def test_default_sweep_certificates_within_shoot_budget(request, shots,
                                                         cell):
     """The certificates of a default sweep (ell_max = 4 at eps_tilde = 1e-2,
-    1e-5 and 1e-8) take at most 130 mode shoots per cell (104 to 119
-    measured).  No verdict is asserted: the deep points are not certified
-    yet, as the fixed tol meets lambda_1 ~ mu^-2."""
+    1e-5 and 1e-8) take at most 103 mode shoots per cell, Pruefer and
+    kernel shoots together (90 to 94 measured, 8 of them for ell = 1).  No
+    verdict is asserted: the deep points are not certified yet, as the
+    fixed tol meets lambda_1 ~ mu^-2."""
     p = Params(*cell)
     fixture = {(4, 3.0): "sweep43", (5, 3.0): "sweep53"}.get(cell)
     if fixture is None:
@@ -292,10 +357,11 @@ def test_default_sweep_certificates_within_shoot_budget(request, shot_nus,
     else:
         sols = request.getfixturevalue(fixture)[1][::12]
     assert [s.eps_tilde for s in sols] == pytest.approx([1e-2, 1e-5, 1e-8])
-    shot_nus.clear()
+    for nus in shots.values():
+        nus.clear()
     for sol in sols:
         nondegeneracy_certificate(p, sol)
-    assert len(shot_nus) <= 130
+    assert sum(map(len, shots.values())) <= 103
 
 
 def test_morse_index_one(sol53_mid):
