@@ -259,6 +259,8 @@ def cmd_spectrum(args) -> int:
                       "nearest_below_zero": m["nearest_below"],
                       "nearest_above_zero": m["nearest_above"],
                       "min_abs": m["min_abs"]})
+        if m["dirichlet_bound"] is not None:
+            modes[-1]["dirichlet_bound"] = m["dirichlet_bound"]
         if m["n_negative"] and m["nearest_below"] is None:
             # what the certificate checked in place of the Morse eigenvalue
             modes[-1]["no_eigenvalue_in"] = [-abs(m["nearest_above"]), 0.0]

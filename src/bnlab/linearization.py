@@ -25,12 +25,30 @@ angle's variational equation
 so the root is found by Newton's method on the angle, safeguarded by the
 count bracket (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993,
 ch. 5; rtsafe in Numerical Recipes).  It starts from the nu = 0 shoot of
-the count and converges quadratically, also where theta is flat over most
-of the bracket.  Both right-hand sides are written with the products
-cos^2, sin^2 and sin cos, not the double angle: 1 - cos(2 theta) loses its
-digits where theta is near a multiple of pi, as in the forbidden ell = 0
-tail, where it took 4.5 times the right-hand-side calls (N = 3, q = 5,
-eps_tilde = 1e-3, nu = -0.5).
+the count, or from the Dirichlet bound below, and converges quadratically,
+also where theta is flat over most of the bracket.  Both right-hand sides
+are written with the products cos^2, sin^2 and sin cos, not the double
+angle: 1 - cos(2 theta) loses its digits where theta is near a multiple of
+pi, as in the forbidden ell = 0 tail, where it took 4.5 times the
+right-hand-side calls (N = 3, q = 5, eps_tilde = 1e-3, nu = -0.5).
+
+For ell >= 2 and potential_scale > 0 the potential is positive, so
+L_ell < -Delta_ell, and by min-max the lowest eigenvalue of the mode lies
+strictly below j_{m,1}^2, m = ell + N/2 - 1, the mode-ell Dirichlet
+eigenvalue of the Laplacian on the unit ball (Courant and Hilbert I,
+ch. VI; DLMF 10.21).  As eps_tilde -> 0 it tends to that bound from below:
+from 19% to 1e-14 relative for ell = 2 to 4 at the 15 certified points
+of the default sweeps at N = 3 to 7.  So when such a mode has no eigenvalue
+below zero, its search shoots once at nu_j = j_{m,1}^2 / R_tilde^2, an
+upper end of the bracket and a near-exact Newton start, instead of
+expanding from nu = 0.  The count there must be 1; a count of 0
+contradicts the bound and raises IntegrationFailureError.  Of those 45
+searches 43 take 2 to 5 shoots, counting the one at nu = 0, and two take
+6 and 8 (N = 7, q = 2.4, eps_tilde = 1e-2, ell = 3 and 2, gaps of 11% and
+19%), against 6 to 10 from nu = 0.  The certificates of a default sweep
+take 46 to 63 mode shoots per cell instead of 90 to 94.  Modes with
+eigenvalues below zero, and potential_scale <= 0 (at 0 the bound is the
+root itself), keep the start at nu = 0.
 
 Each shoot runs Hairer's compiled DOP853 on a long-lived integrator of
 bnlab.dop853, the runner of the base shoot too, with rtol = 1e-14 below the
@@ -93,6 +111,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import jv
 
 from .constants import Params
 from .dop853 import Dop853
@@ -305,8 +325,34 @@ def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
             -float(y[2] + nu * y[4]))
 
 
+@functools.cache
+def _bessel_zero(m: float) -> float:
+    """j_{m,1}, the first positive zero of J_m, for m > 1/2.
+
+    The bracket [a, a + pi], a = m + 1.8557571 m^(1/3), holds j_{m,1} and
+    no other zero: a is Qu and Wong's lower bound on j_{m,1}, their upper
+    bound lies 1.0331 m^(-1/3) < pi above it (Trans. AMS 351, 1999; DLMF
+    10.21(vii)), and for m > 1/2 consecutive zeros of J_m lie more than pi
+    apart, by Sturm comparison of sqrt(x) J_m(x) with sin(x).
+    """
+    a = m + 1.8557570814892386 * m ** (1.0 / 3.0)
+    return brentq(lambda x: jv(m, x), a, a + math.pi, xtol=1e-15,
+                  rtol=4.0 * np.finfo(float).eps)
+
+
+def _dirichlet_bound(op: ModeOperator):
+    """j_{m,1}^2, m = ell + N/2 - 1, for ell >= 2 and potential_scale > 0,
+    else None: the mode-ell Dirichlet eigenvalue of the Laplacian on the
+    unit ball, strictly above the mode's lowest eigenvalue (unit-ball
+    units; the module docstring says why)."""
+    if op.ell < 2 or not op.potential_scale > 0.0:
+        return None
+    return _bessel_zero(op.ell + op.params.N / 2.0 - 1.0) ** 2
+
+
 def _eigenvalue_by_index(op: ModeOperator, shoot, j: int, lo: float,
-                         target: float, nu_floor: float) -> float:
+                         target: float, nu_floor: float,
+                         nu: float = 0.0) -> float:
     """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
 
     shoot(nu) is a memoised mode shoot that returns the count of
@@ -317,14 +363,14 @@ def _eigenvalue_by_index(op: ModeOperator, shoot, j: int, lo: float,
     keeps a bracket [lo, hi].  A Newton step is taken when it lands inside
     the bracket and either keeps the direction of the last step or is at
     most half the step before it; otherwise the search bisects, or expands
-    x4 while there is no upper end.  The search starts at nu = 0, whose
-    shoot the count has already made, and stops once a step is within
-    _XTOL_REL of max(|nu|, nu_floor) (see there).
+    x4 while there is no upper end.  The search starts at nu, a shoot the
+    caller has already made (nu = 0, or the Dirichlet bound), and stops
+    once a step is within _XTOL_REL of max(|nu|, nu_floor) (see there).
     """
     hi = math.inf
     # dx is the last step (nu -= dx) and dx_old the one before; the first
     # expansion goes to lambda = 4 in unit-ball units
-    nu, dx, dx_old = 0.0, -1.0 / op.R_tilde**2, math.inf
+    dx, dx_old = -1.0 / op.R_tilde**2, math.inf
     for _ in range(_SEARCH_MAXITER):
         count, f, df = shoot(nu)
         if f == target:
@@ -366,11 +412,22 @@ def eigenvalues_near_zero(op: ModeOperator):
         kernel = functools.cache(lambda nu: _shoot_kernel(op, nu))
         nu_above = _eigenvalue_by_index(op, kernel, 0, 0.0, 0.0, 0.0)
         return None, nu_above * R2, kernel(0.0)[0]
-    # one integration per nu: the search above zero starts from nu = 0
+    # one integration per nu: the search above zero starts from nu = 0,
+    # or from the Dirichlet bound, an upper end and a near-exact Newton start
     angle = functools.cache(lambda nu: _counted_angle(op, nu))
     m0 = angle(0.0)[0]
+    nu = 0.0
+    bound = _dirichlet_bound(op)
+    if bound is not None and m0 == 0:
+        nu = bound / R2
+        count = angle(nu)[0]
+        if count <= m0:
+            raise IntegrationFailureError(
+                f"Sturm count {count} at the Dirichlet bound nu = {nu} "
+                f"does not exceed the count {m0} at nu = 0"
+            )
     nu_above = _eigenvalue_by_index(op, angle, m0, 0.0, (m0 + 1) * math.pi,
-                                    _NU_RESOLVED)
+                                    _NU_RESOLVED, nu)
     below = None
     if m0 > 0:
         # eigenvalues in [nu_w, 0): m0 minus the count at nu_w
@@ -407,7 +464,8 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     distance >= tol from zero and the distances do not fall from ell = 2 to
     ell_max, the centrifugal monotonicity that covers ell > ell_max; the
     report carries per-mode distances, whether each is resolved
-    (|lambda| / R_tilde^2 >= _NU_RESOLVED), and the monotonicity check."""
+    (|lambda| / R_tilde^2 >= _NU_RESOLVED), the Dirichlet bound of each
+    mode ell >= 2 when potential_scale > 0, and the monotonicity check."""
     check_certificate_options(ell_max, tol, potential_scale)
     report = {"per_mode": {}}
     min_abs = []
@@ -427,6 +485,9 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
             # kernel shoot's error is relative to lambda_1
             "resolved": (_carries_kernel(op)
                          or dist >= _NU_RESOLVED * op.R_tilde**2),
+            # j_{m,1}^2, above the mode's lowest eigenvalue; None where it
+            # does not apply
+            "dirichlet_bound": _dirichlet_bound(op),
         }
     report["monotone_from_ell2"] = bool(
         all(min_abs[i] <= min_abs[i + 1] for i in range(2, ell_max))

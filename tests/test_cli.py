@@ -311,6 +311,13 @@ def test_spectrum_command(tmp_path):
     assert m["nearest_below_zero"] is None
     assert m["no_eigenvalue_in"] == [-m["nearest_above_zero"], 0.0]
     assert not any("no_eigenvalue_in" in m for m in doc["modes"][1:])
+    # the Dirichlet bound j_{m,1}^2, m = ell + N/2 - 1, of the ell >= 2 mode
+    assert ["dirichlet_bound" in m for m in doc["modes"]] == [False, False,
+                                                              True]
+    m = doc["modes"][2]
+    assert m["dirichlet_bound"] == pytest.approx(6.987932000500520**2,
+                                                 rel=1e-14)
+    assert m["nearest_above_zero"] < m["dirichlet_bound"]
 
 
 def test_spectrum_reports_eigenvalue_inside_window(tmp_path):

@@ -1,13 +1,14 @@
 """Spectrum of the mode operators by Sturm shooting: Morse index, the
 small positive eigenvalue of the translation mode, and the certificate."""
 
+import functools
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import jn_zeros
+from scipy.special import jn_zeros, spherical_jn
 
 import bnlab.linearization
 from bnlab import (
@@ -20,7 +21,7 @@ from bnlab import (
     solution_at,
 )
 from bnlab.cli import EXIT_NUMERICAL, main
-from bnlab.linearization import _shoot_mode
+from bnlab.linearization import _bessel_zero, _shoot_mode
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,77 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
         assert _shoot_mode(op, mid)[0] // math.pi == k
 
 
+def test_bessel_zero_matches_tabulated_zeros():
+    """j_{m,1} from the proven bracket: at integer m = 2..40 it matches
+    scipy's jn_zeros, and at half-integer m = k + 1/2 the first zero of the
+    spherical Bessel function j_k, which lies between j_{k,1} and
+    j_{k+1,1} as j_{m,1} grows with m."""
+    for m in range(2, 41):
+        assert _bessel_zero(float(m)) == pytest.approx(jn_zeros(m, 1)[0],
+                                                       rel=1e-15)
+    for k in range(2, 40):
+        ref = brentq(lambda x: spherical_jn(k, x), jn_zeros(k, 1)[0],
+                     jn_zeros(k + 1, 1)[0], xtol=1e-15, rtol=1e-15)
+        assert _bessel_zero(k + 0.5) == pytest.approx(ref, rel=1e-15)
+    assert _bessel_zero(2.5) == pytest.approx(5.763459196894550, rel=1e-15)
+
+
+def test_dirichlet_bound_applies_to_ell_ge2_with_positive_potential(
+        sol53_mid):
+    """The bound is j_{m,1}^2, m = ell + N/2 - 1, for ell >= 2 and
+    potential_scale > 0; at potential_scale 0 it is the root itself, and it
+    is not used."""
+    p, sol = sol53_mid
+    bound = bnlab.linearization._dirichlet_bound
+    assert bound(build_mode_operator(p, sol, 3)) == pytest.approx(
+        _bessel_zero(4.5) ** 2, rel=1e-15)
+    assert bound(build_mode_operator(p, sol, 1)) is None
+    for scale in (0.0, -1.0):
+        assert bound(build_mode_operator(p, sol, 2,
+                                         potential_scale=scale)) is None
+
+
+@pytest.mark.parametrize("cell", [(3, 5.0), (4, 3.0), (5, 3.0), (6, 2.6),
+                                  (7, 2.4)], ids=str)
+def test_search_from_the_dirichlet_bound(cell):
+    """For ell = 2..4 at eps_tilde = 1e-2, 1e-5 and 1e-8 the count at
+    nu_j = j_{m,1}^2 / R_tilde^2 is m0 + 1 = 1, the eigenvalue lies below
+    j_{m,1}^2, and where it is resolved it agrees to within 1e-11 relative
+    with the same search started at nu = 0 (3.7e-12 measured)."""
+    lin = bnlab.linearization
+    p = Params(*cell)
+    for et in (1e-2, 1e-5, 1e-8):
+        sol = solution_at(p, et)
+        for ell in (2, 3, 4):
+            op = build_mode_operator(p, sol, ell)
+            j2 = lin._dirichlet_bound(op)
+            R2 = op.R_tilde**2
+            assert _count(op, 0.0) == 0
+            assert _count(op, j2 / R2) == 1, (cell, et, ell)
+            lam = eigenvalues_near_zero(op)[1]
+            assert lam < j2, (cell, et, ell)
+            if lam / R2 < lin._NU_RESOLVED:
+                continue
+            angle = functools.partial(lin._counted_angle, op)
+            ref = lin._eigenvalue_by_index(op, angle, 0, 0.0, math.pi,
+                                           lin._NU_RESOLVED) * R2
+            assert lam == pytest.approx(ref, rel=1e-11), (cell, et, ell)
+
+
+def test_ell_ge2_reaches_the_bound_at_the_deep_end():
+    """At N = 3, q = 5, eps_tilde = 1e-8 the modes ell = 2..4 lie about
+    229 / R_tilde^2 = 3e-16 relative below j_{m,1}^2.  The search from the
+    bound stays within 1e-12 of it (1.2e-14 measured); from nu = 0 it
+    ended 7.5e-10 off, by bisection where the angle is rough."""
+    p = Params(3, 5.0)
+    sol = solution_at(p, 1e-8)
+    for ell in (2, 3, 4):
+        op = build_mode_operator(p, sol, ell)
+        lam = eigenvalues_near_zero(op)[1]
+        j2 = bnlab.linearization._dirichlet_bound(op)
+        assert abs(lam / j2 - 1.0) <= 1e-12, ell
+
+
 @pytest.fixture
 def shots(monkeypatch):
     """The nu of every mode shoot made while the test runs, by shoot: the
@@ -230,8 +302,8 @@ def test_mode_search_in_few_shoots(sol53_mid, shots, ell):
     """Newton on the carried nu-derivative finds the eigenvalue above zero
     in a few shoots, counting the one at nu = 0, and no nu is shot twice:
     ell = 1 on the kernel shoot alone (3 measured), ell = 2 on the Pruefer
-    angle."""
-    shoot, budget = {1: ("_shoot_kernel", 5), 2: ("_shoot_mode", 8)}[ell]
+    angle from the Dirichlet bound (4 measured, 7 from nu = 0)."""
+    shoot, budget = {1: ("_shoot_kernel", 5), 2: ("_shoot_mode", 5)}[ell]
     p, sol = sol53_mid
     eigenvalues_near_zero(build_mode_operator(p, sol, ell))
     nus = shots.pop(shoot)
@@ -275,9 +347,9 @@ def test_certificate_shoots_no_deep_nu(monkeypatch):
     """At N = 3, q = 5, eps_tilde = 1e-5 (R_tilde = 8.7e5) no shoot of the
     certificate goes below lambda = -100: the Morse eigenvalue (nu of about
     -1.2, behind a forbidden tail about 1e6 long) is not searched.  The whole
-    certificate takes at most 18 mode shoots (16 measured: 6 for ell = 0,
-    3 kernel shoots for ell = 1 and 7 for ell = 2), at most 9 of them for
-    ell = 0."""
+    certificate takes at most 13 mode shoots (11 measured: 6 for ell = 0,
+    3 kernel shoots for ell = 1 and 2 for ell = 2, whose search starts at
+    the Dirichlet bound), at most 9 of them for ell = 0."""
     p = Params(3, 5.0)
     sol = solution_at(p, 1e-5)
     ells = []
@@ -294,7 +366,7 @@ def test_certificate_shoots_no_deep_nu(monkeypatch):
     _, rep = nondegeneracy_certificate(p, sol, ell_max=2)
     assert [m["n_negative"] for m in rep["per_mode"].values()] == [1, 0, 0]
     assert rep["per_mode"][0]["nearest_below"] is None
-    assert len(ells) <= 18 and ells.count(0) <= 9
+    assert len(ells) <= 13 and ells.count(0) <= 9
 
 
 def _extra_node_below(op, nu):
@@ -310,11 +382,14 @@ def _extra_node_below(op, nu):
     ("_SEARCH_MAXITER", 3),
     # an unreachable tolerance: DOP853 stops with return code -3
     ("_MODE_RTOL", 1e-30),
+    # a Dirichlet bound below the ell = 2 eigenvalue: its count is 0
+    ("_bessel_zero", lambda m: 0.9 * _bessel_zero(m)),
 ])
 def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
                                              fault):
     """A Sturm count that falls as nu grows, a root solve that does not
-    converge and a failed mode integration raise instead of returning a
+    converge, a failed mode integration and a count at the Dirichlet bound
+    that does not exceed the count at zero raise instead of returning a
     number, and the CLI reports them in one line (the integrator's own
     warning is not printed)."""
     monkeypatch.setattr(bnlab.linearization, name, fault)
@@ -346,8 +421,9 @@ def test_mode_operator_validation(sol53_mid):
 def test_default_sweep_certificates_within_shoot_budget(request, shots,
                                                         cell):
     """The certificates of a default sweep (ell_max = 4 at eps_tilde = 1e-2,
-    1e-5 and 1e-8) take at most 103 mode shoots per cell, Pruefer and
-    kernel shoots together (90 to 94 measured, 8 of them for ell = 1).  No
+    1e-5 and 1e-8) take at most 70 mode shoots per cell, Pruefer and
+    kernel shoots together (46 to 63 measured, 8 of them for ell = 1; 90 to
+    94 when the ell >= 2 searches started at nu = 0).  No
     verdict is asserted: the deep points are not certified yet, as the
     fixed tol meets lambda_1 ~ mu^-2."""
     p = Params(*cell)
@@ -361,7 +437,7 @@ def test_default_sweep_certificates_within_shoot_budget(request, shots,
         nus.clear()
     for sol in sols:
         nondegeneracy_certificate(p, sol)
-    assert sum(map(len, shots.values())) <= 103
+    assert sum(map(len, shots.values())) <= 70
 
 
 def test_morse_index_one(sol53_mid):

@@ -50,6 +50,11 @@ COMMANDS = [
     (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
       "--ell-max", "4"],
      {"--output": "out.json"}),
+    # m0 > 0 at ell = 2 and 3: their searches start at nu = 0, ell = 4 at the
+    # Dirichlet bound
+    (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
+      "--ell-max", "4", "--potential-scale", "3"],
+     {"--output": "out.json"}),
     (["verify"], {"--output": "out.json"}),
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
@@ -61,9 +66,10 @@ COMMANDS = [
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1", "--ell-max", "2"],
      {"--output": "out.json", "--records": "records.csv"}),
-    # the default sweep: three certificates at ell_max = 4
-    (["sweep", "--n", "5", "--q", "3"],
-     {"--output": "out.json", "--records": "records.csv"}),
+    # the default sweeps: three certificates each at ell_max = 4
+    *((["sweep", "--n", n, "--q", "3"],
+       {"--output": "out.json", "--records": "records.csv"})
+      for n in ("4", "5")),
 ]
 
 _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
