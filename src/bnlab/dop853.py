@@ -41,6 +41,11 @@ class Dop853:
         # the binding passes the right-hand side's args to solout too
         return self._solout(s, y)
 
+    @property
+    def calls(self) -> int:
+        """Right-hand-side calls of the last run, IWORK(17)."""
+        return int(self._ode._integrator.iwork[16])
+
     def run(self, args, y0, s0, s1, rtol, atol, first_step=0.0, solout=None):
         """Integrate y' = fun(s, y, *args) from y(s0) = y0 towards s1.
 

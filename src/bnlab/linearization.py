@@ -50,6 +50,42 @@ take 46 to 63 mode shoots per cell instead of 90 to 94.  Modes with
 eigenvalues below zero, and potential_scale <= 0 (at 0 the bound is the
 root itself), keep the start at nu = 0.
 
+Every shoot starts at s0 = 0.5 L, L = _length_scale(eps_tilde), from the
+convergent power series in s^2 of its solutions (Frobenius; Coddington and
+Levinson, Theory of Ordinary Differential Equations, 1955, ch. 4), exact to
+rounding.  The profile u = sum a_k s^{2k} and the potential W come from
+a_{k+1} (2k+2)(2k+N) = -[u^{2*-1} + eps_tilde u^{q-1}]_k, with the powers of
+the series by J. C. P. Miller's recurrence; they do not depend on nu and
+are cached per (params, eps_tilde, potential_scale).  Every mode solution
+comes from one recursion,
+
+    b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k):
+
+v = s^ell B(s^2) with src = 0 gives theta(s0) = atan2(B, ell B + 2 x B'),
+x = s^2; dB/dnu, with src = b, gives the exact theta_nu(s0); the kernel
+shoot's y and w below take src = c u' and src = y.  Each series stops on a
+term-decay test, after 12 to 20 terms at the default cells, and raises
+IntegrationFailureError if it has not converged in 60 terms, or if the
+mode solution has a zero in (0, s0].  Where |nu| + |W(0)| = omega^2 is
+large (a free-Laplacian shoot far above zero, a large potential_scale) s0
+shrinks to 2 / omega, which keeps the series' terms bounded.  The shoot no
+longer integrates s < s0, where the old start at 1e-3 L spent 10% to 44%
+of its steps (ell = 0 and 2 at nu = 0 at three cells).  At N = 5,
+eps_tilde = 1e-2, nu = 0 one shoot takes 2949, 2563 and 2612
+right-hand-side calls for ell = 0, 1 (the kernel shoot) and 2, against
+4283, 4577 and 4626 from the old start, and 5299, 4970 and 5150 against
+6320, 6493 and 6902 at N = 4, eps_tilde = 1e-7.  The old two-term start also
+erred for ell = 0: theta0 = atan2(1, 0) dropped the O(s0^2) term of the
+angle, which mixes in the singular solution s^{2-N}, and the tail at small
+eps_tilde amplifies it.  At N = 3, q = 5 it put lambda_0 at 2.4684492 for
+eps_tilde = 1e-5 and 3.342 for 1e-8, against 2.4674870 and 2.4674217
+from the series, whose gap to the N = 3 limit pi^2 / 4 = 2.4674011 shrinks
+tenfold per decade of eps_tilde.  Moving the series start from 0.5 L to
+0.1 L moves lambda_0 by 1.2e-8 relative at (N, q, eps_tilde) =
+(3, 5, 1e-6) and 7e-11 at (4, 3, 1e-5); ell >= 1 values moved by at most
+1.3e-11 relative from the old start, as much as series starts from 0.1 L
+to 0.5 L spread among themselves.
+
 Each shoot runs Hairer's compiled DOP853 on a long-lived integrator of
 bnlab.dop853, the runner of the base shoot too, with rtol = 1e-14 below the
 2.2e-14 floor to which solve_ivp clamps.  Its stiffness test is off: in
@@ -74,8 +110,9 @@ cancels u' against its own rounding: in the tail u' ~ s^{1-N} is the
 decaying solution, which a forward shoot loses, so both the value and the
 count go wrong (at N = 4, eps_tilde = 1e-8 its mu^2 lambda_1 reads 9.68
 times the limit, and its count at 2 lambda_1 reads 0).  The kernel shoot
-carries the deviation from u' instead: v = c u' + nu y with c = 1/(2 a2),
-(L_1 - nu) y = c u', and w = dy/dnu with (L_1 - nu) w = y.  lambda_1 is the
+carries the deviation from u' instead: v = c u' + nu y with c = 1/(2 a_1),
+a_1 the s^2 coefficient of u, (L_1 - nu) y = c u', and w = dy/dnu with
+(L_1 - nu) w = y.  lambda_1 is the
 first root of v(R_tilde; nu) = c u'(R_tilde) + nu y(R_tilde; nu), whose
 nu-derivative is y + nu w, and the zero count of v is the number of its
 sign changes at the accepted step ends, 0 at nu = 0 by construction.  The
@@ -108,6 +145,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +165,23 @@ __all__ = [
     "nondegeneracy_certificate",
 ]
 
-_S_START = 1e-3
+# start radius of every mode shoot, in units of _length_scale: the series
+# of the profile converges there about 12-fold per term at N = 3, as the
+# bubble's nearest complex singularity lies at s^2 = -N(N-2) (the module
+# docstring gives the measurements)
+_START = 0.5
+# largest phase omega * s0 of the start, omega^2 = |nu| + |W(0)|: it bounds
+# the growth of the mode series' terms, and s0 shrinks below _START where
+# nu or the potential scale is large
+_START_PHASE = 2.0
+# a series stops after two consecutive terms at s0 below this, relative to
+# its largest term, and raises after _SERIES_TERMS terms
+_SERIES_TOL = 2.0**-56
+_SERIES_TERMS = 60
+# where the start checks that the mode solution has no zero: the powers
+# t^k of t = (s / s0)^2 = 1/16, 2/16, ..., 1
+_ZERO_CHECK = np.linspace(1.0 / 16.0, 1.0, 16)[:, None] ** np.arange(
+    _SERIES_TERMS + 1)
 # relative tolerance of the mode shoots, which run Hairer's DOP853: unlike
 # solve_ivp it takes an rtol below 2.2e-14.  Near zero it sets the absolute
 # error of nu of the Pruefer shoot; the module docstring says why the
@@ -181,19 +235,135 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
     )
 
 
-def _series_start(op: ModeOperator):
-    """Start of every mode shoot: s0, the first step, a2, and the base
-    profile (u, u') at s0 from u = 1 + a2 s^2 + a4 s^4, which matches the
-    ODE through order s^2 at 0."""
-    p, et = op.params, op.eps_tilde
-    scale_len = _length_scale(et)
-    s0 = _S_START * scale_len
-    f0 = 1.0 + et
-    f1 = (p.two_star - 1.0) + et * (p.q - 1.0)
-    a2 = -f0 / (2.0 * p.N)
-    a4 = f0 * f1 / (8.0 * p.N * (p.N + 2.0))
-    return (s0, 1e-4 * scale_len, a2,
-            (1.0 + a2 * s0**2 + a4 * s0**4, 2.0 * a2 * s0 + 4.0 * a4 * s0**3))
+def _decayed(prev: float, last: float, big: float) -> bool:
+    """Whether the last two terms of a series at s0 are both below
+    _SERIES_TOL relative to its largest term, big."""
+    return big > 0.0 and max(abs(prev), abs(last)) <= _SERIES_TOL * big
+
+
+def _unconverged(what: str) -> IntegrationFailureError:
+    return IntegrationFailureError(
+        f"{what} series did not converge in {_SERIES_TERMS} terms")
+
+
+@functools.cache
+def _profile_series(p: Params, eps_tilde: float, potential_scale: float):
+    """Taylor coefficients of the base profile, u = sum A_k t^{2k}, and of
+    the potential, W = sum W_k t^{2k}, in t = s / _length_scale(eps_tilde).
+
+    A_{k+1} (2k+2)(2k+N) = -L^2 [u^{2*-1} + eps_tilde u^{q-1}]_k from
+    A_0 = 1, with L = _length_scale, and W = potential_scale
+    [(2*-1) u^{2*-2} + (q-1) eps_tilde u^{q-2}].  Each power u^a of the
+    series comes from J. C. P. Miller's recurrence, from a u' = a u' u
+    (Henrici, Applied and Computational Complex Analysis I, 1974, 1.6):
+    P_k = sum_{j=1..k} ((a+1) j - k) A_j P_{k-j} / k.  The coefficients
+    end where both series have decayed at t = _START, so they serve every
+    start radius up to _START L.  The W_k are those of L^2 W.
+    """
+    L2 = _length_scale(eps_tilde) ** 2
+    exps = np.array([[p.two_star - 1.0], [p.q - 1.0],
+                     [p.two_star - 2.0], [p.q - 2.0]])
+    a = np.zeros(_SERIES_TERMS + 1)
+    powers = np.zeros((4, _SERIES_TERMS + 1))
+    a[0] = powers[:, 0] = 1.0
+    for k in range(_SERIES_TERMS):
+        if k:
+            j = np.arange(1, k + 1)
+            powers[:, k] = (((exps + 1.0) * j - k) * a[j]
+                            * powers[:, k - j]).sum(axis=1) / k
+        a[k + 1] = -L2 * (powers[0, k] + eps_tilde * powers[1, k]) / (
+            (2.0 * k + 2.0) * (2.0 * k + p.N))
+        w = potential_scale * L2 * ((p.two_star - 1.0) * powers[2, :k + 1]
+                                    + (p.q - 1.0) * eps_tilde
+                                    * powers[3, :k + 1])
+        terms = np.array([a[:k + 1], w]) * _START ** (2.0 * np.arange(k + 1))
+        if k and all(not t.any() or _decayed(t[-2], t[-1], np.abs(t).max())
+                     for t in terms):
+            return a[:k + 1], w
+    raise _unconverged("profile")
+
+
+def _start(op: ModeOperator, nu: float):
+    """Where a mode shoot at nu starts, and what the series give there:
+    s0, x0 = s0^2, the profile's c_k = a_k x0^k of u = sum a_k s^{2k}, the
+    potential's x0^{k+1} w_k of W = sum w_k s^{2k}, and (u, u') at s0.
+
+    s0 = _START * _length_scale, or _START_PHASE / omega where that is
+    smaller, omega^2 = |nu| + |W(0)|.
+    """
+    L = _length_scale(op.eps_tilde)
+    a, w = _profile_series(op.params, op.eps_tilde, op.potential_scale)
+    s0 = _START * L
+    omega = math.sqrt(abs(nu) + abs(w[0]) / L**2)
+    if omega * s0 > _START_PHASE:
+        s0 = _START_PHASE / omega
+    r = (s0 / L) ** 2
+    rk = r ** np.arange(len(a))
+    c = a * rk
+    u0 = (float(c.sum()), float(2.0 * (np.arange(len(c)) @ c) / s0))
+    return s0, s0 * s0, c, w * (rk * r), u0
+
+
+def _frobenius_pair(x0w, x0: float, nu: float, ell: int, N: int,
+                    b0: float, src):
+    """Scaled coefficients b_k x0^k of two series solutions
+    s^ell sum b_k s^{2k} of the mode-ell equation with a source,
+
+        b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k),
+
+    B from b_0 = b0 with src[k] = x0^{k+1} src_k, and D = dB/dnu, from
+    d_0 = 0 with src_k = b_k, as src does not depend on nu.
+    x0w[j] = x0^{j+1} w_j.  Both end once their terms have decayed;
+    IntegrationFailureError if they have not after _SERIES_TERMS terms.
+    """
+    # Python floats: the terms are few, and numpy calls on them cost more
+    w, xn = x0w.tolist(), x0 * nu
+    b, d = [b0], [0.0]
+    big_b, big_d = abs(b0), 0.0
+    for k in range(_SERIES_TERMS):
+        # [W b]_k = sum_j w_j b_{k-j}
+        cb = sum(map(operator.mul, w, reversed(b))) + xn * b[k] + src[k]
+        cd = sum(map(operator.mul, w, reversed(d))) + xn * d[k] + x0 * b[k]
+        den = (2.0 * k + 2.0) * (2.0 * ell + 2.0 * k + N)
+        b.append(-cb / den)
+        d.append(-cd / den)
+        big_b, big_d = max(big_b, abs(b[-1])), max(big_d, abs(d[-1]))
+        if (_decayed(b[-2], b[-1], big_b)
+                and _decayed(d[-2], d[-1], big_d)):
+            return np.array(b), np.array(d)
+    raise _unconverged("mode")
+
+
+def _check_no_zero(coeffs, what: str) -> None:
+    """IntegrationFailureError unless sum coeffs[k] t^k > 0 at every t of
+    _ZERO_CHECK: a series solution, divided by s^ell, must have no zero
+    in (0, s0], checked at those t = (s / s0)^2."""
+    if not (_ZERO_CHECK[:, :len(coeffs)] @ coeffs > 0.0).all():
+        raise IntegrationFailureError(
+            f"the {what} has a zero inside the series start")
+
+
+def _mode_start(op: ModeOperator, nu: float):
+    """s0 and the mode shoot's state (u, u', theta, theta_nu) there.
+
+    v = s^ell B(x), x = s^2, so s v' = s^ell (ell B + 2 x B') and
+    theta = atan2(B, ell B + 2 x B'); theta_nu follows from D = dB/dnu.
+    """
+    s0, x0, _, x0w, u0 = _start(op, nu)
+    b, d = _frobenius_pair(x0w, x0, nu, op.ell, op.params.N, 1.0,
+                           [0.0] * _SERIES_TERMS)
+    _check_no_zero(b, "mode solution")
+    k = op.ell + 2.0 * np.arange(b.size)
+    P, Q, Pn, Qn = b.sum(), k @ b, d.sum(), k @ d
+    return s0, (*u0, math.atan2(P, Q), (Q * Pn - P * Qn) / (P * P + Q * Q))
+
+
+def _mode_args(op: ModeOperator, nu: float, off: float) -> tuple:
+    p = op.params
+    return (op.eps_tilde, op.centrifugal, p.N - 1.0, p.N - 2.0,
+            p.two_star - 2.0, p.q - 2.0,
+            op.potential_scale * (p.two_star - 1.0),
+            op.potential_scale * (p.q - 1.0), nu, off)
 
 
 def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
@@ -235,24 +405,15 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     eigenvalues below nu.  theta_nu = d theta / d nu >= 0 is carried as a
     fourth state, by the variational equation of the angle's equation.
     """
-    p = op.params
-    # theta_nu starts at 0 and stays >= 0 (Sturm comparison), but dop853
-    # takes one scalar atol, 1e-160 here, and stalls on a state that starts
-    # at exactly 0.  z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale
-    # of theta_nu (the source term s sin^2 integrates to about
-    # R_tilde^2 / 4), so its relative error control is meaningful from the
-    # first step.
+    # theta_nu stays >= 0 (Sturm comparison), but dop853 takes one scalar
+    # atol, 1e-160 here, and theta_nu(s0) is as small as s0^2.
+    # z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale of theta_nu (the
+    # source term s sin^2 integrates to about R_tilde^2 / 4), so its
+    # relative error control is meaningful from the first step.
     off = op.R_tilde**2
-
-    s0, first_step, _, u0 = _series_start(op)
-    # v = s^ell near 0 gives tan(theta) = 1/ell, i.e. theta = pi/2 at ell = 0
-    y0 = (*u0, math.atan2(1.0, op.ell), off)
-    args = (op.eps_tilde, op.centrifugal, p.N - 1.0, p.N - 2.0,
-            p.two_star - 2.0, p.q - 2.0,
-            op.potential_scale * (p.two_star - 1.0),
-            op.potential_scale * (p.q - 1.0), nu, off)
-    y, _ = _DOP853.run(args, y0, s0, op.R_tilde, _MODE_RTOL, 1e-160,
-                       first_step=first_step)
+    s0, (u, du, th, th_nu) = _mode_start(op, nu)
+    y, _ = _DOP853.run(_mode_args(op, nu, off), (u, du, th, th_nu + off),
+                       s0, op.R_tilde, _MODE_RTOL, 1e-160)
     return float(y[2]), float(y[3]) - off
 
 
@@ -261,6 +422,29 @@ def _counted_angle(op: ModeOperator, nu: float) -> tuple[int, float, float]:
     of eigenvalues below nu, theta(R_tilde) and its nu-derivative."""
     th, dth = _shoot_mode(op, nu)
     return int(th // math.pi), th, dth
+
+
+def _kernel_start(op: ModeOperator, nu: float):
+    """s0, c = 1 / (2 a_1) and the kernel shoot's state
+    (u, u', y, y', w, w') at s0, for ell = 1: y = s Y(x), x = s^2, with
+    the source c u' = s sum 2 c (k+1) a_{k+1} x^k, and w = dy/dnu with
+    the source y."""
+    s0, x0, cs, x0w, u0 = _start(op, nu)
+    # c u' ~ s near 0
+    c = 0.5 * x0 / cs[1]
+    src = np.zeros(_SERIES_TERMS + 1)
+    src[:len(cs) - 1] = 2.0 * c * np.arange(1, len(cs)) * cs[1:]
+    y, w = _frobenius_pair(x0w, x0, nu, 1, op.params.N, 0.0, src.tolist())
+    # v / s = c u' / s + nu y / s, in powers of (s / s0)^2
+    _check_no_zero(src[:y.size] / x0 + nu * y, "kernel solution")
+    k = 2.0 * np.arange(y.size) + 1.0
+    return s0, c, (*u0, s0 * y.sum(), k @ y, s0 * w.sum(), k @ w)
+
+
+def _kernel_args(op: ModeOperator, nu: float, c: float) -> tuple:
+    p = op.params
+    return (op.eps_tilde, p.N - 1.0, p.two_star - 2.0, p.q - 2.0,
+            p.two_star - 1.0, p.q - 1.0, nu, c)
 
 
 def _kernel_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, c):
@@ -294,20 +478,14 @@ def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
     -v(R_tilde) with its nu-derivative, by one shoot.
 
     u' solves the ell = 1 equation exactly at nu = 0, so v carries it and
-    the shoot integrates only the deviation y, with (L_1 - nu) y = c u'
-    from y = -s^3 / (2N+4), and w = dy/dnu, with (L_1 - nu) w = y from
-    w = s^5 / ((2N+4)(4N+16)).  c = 1 / (2 a2) makes v ~ s near 0.  The
-    count is the number of sign changes of v at the accepted step ends,
-    R_tilde included; at nu = 0 it is 0, as v = c u' > 0.  -v(R_tilde)
-    rises through zero at lambda_1, as the Pruefer angle rises through pi.
+    the shoot integrates only the deviation y, with (L_1 - nu) y = c u',
+    and w = dy/dnu, with (L_1 - nu) w = y, both from their series at s0
+    (_kernel_start).  c = 1 / (2 a_1) makes v ~ s near 0.  The count is
+    the number of sign changes of v at the accepted step ends, R_tilde
+    included; at nu = 0 it is 0, as v = c u' > 0.  -v(R_tilde) rises
+    through zero at lambda_1, as the Pruefer angle rises through pi.
     """
-    p = op.params
-    s0, first_step, a2, u0 = _series_start(op)
-    c = 0.5 / a2
-    d1 = 2.0 * p.N + 4.0
-    d2 = d1 * (4.0 * p.N + 16.0)
-    y0 = (*u0, -s0**3 / d1, -3.0 * s0**2 / d1,
-          s0**5 / d2, 5.0 * s0**4 / d2)
+    s0, c, y0 = _kernel_start(op, nu)
     count, neg = 0, False
 
     def sign_changes(s, y):
@@ -315,12 +493,10 @@ def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
         if (c * y[1] + nu * y[2] < 0.0) != neg:
             count, neg = count + 1, not neg
 
-    args = (op.eps_tilde, p.N - 1.0, p.two_star - 2.0, p.q - 2.0,
-            p.two_star - 1.0, p.q - 1.0, nu, c)
-    # atol 1e-300 leaves pure relative control: y and w start at s0^3 and
-    # s0^5, and u' is O(R_tilde^{1-N}) at the end
-    y, _ = _KERNEL_DOP853.run(args, y0, s0, op.R_tilde, _MODE_RTOL, 1e-300,
-                              first_step=first_step, solout=sign_changes)
+    # atol 1e-300 leaves pure relative control: y and w are O(s0^3) and
+    # O(s0^5) at the start, and u' is O(R_tilde^{1-N}) at the end
+    y, _ = _KERNEL_DOP853.run(_kernel_args(op, nu, c), y0, s0, op.R_tilde,
+                              _MODE_RTOL, 1e-300, solout=sign_changes)
     return (count, -float(c * y[1] + nu * y[2]),
             -float(y[2] + nu * y[4]))
 

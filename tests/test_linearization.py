@@ -3,6 +3,7 @@ small positive eigenvalue of the translation mode, and the certificate."""
 
 import functools
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from scipy.special import jn_zeros, spherical_jn
 import bnlab.linearization
 from bnlab import (
     DomainError,
+    IntegrationFailureError,
     Params,
     build_mode_operator,
     default_grid,
@@ -117,12 +119,15 @@ def test_window_count_at_long_scaled_radius():
     eigenvalue lies at nu of about -1.2, behind a forbidden tail about 1e5
     long.  The count at the window edge nu_w = -|nu_above| sees no
     eigenvalue in [nu_w, 0) without crossing that tail: sqrt(-nu_w)
-    R_tilde = sqrt(|lambda_above|) = 1.6."""
+    R_tilde = sqrt(|lambda_above|) = 1.6.  lambda_above = 2.4682590 does
+    not depend on where the shoot starts (2.46825897 also from a two-term
+    start at s0 = 1e-6; 2.4683552 from one at 1e-3, which mixes in the
+    singular solution s^{2-N})."""
     p = Params(3, 5.0)
     op = build_mode_operator(p, solution_at(p, 1e-4), 0)
     below, above, m0 = eigenvalues_near_zero(op)
     assert below is None and m0 == 1
-    assert above == pytest.approx(2.4683552, rel=1e-6)
+    assert above == pytest.approx(2.4682590, rel=1e-6)
     assert _count(op, -above / op.R_tilde**2) == m0
 
 
@@ -340,7 +345,11 @@ def test_ell0_search_in_few_shoots(sol53_mid, shots):
     nus = shots["_shoot_mode"]
     assert len(nus) <= 8 + 1
     assert len(set(nus)) == len(nus)
-    assert nus[-1] == -above / op.R_tilde**2 == min(nus)
+    # above = nu_above R_tilde^2 is rounded, so -above / R_tilde^2 is the
+    # window edge -|nu_above| only to a few ulps
+    assert nus[-1] == min(nus)
+    assert nus[-1] == pytest.approx(-above / op.R_tilde**2,
+                                    rel=4 * sys.float_info.epsilon)
 
 
 def test_certificate_shoots_no_deep_nu(monkeypatch):
@@ -384,14 +393,16 @@ def _extra_node_below(op, nu):
     ("_MODE_RTOL", 1e-30),
     # a Dirichlet bound below the ell = 2 eigenvalue: its count is 0
     ("_bessel_zero", lambda m: 0.9 * _bessel_zero(m)),
+    # too few terms for the series start to converge
+    ("_SERIES_TERMS", 3),
 ])
 def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
                                              fault):
     """A Sturm count that falls as nu grows, a root solve that does not
-    converge, a failed mode integration and a count at the Dirichlet bound
-    that does not exceed the count at zero raise instead of returning a
-    number, and the CLI reports them in one line (the integrator's own
-    warning is not printed)."""
+    converge, a failed mode integration, a count at the Dirichlet bound
+    that does not exceed the count at zero and a series start that does
+    not converge raise instead of returning a number, and the CLI reports
+    them in one line (the integrator's own warning is not printed)."""
     monkeypatch.setattr(bnlab.linearization, name, fault)
     rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                "--ell-max", "2"])
@@ -530,3 +541,125 @@ def test_ell0_spectrum_converges_at_large_eps_tilde():
     ]
     assert m6 == m8 == 1
     assert a8 == pytest.approx(a6, rel=1e-5)
+
+
+@pytest.fixture
+def scale_start(monkeypatch):
+    """Scales the start radius of the mode shoots; the profile series, whose
+    length is fixed by the radius, are recomputed on both sides."""
+    lin = bnlab.linearization
+
+    def scale(factor):
+        monkeypatch.setattr(lin, "_START", factor * lin._START)
+        lin._profile_series.cache_clear()
+
+    yield scale
+    lin._profile_series.cache_clear()
+
+
+@pytest.mark.parametrize("cell,tol", [((3, 5.0, 1e-6), 1e-7),
+                                      ((4, 3.0, 1e-5), 2e-9)], ids=str)
+def test_ell0_eigenvalue_does_not_depend_on_the_start(scale_start, cell,
+                                                      tol):
+    """The series start is exact to rounding, so moving it from
+    s0 = 0.5 to 0.1 (in units of the profile's length) moves lambda_0 by
+    integration noise only (1.2e-8 and 7e-11 measured).  The old two-term
+    start at 1e-3 mixed in the singular solution s^{2-N}: moving it to
+    1e-4 moved lambda_0 by 3.9e-3 and 1.4e-8."""
+    N, q, et = cell
+    p = Params(N, q)
+    op = build_mode_operator(p, solution_at(p, et), 0)
+    lam = eigenvalues_near_zero(op)[1]
+    scale_start(0.2)
+    assert abs(eigenvalues_near_zero(op)[1] - lam) <= tol
+
+
+def test_n3_dilation_eigenvalue_gap_shrinks_tenfold_per_decade():
+    """At N = 3 lambda_0 tends to k^2 from above, k the root in (0, pi) of
+    k cot k = 5 - q (ROADMAP item 3's hypothesis), and its relative gap
+    shrinks like eps_tilde: the gap at 1e-4 over the gap at 1e-5 reads
+    9.84, 9.99 and 9.94 at q = 4.6, 5 and 5.7.  From the old start at
+    1e-3 it read 3.1, 0.91 and 0.14, as the start error grew with R_tilde."""
+    for q in (4.6, 5.0, 5.7):
+        k = brentq(lambda k: k / math.tan(k) - (5.0 - q), 1e-9,
+                   math.pi - 1e-9)
+        p = Params(3, q)
+        gaps = [eigenvalues_near_zero(build_mode_operator(
+            p, solution_at(p, et), 0))[1] / k**2 - 1.0 for et in (1e-4, 1e-5)]
+        assert min(gaps) > 0.0, q
+        assert 8.0 <= gaps[0] / gaps[1] <= 12.0, (q, gaps)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_mode_shoot_rhs_call_budget(sol53_mid, ell):
+    """One shoot at nu = 0 from the series start at s0 = 0.5 takes at most
+    3300 right-hand-side calls at N = 5, eps_tilde = 1e-2 (2949, 2563 and
+    2612 measured for ell = 0, 1, 2, the kernel shoot for ell = 1;
+    4283, 4577 and 4626 from the start at 1e-3)."""
+    lin = bnlab.linearization
+    op = build_mode_operator(*sol53_mid, ell)
+    if ell == 1:
+        lin._shoot_kernel(op, 0.0)
+        calls = lin._KERNEL_DOP853.calls
+    else:
+        _shoot_mode(op, 0.0)
+        calls = lin._DOP853.calls
+    assert 0 < calls <= 3300
+
+
+@pytest.fixture(scope="module")
+def sol43_large():
+    p = Params(4, 3.0)
+    return p, solution_at(p, 1e6)
+
+
+@pytest.mark.parametrize("cell", ["5,3,1e-2", "4,3,1e-5", "4,3,1e6"])
+@pytest.mark.parametrize("ell,lam", [(0, -10.0), (0, 10.0), (1, 10.0),
+                                     (2, 10.0), ("kernel", 1.0)], ids=str)
+def test_series_start_matches_integration(sol53_mid, sol43_deep,
+                                          sol43_large, scale_start, cell,
+                                          ell, lam):
+    """The series state at s0, (u, u', theta, theta_nu) of the Pruefer
+    shoot or (u, u', y, y', w, w') of the ell = 1 kernel shoot, matches
+    an integration of the same equations from a start at s0 / 1000 to
+    within 1e-12 relative; eps_tilde = 1e6 checks the start in units of
+    the profile's length eps_tilde^{-1/2}."""
+    lin = bnlab.linearization
+    p, sol = {"5,3,1e-2": sol53_mid, "4,3,1e-5": sol43_deep,
+              "4,3,1e6": sol43_large}[cell]
+    op = build_mode_operator(p, sol, 1 if ell == "kernel" else ell)
+    nu = lam / op.R_tilde**2
+    if ell == "kernel":
+        s0, c, ref = lin._kernel_start(op, nu)
+        scale_start(1e-3)
+        s1, _, y1 = lin._kernel_start(op, nu)
+        y, _ = lin._KERNEL_DOP853.run(lin._kernel_args(op, nu, c), y1, s1,
+                                      s0, lin._MODE_RTOL, 1e-300)
+    else:
+        # the shoot carries theta_nu + off; here off is theta_nu(s0), on
+        # the scale of theta_nu, which is 6e-9 at eps_tilde = 1e6
+        s0, ref = lin._mode_start(op, nu)
+        off = ref[3]
+        scale_start(1e-3)
+        s1, y1 = lin._mode_start(op, nu)
+        y, _ = lin._DOP853.run(lin._mode_args(op, nu, off),
+                               (*y1[:3], y1[3] + off), s1, s0,
+                               lin._MODE_RTOL, 1e-160)
+        y[3] -= off
+    assert s1 == pytest.approx(1e-3 * s0, rel=1e-15)
+    assert list(y) == pytest.approx(list(ref), rel=1e-12, abs=0.0)
+
+
+def test_start_shrinks_where_the_mode_solution_oscillates(monkeypatch):
+    """With the potential off at nu = 100 the mode solution oscillates with
+    phase 10 s, so the start moves in from s0 = 0.5 to 2 / sqrt(nu) = 0.2,
+    and the count on (0, 5) is the number of zeros of J_1 below 50, 15.
+    Left at 0.5 the start would hold the first zero, j_{1,1} / 10 = 0.38,
+    which it refuses with IntegrationFailureError."""
+    lin = bnlab.linearization
+    op = lin.ModeOperator(Params(4, 3.0), 0, 1e-2, 5.0, potential_scale=0.0)
+    assert lin._start(op, 100.0)[0] == pytest.approx(0.2, rel=1e-15)
+    assert _shoot_mode(op, 100.0)[0] // math.pi == sum(jn_zeros(1, 20) < 50)
+    monkeypatch.setattr(lin, "_START_PHASE", math.inf)
+    with pytest.raises(IntegrationFailureError, match="zero inside"):
+        _shoot_mode(op, 100.0)

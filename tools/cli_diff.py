@@ -38,10 +38,11 @@ COMMANDS = [
      {"--output": "out.json"}),
     *((["spectrum", "--n", n, "--q", q, "--eps-tilde", et, "--ell-max", "2"],
        {"--output": "out.json"})
-      # the last two: lambda_1 at nu = 3.3e-15 and 1.4e-26
+      # lambda_1 at nu = 3.3e-15 at (4, 3, 1e-7) and 1.4e-26 at (3, 5, 1e-8);
+      # (3, 5, 1e-5) is a mid-range N = 3 ell = 0 point
       for n, q, et in (("5", "3", "1e-2"), ("4", "3", "1e-5"),
                        ("3", "5", "1e-3"), ("4", "3", "1e-7"),
-                       ("3", "5", "1e-8"))),
+                       ("3", "5", "1e-8"), ("3", "5", "1e-5"))),
     (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
       "--ell-max", "2", "--potential-scale", "0.45"],
      {"--output": "out.json"}),
