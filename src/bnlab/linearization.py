@@ -53,11 +53,12 @@ root itself), keep the start at nu = 0.
 Every shoot starts at s0 = 0.5 L, L = _length_scale(eps_tilde), from the
 convergent power series in s^2 of its solutions (Frobenius; Coddington and
 Levinson, Theory of Ordinary Differential Equations, 1955, ch. 4), exact to
-rounding.  The profile u = sum a_k s^{2k} and the potential W come from
-a_{k+1} (2k+2)(2k+N) = -[u^{2*-1} + eps_tilde u^{q-1}]_k, with the powers of
-the series by J. C. P. Miller's recurrence; they do not depend on nu and
-are cached per (params, eps_tilde, potential_scale).  Every mode solution
-comes from one recursion,
+rounding.  The coefficients of the profile u = sum a_k s^{2k} and of the
+potential W are those of bnlab.solver._profile_series, the series that the
+base shoot starts from too, at the same s0 = _START L; they do not depend
+on nu and are cached per (params, eps_tilde), and W is scaled by
+potential_scale where the start reads it.  Every mode solution comes from
+one recursion,
 
     b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k):
 
@@ -155,7 +156,8 @@ from scipy.special import jv
 from .constants import Params
 from .dop853 import Dop853
 from .errors import DomainError, FitFailureError, IntegrationFailureError
-from .solver import RadialSolution, _length_scale
+from .solver import (_SERIES_TERMS, _START, RadialSolution, _check_no_zero,
+                     _decayed, _profile_series, _unconverged)
 
 __all__ = [
     "ModeOperator",
@@ -165,23 +167,10 @@ __all__ = [
     "nondegeneracy_certificate",
 ]
 
-# start radius of every mode shoot, in units of _length_scale: the series
-# of the profile converges there about 12-fold per term at N = 3, as the
-# bubble's nearest complex singularity lies at s^2 = -N(N-2) (the module
-# docstring gives the measurements)
-_START = 0.5
 # largest phase omega * s0 of the start, omega^2 = |nu| + |W(0)|: it bounds
 # the growth of the mode series' terms, and s0 shrinks below _START where
 # nu or the potential scale is large
 _START_PHASE = 2.0
-# a series stops after two consecutive terms at s0 below this, relative to
-# its largest term, and raises after _SERIES_TERMS terms
-_SERIES_TOL = 2.0**-56
-_SERIES_TERMS = 60
-# where the start checks that the mode solution has no zero: the powers
-# t^k of t = (s / s0)^2 = 1/16, 2/16, ..., 1
-_ZERO_CHECK = np.linspace(1.0 / 16.0, 1.0, 16)[:, None] ** np.arange(
-    _SERIES_TERMS + 1)
 # relative tolerance of the mode shoots, which run Hairer's DOP853: unlike
 # solve_ivp it takes an rtol below 2.2e-14.  Near zero it sets the absolute
 # error of nu of the Pruefer shoot; the module docstring says why the
@@ -235,64 +224,17 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
     )
 
 
-def _decayed(prev: float, last: float, big: float) -> bool:
-    """Whether the last two terms of a series at s0 are both below
-    _SERIES_TOL relative to its largest term, big."""
-    return big > 0.0 and max(abs(prev), abs(last)) <= _SERIES_TOL * big
-
-
-def _unconverged(what: str) -> IntegrationFailureError:
-    return IntegrationFailureError(
-        f"{what} series did not converge in {_SERIES_TERMS} terms")
-
-
-@functools.cache
-def _profile_series(p: Params, eps_tilde: float, potential_scale: float):
-    """Taylor coefficients of the base profile, u = sum A_k t^{2k}, and of
-    the potential, W = sum W_k t^{2k}, in t = s / _length_scale(eps_tilde).
-
-    A_{k+1} (2k+2)(2k+N) = -L^2 [u^{2*-1} + eps_tilde u^{q-1}]_k from
-    A_0 = 1, with L = _length_scale, and W = potential_scale
-    [(2*-1) u^{2*-2} + (q-1) eps_tilde u^{q-2}].  Each power u^a of the
-    series comes from J. C. P. Miller's recurrence, from a u' = a u' u
-    (Henrici, Applied and Computational Complex Analysis I, 1974, 1.6):
-    P_k = sum_{j=1..k} ((a+1) j - k) A_j P_{k-j} / k.  The coefficients
-    end where both series have decayed at t = _START, so they serve every
-    start radius up to _START L.  The W_k are those of L^2 W.
-    """
-    L2 = _length_scale(eps_tilde) ** 2
-    exps = np.array([[p.two_star - 1.0], [p.q - 1.0],
-                     [p.two_star - 2.0], [p.q - 2.0]])
-    a = np.zeros(_SERIES_TERMS + 1)
-    powers = np.zeros((4, _SERIES_TERMS + 1))
-    a[0] = powers[:, 0] = 1.0
-    for k in range(_SERIES_TERMS):
-        if k:
-            j = np.arange(1, k + 1)
-            powers[:, k] = (((exps + 1.0) * j - k) * a[j]
-                            * powers[:, k - j]).sum(axis=1) / k
-        a[k + 1] = -L2 * (powers[0, k] + eps_tilde * powers[1, k]) / (
-            (2.0 * k + 2.0) * (2.0 * k + p.N))
-        w = potential_scale * L2 * ((p.two_star - 1.0) * powers[2, :k + 1]
-                                    + (p.q - 1.0) * eps_tilde
-                                    * powers[3, :k + 1])
-        terms = np.array([a[:k + 1], w]) * _START ** (2.0 * np.arange(k + 1))
-        if k and all(not t.any() or _decayed(t[-2], t[-1], np.abs(t).max())
-                     for t in terms):
-            return a[:k + 1], w
-    raise _unconverged("profile")
-
-
 def _start(op: ModeOperator, nu: float):
     """Where a mode shoot at nu starts, and what the series give there:
     s0, x0 = s0^2, the profile's c_k = a_k x0^k of u = sum a_k s^{2k}, the
-    potential's x0^{k+1} w_k of W = sum w_k s^{2k}, and (u, u') at s0.
+    potential's x0^{k+1} w_k of W = sum w_k s^{2k}, and (u, u') at s0, from
+    the profile series that the base shoot starts from.
 
     s0 = _START * _length_scale, or _START_PHASE / omega where that is
     smaller, omega^2 = |nu| + |W(0)|.
     """
-    L = _length_scale(op.eps_tilde)
-    a, w = _profile_series(op.params, op.eps_tilde, op.potential_scale)
+    ser = _profile_series(op.params, op.eps_tilde)
+    L, a, w = ser.L, ser.A, op.potential_scale * ser.W
     s0 = _START * L
     omega = math.sqrt(abs(nu) + abs(w[0]) / L**2)
     if omega * s0 > _START_PHASE:
@@ -332,15 +274,6 @@ def _frobenius_pair(x0w, x0: float, nu: float, ell: int, N: int,
                 and _decayed(d[-2], d[-1], big_d)):
             return np.array(b), np.array(d)
     raise _unconverged("mode")
-
-
-def _check_no_zero(coeffs, what: str) -> None:
-    """IntegrationFailureError unless sum coeffs[k] t^k > 0 at every t of
-    _ZERO_CHECK: a series solution, divided by s^ell, must have no zero
-    in (0, s0], checked at those t = (s / s0)^2."""
-    if not (_ZERO_CHECK[:, :len(coeffs)] @ coeffs > 0.0).all():
-        raise IntegrationFailureError(
-            f"the {what} has a zero inside the series start")
 
 
 def _mode_start(op: ModeOperator, nu: float):

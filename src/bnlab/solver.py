@@ -28,12 +28,30 @@ zero, so the span only caps it: spans of 1e3 and 1e4 gave the same bits as
 the default at N = 4 and 5, eps_tilde = 1e-3 to 1e-2.  scale_to_unit_ball
 reads (N, q) from the shoot it maps.
 
+The shoot starts at s0 = _START L, L = _length_scale(eps_tilde), from the
+convergent power series of the profile in s^2 (_profile_series), exact to
+rounding in 13 to 25 terms; the mode shoots of bnlab.linearization start
+from the same cached series.  The deviation's coefficients come from a
+difference recurrence, so they keep the deviation's O(eps_tilde) size,
+and the four quadratures over [0, s0] are summed term by term from Cauchy
+products of the series.  The steps below s0 do not depend on eps_tilde;
+the former start at 1e-4 L spent 37 (N = 4) and 46 (N = 5) steps there.
+At N = 4, q = 3 a shoot takes 84, 135, 189 and 245 accepted steps at
+eps_tilde = 1e-2, 1e-4, 1e-6 and 1e-8, against 122, 173, 227 and 281 from
+that start; at N = 5, q = 3 it takes 93, 132, 171 and 208 against 140,
+179, 217 and 255.  Starts at 0.25 L and 0.5 L give the first zero and the
+quadratures within 4e-13 of each other.  ShootResult.eval reads v below
+s0 from the series.
+
 The shoot runs Hairer's compiled DOP853 (bnlab.dop853), which records each
 accepted step end and stops at the first one with u <= 0.  The zero is
-located on that step's interpolant, and the step is redone as an
-integration that ends on it.  ShootResult.dense is the DOP853 interpolant
-of (v, v'), rebuilt from the recorded step ends with the stages of all
-steps in one vectorised pass, and read at all requested radii in another.
+located on that step's interpolant by a safeguarded Newton search from the
+step's start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
+N = 3 to 7 and eps_tilde = 1e-14 to 1e8, and at most 8, where a Brent
+solve took about 21.  The step is redone as an integration that ends on
+the zero.  ShootResult.dense is the DOP853 interpolant of (v, v'), rebuilt
+from the recorded step ends with the stages of all steps in one vectorised
+pass, and read at all requested radii in another.
 
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
@@ -43,13 +61,13 @@ eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
@@ -65,7 +83,18 @@ __all__ = [
     "solve_for_eps",
 ]
 
-_R_START = 1e-4  # series start, in units of _length_scale
+# start radius of the base and the mode shoots, in units of _length_scale:
+# the series of the profile converges there about 12-fold per term at
+# N = 3, as the bubble's nearest complex singularity lies at s^2 = -N(N-2)
+_START = 0.5
+# a series stops after two consecutive terms at s0 below this, relative to
+# its largest term, and raises after _SERIES_TERMS terms
+_SERIES_TOL = 2.0**-56
+_SERIES_TERMS = 60
+# where a series start checks that its solution has no zero: the powers
+# t^k of t = (s / s0)^2 = 1/16, 2/16, ..., 1
+_ZERO_CHECK = np.linspace(1.0 / 16.0, 1.0, 16)[:, None] ** np.arange(
+    _SERIES_TERMS + 1)
 # relative tolerance of the shoot, and the absolute tolerance of the
 # quadratures.  DOP853 takes one scalar atol, so (v, v') are carried times
 # the exact power of two _V_SCALE: their atol is _QUAD_ATOL / _V_SCALE =
@@ -76,6 +105,9 @@ _QUAD_ATOL = 1e-14
 _V_SCALE = 2.0**950
 _EPS = np.finfo(float).eps
 _ZERO_TOL = 1e-10  # largest |u| accepted at the located first zero
+# most iterates of the first-zero search: bisection alone halves a step to
+# 4 eps in 52
+_CROSSING_MAXITER = 100
 PROFILE_POINTS = 4097
 
 
@@ -101,16 +133,17 @@ class ShootResult:
 
     def eval(self, s):
         """(u_tilde, u_tilde') at scaled radii s: the bubble plus the
-        deviation, series-started near 0."""
+        deviation, read from the profile series below the shoot's start
+        and from the interpolant beyond it."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
         v = np.empty_like(s)
         dv = np.empty_like(s)
-        small = s < _R_START * _length_scale(self.eps_tilde)
+        small = s < _START * _length_scale(self.eps_tilde)
         if np.any(small):
-            v[small], dv[small] = _deviation_series(self.params,
-                                                    self.eps_tilde, s[small])
+            v[small], dv[small] = _profile_series(
+                self.params, self.eps_tilde).deviation(s[small])
         if np.any(~small):
             vals = self.dense(s[~small])
             v[~small] = vals[0]
@@ -151,6 +184,7 @@ class RadialSolution:
         r = np.linspace(0.0, 1.0, PROFILE_POINTS)
         u, du = self.eval_unit(r)
         u[-1] = 0.0  # Dirichlet value, within the event tolerance
+        du[0] = 0.0  # radial symmetry; the series gives it as -0.0
         return r, u, du
 
 
@@ -160,15 +194,150 @@ def _length_scale(eps_tilde: float) -> float:
     return min(1.0, eps_tilde**-0.5)
 
 
-def _deviation_series(p: Params, eps_tilde: float, s):
-    """(v, v') at s for v = c2 s^2 + c4 s^4: the series of u minus that of
-    U, through s^4."""
+def _decayed(prev: float, last: float, big: float) -> bool:
+    """Whether the last two terms of a series at s0 are both below
+    _SERIES_TOL relative to its largest term, big."""
+    return big > 0.0 and max(abs(prev), abs(last)) <= _SERIES_TOL * big
+
+
+def _unconverged(what: str) -> IntegrationFailureError:
+    return IntegrationFailureError(
+        f"{what} series did not converge in {_SERIES_TERMS} terms")
+
+
+def _check_no_zero(coeffs, what: str) -> None:
+    """IntegrationFailureError unless sum coeffs[k] t^k > 0 at every t of
+    _ZERO_CHECK: a series solution, divided by s^ell, must have no zero
+    in (0, s0], checked at those t = (s / s0)^2."""
+    if not (_ZERO_CHECK[:, :len(coeffs)] @ coeffs > 0.0).all():
+        raise IntegrationFailureError(
+            f"the {what} has a zero inside the series start")
+
+
+def _power_term(A: list, power: list, a: float, k: int) -> float:
+    """[u^a]_k from u = sum A_j x^j and the [u^a]_j, j < k, in power, by
+    J. C. P. Miller's recurrence, from a u' u^a = u (u^a)' (Henrici,
+    Applied and Computational Complex Analysis I, 1974, 1.6)."""
+    return sum(((a + 1.0) * j - k) * A[j] * power[k - j]
+               for j in range(1, k + 1)) / k
+
+
+@dataclass(frozen=True)
+class _ProfileSeries:
+    """Taylor coefficients of the height-1 profile and of what its shoots
+    read, each in powers of x = t^2, t = s / L, L = _length_scale."""
+
+    params: Params
+    eps_tilde: float
+    L: float
+    b: np.ndarray  # the deviation v = u - U from the bubble
+    A: np.ndarray  # u = U + v
+    P: np.ndarray  # u^{2*-1}
+    Q: np.ndarray  # u^{q-1}
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """L^2 [(2*-1) u^{2*-2} + (q-1) eps_tilde u^{q-2}], the potential of
+        the mode shoots at potential_scale 1, as many terms as A: powers of
+        u that decay at t = _START as P and Q do."""
+        p, A = self.params, self.A.tolist()
+        R, S = [1.0], [1.0]
+        for k in range(1, len(A)):
+            R.append(_power_term(A, R, p.two_star - 2.0, k))
+            S.append(_power_term(A, S, p.q - 2.0, k))
+        return self.L**2 * ((p.two_star - 1.0) * np.array(R)
+                            + (p.q - 1.0) * self.eps_tilde * np.array(S))
+
+    def deviation(self, s):
+        """(v, v') at radii s in [0, _START L]."""
+        x = (s / self.L) ** 2
+        b = self.b
+        return (np.polynomial.polynomial.polyval(x, b),
+                2.0 * s / self.L**2 * np.polynomial.polynomial.polyval(
+                    x, np.arange(1, len(b)) * b[1:]))
+
+
+@functools.lru_cache(maxsize=64)
+def _profile_series(p: Params, eps_tilde: float) -> _ProfileSeries:
+    """The convergent series of the profile (Frobenius; Coddington and
+    Levinson, Theory of Ordinary Differential Equations, 1955, ch. 4), in
+    t = s / L so that nothing overflows at large eps_tilde.
+
+    The bubble's U_k = binom(-(N-2)/2, k) z^k, z = L^2 / (N(N-2)), and
+    those of U^{2*-1}, F_k = binom(-(N+2)/2, k) z^k, are closed forms.  The
+    deviation b = A - U comes from a difference recurrence, so that it
+    carries its own O(eps_tilde) size and nothing cancels at small
+    eps_tilde: with P = [u^{2*-1}] = F + D,
+
+        D_k = sum_{j=1..k} (2* j - k)(b_j P_{k-j} + U_j D_{k-j}) / k,
+        b_{k+1} (2k+2)(2k+N) = -L^2 (D_k + eps_tilde [u^{q-1}]_k),
+
+    the difference of Miller's recurrence (_power_term) for u^{2*-1} and
+    for U^{2*-1}.  The coefficients end where b, A, P and Q have decayed at
+    t = _START, so they serve every start radius up to _START L.
+    IntegrationFailureError if they have not in _SERIES_TERMS terms, or if
+    u has a zero in (0, _START L].
+    """
     N, p2, q = p.N, p.two_star, p.q
-    c2 = -eps_tilde / (2.0 * N)
-    c4 = (eps_tilde * (p2 - 1.0 + q - 1.0) + eps_tilde**2 * (q - 1.0)) / (
-        8.0 * N * (N + 2.0)
+    L = _length_scale(eps_tilde)
+    L2, x0 = L * L, _START**2
+    z = L2 / (N * (N - 2.0))
+    # Python floats: the terms are few, and numpy calls on them cost more
+    U, F = [1.0], [1.0]
+    b, D, A, P, Q = [0.0], [0.0], [1.0], [1.0], [1.0]
+    rows = (b, A, P, Q)
+    big = [0.0] * len(rows)
+    for k in range(_SERIES_TERMS):
+        U.append(U[k] * (-(N - 2.0) / 2.0 - k) / (k + 1.0) * z)
+        F.append(F[k] * (-(N + 2.0) / 2.0 - k) / (k + 1.0) * z)
+        if k:
+            D.append(sum((p2 * j - k) * (b[j] * P[k - j] + U[j] * D[k - j])
+                         for j in range(1, k + 1)) / k)
+            P.append(F[k] + D[k])
+            Q.append(_power_term(A, Q, q - 1.0, k))
+        b.append(-L2 * (D[k] + eps_tilde * Q[k]) / (
+            (2.0 * k + 2.0) * (2.0 * k + N)))
+        A.append(U[k + 1] + b[k + 1])
+        # the terms at t = _START: x0^k times the coefficients
+        xk = x0**k
+        big = [max(g, abs(r[k]) * xk) for g, r in zip(big, rows)]
+        if k and all(_decayed(r[k - 1] * xk / x0, r[k] * xk, g)
+                     for r, g in zip(rows, big)):
+            b, A, P, Q = (np.array(r[:k + 1]) for r in rows)
+            _check_no_zero(A * x0 ** np.arange(k + 1), "profile")
+            return _ProfileSeries(p, eps_tilde, L, b, A, P, Q)
+    raise _unconverged("profile")
+
+
+def _series_start(p: Params, eps_tilde: float):
+    """s0 = _START L and the shoot's state there: (v, v') times _V_SCALE,
+    then the four quadratures over [0, s0], from the profile series.
+
+    With c_k = A_k x0^k, x0 = _START^2, u = sum c_k (s / s0)^{2k} and
+    s u' = sum 2k c_k (s / s0)^{2k}, so each quadrature sums a Cauchy
+    product term by term: int_0^s0 (s/s0)^{2m} s^{n-1} ds = s0^n / (2m+n).
+    The flux int_0^s0 s^{N-1} f(u) ds is -s0^{N-1} u'(s0), exactly.
+    """
+    ser = _profile_series(p, eps_tilde)
+    N = p.N
+    s0 = _START * ser.L
+    x0k = _START ** (2.0 * np.arange(len(ser.A)))
+    c, b = ser.A * x0k, ser.b * x0k
+    k2 = 2.0 * np.arange(len(c))
+    sc = k2 * c
+
+    def integral(products, n):
+        return s0**n * float(products @ (1.0 / (np.arange(
+            0.0, 2.0 * len(products), 2.0) + n)))
+
+    return s0, (
+        float(b.sum()) * _V_SCALE,
+        float(k2 @ b) / s0 * _V_SCALE,
+        integral(np.convolve(sc, sc), N - 2),
+        integral(np.convolve(c, ser.P * x0k), N),
+        integral(np.convolve(c, ser.Q * x0k), N),
+        -s0 ** (N - 2) * float(sc.sum()),
     )
-    return c2 * s**2 + c4 * s**4, 2.0 * c2 * s + 4.0 * c4 * s**3
 
 
 def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
@@ -231,7 +400,6 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         raise DomainError(
             f"eps_tilde must be positive and finite, got {eps_tilde}"
         )
-    s0 = _R_START * _length_scale(eps_tilde)
     N = p.N
     args = (N, N * (N - 2.0), (N - 2.0) / 2.0, p.two_star, p.q, eps_tilde)
     ts, ys = [], []
@@ -243,16 +411,7 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         u = normalized_bubble_r2(N, s * s) + ys[-1][0] / _V_SCALE
         return -1 if u <= 0.0 else 0
 
-    v0, dv0 = _deviation_series(p, eps_tilde, s0)
-    y0 = (
-        v0 * _V_SCALE,
-        dv0 * _V_SCALE,
-        # leading-order contributions of [0, s0] to the quadratures
-        ((1.0 + eps_tilde) / N) ** 2 * s0 ** (N + 2) / (N + 2.0),
-        s0**N / N,
-        s0**N / N,
-        (1.0 + eps_tilde) * s0**N / N,
-    )
+    s0, y0 = _series_start(p, eps_tilde)
     _, crossed = _DOP853.run(args, y0, s0, _estimate_r_max(p, eps_tilde),
                              _SHOOT_RTOL, _QUAD_ATOL, solout=record)
     t_ends = np.array(ts)
@@ -261,9 +420,8 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
 
     r_grid = t_ends
     if crossed:
-        first_zero = brentq(
-            lambda s: normalized_bubble_r2(N, s * s) + dense([s])[0, 0],
-            t_ends[-2], t_ends[-1], xtol=4.0 * _EPS, rtol=4.0 * _EPS)
+        first_zero = _crossing(dense, N, ts[-2], ts[-1],
+                               (ys[-2][0] / _V_SCALE, ys[-2][1] / _V_SCALE))
         # the zero comes from the interpolant of the step that crosses it,
         # which is less accurate than a step end point and straddles the
         # kink of max(u, 0)^{q-1}: it put 1e-10 errors into the flux at
@@ -303,6 +461,36 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         du_at_zero=du_zero,
         dense=dense,
     )
+
+
+def _crossing(dense, N: int, lo: float, hi: float, y_lo) -> float:
+    """The zero of u = U + v on the interpolant of the step [lo, hi] that
+    crosses it, u(lo) > 0 >= u(hi), by Newton's method on u from lo, where
+    (v, v') = y_lo is the recorded state, safeguarded as in Numerical
+    Recipes' rtsafe: a step that leaves the bracket, or is more than half
+    the step before last, bisects instead.  u' = U' + v', with U' in closed
+    form, so each iterate reads the interpolant once.  It stops on a step
+    within 4 eps of the iterate.  Near the zero u is convex, so the Newton
+    iterates from lo rise to it: 8 of 345 shoots (module docstring) took a
+    bisection."""
+    s, (v, dv) = lo, y_lo
+    dx = dx_old = math.inf
+    for _ in range(_CROSSING_MAXITER):
+        U = normalized_bubble_r2(N, s * s)
+        u, du = U + v, dv - s / N * U ** (N / (N - 2.0))
+        if u > 0.0:
+            lo = s
+        else:
+            hi = s
+        step = u / du if du < 0.0 else math.inf
+        if not (lo <= s - step <= hi and 2.0 * abs(step) <= abs(dx_old)):
+            step = s - 0.5 * (lo + hi)
+        dx_old, dx = dx, step
+        s -= step
+        if abs(step) <= 4.0 * _EPS * s:
+            break
+        v, dv = dense(np.array([s]))[:, 0].tolist()
+    return s
 
 
 class _StackedDense:

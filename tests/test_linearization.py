@@ -545,8 +545,8 @@ def test_ell0_spectrum_converges_at_large_eps_tilde():
 
 @pytest.fixture
 def scale_start(monkeypatch):
-    """Scales the start radius of the mode shoots; the profile series, whose
-    length is fixed by the radius, are recomputed on both sides."""
+    """Scales the start radius of the mode shoots; the shared profile series
+    are recomputed on both sides."""
     lin = bnlab.linearization
 
     def scale(factor):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 import bnlab.solver
 from bnlab import (
@@ -124,14 +125,107 @@ def test_solve_for_eps_unreachable(shoot_calls):
     assert shoot_calls == []
 
 
-def test_series_start_matches_integration():
-    """Shooting from two different start radii agrees to high accuracy."""
-    p = Params(5, 3.0)
-    s = shoot(p, 1e-2)
-    u, du = s.eval(np.array([1e-5, 0.5, 3.0]))
-    assert u[0] == pytest.approx(1.0, abs=1e-9)
-    assert abs(du[0]) < 1e-4
-    assert 0.0 < u[2] < u[1] < 1.0
+@pytest.fixture
+def start_at(monkeypatch):
+    """Moves the series start of the base shoot to start * _length_scale;
+    the profile series, whose length is fixed by the start, are recomputed
+    on both sides."""
+    solver = bnlab.solver
+
+    def move(start):
+        monkeypatch.setattr(solver, "_START", start)
+        solver._profile_series.cache_clear()
+
+    yield move
+    solver._profile_series.cache_clear()
+
+
+_START_CELLS = [(N, q, et) for N, q in ((3, 5.0), (4, 3.0), (5, 3.0))
+                for et in (1e2, 1e-2, 1e-8)]
+
+
+def test_series_start_matches_integration(start_at):
+    """Shoots started from the profile series at s0 = 0.25 L and 0.5 L agree
+    on the first zero and the quadratures to 1e-11 (4e-13 measured): the
+    series is exact to rounding where the integration takes over."""
+    def outputs(N, q, et):
+        s = shoot(Params(N, q), et)
+        return [s.first_zero, s.grad2, s.mass_crit, s.mass_q, s.du_at_zero]
+
+    start_at(0.5)
+    ref = {cell: outputs(*cell) for cell in _START_CELLS}
+    start_at(0.25)
+    for cell in _START_CELLS:
+        np.testing.assert_allclose(outputs(*cell), ref[cell], rtol=1e-11,
+                                   err_msg=str(cell))
+
+
+def test_deviation_series_does_not_cancel():
+    """At eps_tilde = 1e-12 the deviation's first coefficients are the
+    closed forms -eps_tilde / (2N) and
+    (eps_tilde (2* + q - 2) + eps_tilde^2 (q - 1)) / (8N(N+2)) to 1e-14:
+    the difference recurrence carries b at its own size, where A - U would
+    keep 4 digits of it."""
+    et = 1e-12
+    for N, q in ((3, 5.0), (4, 3.0), (5, 3.0)):
+        p = Params(N, q)
+        b = bnlab.solver._profile_series(p, et).b
+        c4 = (et * (p.two_star + q - 2.0) + et**2 * (q - 1.0)) / (
+            8.0 * N * (N + 2.0))
+        assert b[1] == pytest.approx(-et / (2.0 * N), rel=1e-14)
+        assert b[2] == pytest.approx(c4, rel=1e-14)
+
+
+def test_eval_is_continuous_at_the_series_start():
+    """ShootResult.eval reads the series below s0 and the interpolant from
+    s0 on.  Near s0 the two give (v, v') within 1e-13 of their largest
+    values (3e-15 measured), and eval steps by rounding alone across s0."""
+    for N, q, et in _START_CELLS:
+        p = Params(N, q)
+        s = shoot(p, et)
+        s0 = bnlab.solver._START * bnlab.solver._length_scale(et)
+        radii = s0 * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
+        err = np.abs(s.dense(radii) - np.array(
+            bnlab.solver._profile_series(p, et).deviation(radii)))
+        scale = np.abs(s.dense(s.r_grid)).max(axis=1)
+        assert np.all(err.max(axis=1) <= 1e-13 * scale), (N, q, et)
+        for side in s.eval(np.array([np.nextafter(s0, 0.0), s0])):
+            assert side[0] == pytest.approx(side[1], rel=1e-14)
+
+
+def test_base_shoot_step_budget():
+    """From the series start at s0 = 0.5 one shoot at N = 4, q = 3,
+    eps_tilde = 1e-2 takes at most 90 steps (84 measured; 122 from the
+    two-term start at 1e-4)."""
+    assert len(shoot(Params(4, 3.0), 1e-2).r_grid) - 1 <= 90
+
+
+def test_first_zero_on_the_crossing_interpolant(monkeypatch):
+    """The Newton search on the crossing step's interpolant ends on the
+    zero of u there, within 4 ulp of a Brent solve on the same interpolant
+    (2 measured), in at most 6 reads of it (2 to 4 measured)."""
+    reads, found = [], []
+    real = bnlab.solver._crossing
+
+    def checked(dense, N, lo, hi, y_lo):
+        def counting(s):
+            reads.append(len(s))
+            return dense(s)
+
+        zero = real(counting, N, lo, hi, y_lo)
+        found.append((zero, brentq(
+            lambda s: normalized_bubble_r2(N, s * s) + dense([s])[0, 0],
+            lo, hi, xtol=4.0 * np.finfo(float).eps,
+            rtol=4.0 * np.finfo(float).eps)))
+        return zero
+
+    monkeypatch.setattr(bnlab.solver, "_crossing", checked)
+    for N, q, et in _START_CELLS:
+        reads.clear()
+        assert shoot(Params(N, q), et).first_zero == found[-1][0]
+        assert len(reads) <= 6
+        zero, ref = found[-1]
+        assert abs(zero - ref) <= 4.0 * np.spacing(ref), (N, q, et)
 
 
 def test_estimate_r_max_grows_as_eps_shrinks():
@@ -257,16 +351,30 @@ def test_profile_obeys_scaling_law(cell, log_et):
 
 
 # largest difference of ShootResult.dense from the reference below, per
-# component, relative to its largest value: measured 6e-12 for v and 5.5e-11
-# for v' (N = 6, q = 2.6, eps_tilde = 1e-5), as close as solve_ivp's DOP853
-# interpolant of the same shoot comes
+# component, relative to its largest value: measured 6.9e-12 for v and
+# 6.9e-11 for v' (N = 6, q = 2.6, eps_tilde = 1e-5), as close as solve_ivp's
+# DOP853 interpolant of the same shoot comes
 _REFERENCE_AGREEMENT = 1e-10
+# largest difference of the profile series below s0 from the reference,
+# relative to the reference at each radius: measured 2.3e-14
+_SERIES_AGREEMENT = 1e-12
 
 
-def _deviation_reference(p, eps_tilde, s0, y0, s1):
-    """(v, v') by scipy's solve_ivp DOP853 at rtol 2.3e-14, just above its
-    floor, from the shoot's own start (s0, y0) to s1: an integration
-    independent of the shoot's."""
+def _two_term_start(p, eps_tilde, s):
+    """(v, v') at a small s from v = c2 s^2 + c4 s^4, the first two terms of
+    the deviation's series in closed form, which leave out O(eps_tilde s^6)."""
+    N, q = p.N, p.q
+    c2 = -eps_tilde / (2.0 * N)
+    c4 = (eps_tilde * (p.two_star + q - 2.0) + eps_tilde**2 * (q - 1.0)) / (
+        8.0 * N * (N + 2.0))
+    return c2 * s**2 + c4 * s**4, 2.0 * c2 * s + 4.0 * c4 * s**3
+
+
+def _deviation_reference(p, eps_tilde, s1):
+    """Where it starts, and (v, v') by scipy's solve_ivp DOP853 at rtol
+    2.3e-14, just above its floor, from the two-term series at 1e-4 times
+    the profile's length scale to s1: an integration independent of the
+    shoot's, its series start included."""
     N, q, p2 = p.N, p.q, p.two_star
 
     def rhs(s, y):
@@ -279,8 +387,10 @@ def _deviation_reference(p, eps_tilde, s0, y0, s1):
         uq1 = max(U + v, 0.0) ** (q - 1.0)
         return (dv, -(N - 1.0) / s * dv - df - eps_tilde * uq1)
 
-    return solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=2.3e-14,
-                     atol=1e-300, dense_output=True).sol
+    s_start = 1e-4 * min(1.0, eps_tilde**-0.5)
+    return s_start, solve_ivp(
+        rhs, (s_start, s1), _two_term_start(p, eps_tilde, s_start),
+        method="DOP853", rtol=2.3e-14, atol=1e-300, dense_output=True).sol
 
 
 @pytest.mark.parametrize("N,q,et", [(3, 5.0, 1e-8), (5, 3.0, 10.0),
@@ -288,9 +398,11 @@ def _deviation_reference(p, eps_tilde, s0, y0, s1):
                                     (6, 2.6, 1e-5), (3, 5.0, 1e-14)])
 def test_stacked_interpolant_matches_reference(monkeypatch, N, q, et):
     """ShootResult.dense, rebuilt from the step ends that the shoot
-    records, returns the recorded (v, v') at every step end to rounding,
-    and agrees with an independent tighter integration at 2000 random
-    radii to _REFERENCE_AGREEMENT of max |v| and of max |v'|."""
+    records, returns the recorded (v, v') at every step end to rounding.
+    Against an independent tighter integration from its own start, the
+    profile series agrees at 200 random radii below s0 to
+    _SERIES_AGREEMENT, and the interpolant at 2000 random radii from s0 to
+    the first zero to _REFERENCE_AGREEMENT of max |v| and of max |v'|."""
     ends = []
 
     class Capture(bnlab.solver._StackedDense):
@@ -307,9 +419,14 @@ def test_stacked_interpolant_matches_reference(monkeypatch, N, q, et):
     rounding = 2.0 * np.finfo(float).eps * (np.abs(y) + np.abs(y_prev))
     assert np.all(np.abs(s.dense(ts).T - y) <= rounding)
 
-    Rt = s.first_zero
-    radii = np.random.default_rng(7).uniform(ts[0], Rt, 2000)
-    ref = _deviation_reference(p, et, ts[0], y[0], Rt)(radii)
-    err = np.abs(s.dense(radii) - ref).max(axis=1)
-    scale = np.abs(ref).max(axis=1)
+    Rt, s0 = s.first_zero, ts[0]
+    s_start, ref = _deviation_reference(p, et, Rt)
+    rng = np.random.default_rng(7)
+    below = rng.uniform(s_start, s0, 200)
+    series = np.array(bnlab.solver._profile_series(p, et).deviation(below))
+    assert np.all(np.abs(series - ref(below))
+                  <= _SERIES_AGREEMENT * np.abs(ref(below)))
+    radii = rng.uniform(s0, Rt, 2000)
+    err = np.abs(s.dense(radii) - ref(radii)).max(axis=1)
+    scale = np.abs(ref(radii)).max(axis=1)
     assert np.all(err <= _REFERENCE_AGREEMENT * scale)

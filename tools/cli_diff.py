@@ -8,7 +8,8 @@ interpreter with that tree first on sys.path, writing its JSON and CSV
 outputs to files.  For each command the script prints `identical`, or the
 largest relative change of every JSON key and CSV column that changed,
 the JSON keys present in only one run, and any change in exit code or
-stderr.  Standard library only.
+stderr.  List elements are keyed by their "name", or by their "ell", so
+that each spectrum mode reports its own changes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -107,17 +108,27 @@ def rel_change(old, new) -> float:
     return abs(b - a) / abs(a)
 
 
+def _tag(element) -> str:
+    """The key of a list element: [name] for a dict with a string "name",
+    [ell=l] for a dict with an integer "ell" (a spectrum mode), else []."""
+    if isinstance(element, dict):
+        name, ell = element.get("name"), element.get("ell")
+        if isinstance(name, str):
+            return f"[{name}]"
+        if isinstance(ell, int) and not isinstance(ell, bool):
+            return f"[ell={ell}]"
+    return "[]"
+
+
 def _leaves(obj, key=""):
-    """(key, value) pairs of a JSON document.  A list element that is a dict
-    with a string "name" is keyed [name]; other list indices collapse to []."""
+    """(key, value) pairs of a JSON document, list elements keyed by _tag:
+    the indices of untagged elements collapse to []."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             yield from _leaves(v, f"{key}.{k}" if key else k)
     elif isinstance(obj, list):
         for v in obj:
-            name = v.get("name") if isinstance(v, dict) else None
-            tag = f"[{name}]" if isinstance(name, str) else "[]"
-            yield from _leaves(v, key + tag)
+            yield from _leaves(v, key + _tag(v))
     else:
         yield key, obj
 
