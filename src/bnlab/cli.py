@@ -165,7 +165,6 @@ def cmd_sweep(args) -> int:
         )
     if args.spectrum_points < 0:
         raise DomainError("--spectrum-points must be non-negative")
-    lin.check_certificate_options(args.ell_max)
     grid = asy.default_grid(args.points, lo, hi)
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
     if len(records) < 0.8 * args.points:
@@ -208,14 +207,9 @@ def cmd_sweep(args) -> int:
         idx = np.unique(np.linspace(0, len(sols) - 1, args.spectrum_points)
                         .astype(int))
         for i in idx:
-            ok, rep = lin.nondegeneracy_certificate(
-                p, sols[i], ell_max=args.ell_max
-            )
-            certs.append({
-                "eps": records[i].eps,
-                "nondegenerate": ok,
-                "min_abs": rep["min_abs_overall"],
-            })
+            ok, rep = lin.nondegeneracy_certificate(p, sols[i])
+            certs.append({"eps": records[i].eps, "nondegenerate": ok,
+                          "min_abs": rep["min_abs_overall"]})
             if not rep["resolved"]:
                 certs[-1]["resolved"] = False
         doc["nondegeneracy"] = certs
@@ -491,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--skip-spectrum", action="store_true")
     sp.add_argument("--spectrum-points", type=int, default=3,
                     help="sweep points receiving a nondegeneracy certificate")
-    sp.add_argument("--ell-max", type=int, default=4)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify", help="identity suite; exit 1 on failure")
@@ -507,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="mode eigenvalues nearest zero")
     _add_common(sp, with_eps=True)
     sp.add_argument("--ell-max", type=int, default=4,
-                    help="highest mode; at least 2")
+                    help="search modes at least up to this one; >= 0")
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--potential-scale", type=float, default=1.0)
     sp.set_defaults(fn=cmd_spectrum)

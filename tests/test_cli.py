@@ -116,13 +116,10 @@ _BAD_FLAGS = st.one_of(
     st.tuples(st.just(_SPECTRUM), st.just("--potential-scale"),
               st.sampled_from([math.inf, -math.inf, math.nan])),
     st.tuples(st.just(_SPECTRUM), st.just("--ell-max"),
-              st.integers(max_value=1)),
-    # checked before the sweep runs, even when no certificate is asked for
-    st.tuples(st.just(_SWEEP + ["--skip-spectrum"]), st.just("--ell-max"),
-              st.integers(max_value=1)),
+              st.integers(max_value=-1)),
     # checked before the solve, so an unreachable --eps (exit 3) hides none
     st.sampled_from([(_SPECTRUM_UNREACHABLE, "--tol", -1.0),
-                     (_SPECTRUM_UNREACHABLE, "--ell-max", 1),
+                     (_SPECTRUM_UNREACHABLE, "--ell-max", -1),
                      (_SPECTRUM_UNREACHABLE, "--potential-scale", math.nan)]),
     # a negative scale is a valid fault (exit 1); these are not
     st.tuples(st.just(["verify"]), st.just("--fault-green-scale"),
@@ -179,10 +176,10 @@ def test_sweep_negative_spectrum_points_rejected(capsys, tmp_path):
     assert json.loads(out.read_text())["nondegeneracy"] == []
 
 
-def test_spectrum_needs_ell_max_two():
+def test_spectrum_needs_ell_max_nonnegative():
     assert main([
         "spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
-        "--ell-max", "1", "--output", os.devnull,
+        "--ell-max", "-1", "--output", os.devnull,
     ]) == EXIT_BAD_CONFIG
 
 
@@ -354,7 +351,7 @@ def test_unresolved_eigenvalue_is_flagged(monkeypatch, tmp_path):
 
     out = tmp_path / "sw.json"
     assert main(["sweep", "--n", "5", "--q", "3", "--points", "6",
-                 "--spectrum-points", "1", "--ell-max", "2",
+                 "--spectrum-points", "1",
                  "--records", os.devnull, "--output", str(out)]) == EXIT_OK
     [cert] = json.loads(out.read_text())["nondegeneracy"]
     assert cert["resolved"] is False

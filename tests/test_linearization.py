@@ -384,6 +384,11 @@ def _extra_node_below(op, nu):
     return angle, float(nu > 0.0)
 
 
+def _always_negative(op):
+    # an eigenvalue below zero in every mode: no mode covers the higher ones
+    return None, 1.0, 1
+
+
 @pytest.mark.parametrize("name,fault", [
     # the count at the window edge exceeds the count at zero
     ("_shoot_mode", _extra_node_below),
@@ -395,14 +400,17 @@ def _extra_node_below(op, nu):
     ("_bessel_zero", lambda m: 0.9 * _bessel_zero(m)),
     # too few terms for the series start to converge
     ("_SERIES_TERMS", 3),
+    # no mode within _SEARCH_MAXITER of ell_max covers the higher ones
+    ("eigenvalues_near_zero", _always_negative),
 ])
 def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
                                              fault):
     """A Sturm count that falls as nu grows, a root solve that does not
     converge, a failed mode integration, a count at the Dirichlet bound
-    that does not exceed the count at zero and a series start that does
-    not converge raise instead of returning a number, and the CLI reports
-    them in one line (the integrator's own warning is not printed)."""
+    that does not exceed the count at zero, a series start that does not
+    converge and a certificate that finds no covering mode raise instead
+    of returning a number, and the CLI reports them in one line (the
+    integrator's own warning is not printed)."""
     monkeypatch.setattr(bnlab.linearization, name, fault)
     rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                "--ell-max", "2"])
@@ -431,12 +439,12 @@ def test_mode_operator_validation(sol53_mid):
                                   (7, 2.4)], ids=str)
 def test_default_sweep_certificates_within_shoot_budget(request, shots,
                                                         cell):
-    """The certificates of a default sweep (ell_max = 4 at eps_tilde = 1e-2,
-    1e-5 and 1e-8) take at most 70 mode shoots per cell, Pruefer and
-    kernel shoots together (46 to 63 measured, 8 of them for ell = 1; 90 to
-    94 when the ell >= 2 searches started at nu = 0).  No
-    verdict is asserted: the deep points are not certified yet, as the
-    fixed tol meets lambda_1 ~ mu^-2."""
+    """The certificates of a default sweep (at eps_tilde = 1e-2, 1e-5 and
+    1e-8; ell = 0, and ell = 1, which covers every higher mode) take at
+    most 30 mode shoots per cell, Pruefer and kernel shoots together (23 to
+    25 measured, 8 of them for ell = 1; 46 to 63 when they also searched
+    ell = 2 to 4).  No verdict is asserted: the deep points are not
+    certified yet, as the fixed tol meets lambda_1 ~ mu^-2."""
     p = Params(*cell)
     fixture = {(4, 3.0): "sweep43", (5, 3.0): "sweep53"}.get(cell)
     if fixture is None:
@@ -447,8 +455,8 @@ def test_default_sweep_certificates_within_shoot_budget(request, shots,
     for nus in shots.values():
         nus.clear()
     for sol in sols:
-        nondegeneracy_certificate(p, sol)
-    assert sum(map(len, shots.values())) <= 70
+        assert nondegeneracy_certificate(p, sol)[1]["covered_by"] == 1
+    assert sum(map(len, shots.values())) <= 30
 
 
 def test_morse_index_one(sol53_mid):
@@ -501,22 +509,44 @@ def test_certificate_structure(sol53_mid):
     assert set(rep["per_mode"]) == {0, 1, 2, 3, 4}
     assert rep["per_mode"][0]["n_negative"] == 1
     assert rep["min_abs_overall"] >= 1e-3
-    assert rep["monotone_from_ell2"]
+    assert rep["covered_by"] == 4
     with pytest.raises(DomainError):
-        nondegeneracy_certificate(p, sol, ell_max=1)
+        nondegeneracy_certificate(p, sol, ell_max=-1)
 
 
-def test_certificate_requires_monotone_from_ell2(sol53_mid, monkeypatch):
-    """Distances that fall from ell = 2 to ell = 3 leave ell > ell_max
-    uncovered, so the verdict fails though every mode is far from zero."""
+def test_certificate_searches_up_to_the_covering_mode(sol53_mid,
+                                                      monkeypatch):
+    """Modes with an eigenvalue below zero cover nothing, so the search
+    goes on past them to the first mode without one, here ell = 3, whose
+    distance below tol fails the verdict; a search that stopped at ell = 1
+    would pass.  No mode above the covering one is searched."""
     p, sol = sol53_mid
-    dist = {0: 5.0, 1: 1.0, 2: 50.0, 3: 40.0, 4: 60.0}
+    near = {0: (5.0, 1), 1: (1.0, 1), 2: (50.0, 1), 3: (1e-4, 0)}
     monkeypatch.setattr(bnlab.linearization, "eigenvalues_near_zero",
-                        lambda op: (None, dist[op.ell], 0))
-    ok, rep = nondegeneracy_certificate(p, sol, ell_max=4, tol=1e-3)
-    assert rep["resolved"] and rep["min_abs_overall"] == 1.0
-    assert not rep["monotone_from_ell2"]
+                        lambda op: (None, *near[op.ell]))
+    ok, rep = nondegeneracy_certificate(p, sol, ell_max=0, tol=1e-3)
+    assert list(rep["per_mode"]) == [0, 1, 2, 3]
+    assert rep["covered_by"] == 3
+    assert rep["resolved"] and rep["min_abs_overall"] == 1e-4
     assert not ok
+
+
+@pytest.mark.parametrize("scale,cover", [(3.0, 4), (6.0, 6)])
+def test_certificate_cover_matches_a_wider_search(sol53_mid, scale, cover):
+    """A large potential_scale puts eigenvalues below zero in modes ell >= 1:
+    from ell_max = 0 the certificate searches up to the first mode without
+    one, and its verdict and distance are those of the search to
+    ell_max = 6."""
+    p, sol = sol53_mid
+    ok, rep = nondegeneracy_certificate(p, sol, ell_max=0,
+                                        potential_scale=scale)
+    assert list(rep["per_mode"]) == list(range(cover + 1))
+    assert rep["covered_by"] == cover
+    assert rep["per_mode"][cover - 1]["n_negative"] > 0
+    ok6, rep6 = nondegeneracy_certificate(p, sol, ell_max=6,
+                                          potential_scale=scale)
+    assert ok == ok6
+    assert rep["min_abs_overall"] == rep6["min_abs_overall"]
 
 
 def test_certificate_rejects_synthetic_degeneracy(sol53_mid):

@@ -47,8 +47,8 @@ COMMANDS = [
     (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
       "--ell-max", "2", "--potential-scale", "0.45"],
      {"--output": "out.json"}),
-    # at ell_max = 4 the certificate's mode-ordering check (ell = 2..4) is not
-    # empty
+    # ell = 2..4 are listed because ell_max = 4, not because they are needed
+    # to cover the higher modes
     (["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
       "--ell-max", "4"],
      {"--output": "out.json"}),
@@ -66,9 +66,9 @@ COMMANDS = [
       # at N = 3, q = 5 R_tilde reaches 8.7e8
       for n, q in (("4", "3"), ("5", "3"), ("3", "5"))),
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
-      "--spectrum-points", "1", "--ell-max", "2"],
+      "--spectrum-points", "1"],
      {"--output": "out.json", "--records": "records.csv"}),
-    # the default sweeps: three certificates each at ell_max = 4
+    # the default sweeps: three certificates each, ell = 1 covering ell >= 2
     *((["sweep", "--n", n, "--q", "3"],
        {"--output": "out.json", "--records": "records.csv"})
       for n in ("4", "5")),
