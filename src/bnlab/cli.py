@@ -1,6 +1,8 @@
 """Command-line surface: solve, sweep, verify, decompose, spectrum,
 constants, branch-map.  All outputs are deterministic CSV/JSON for
-downstream plotting; numbers carry 17 significant digits.
+downstream plotting; numbers carry 17 significant digits (15 in
+`constants`), and a non-finite value is written as a quoted string
+("nan", "inf", "-inf") in CSV cells as in JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 unreachable target parameter, 4 numerical or other internal failure.
@@ -52,6 +54,19 @@ def _fmt(x, digits: int = 17) -> str:
     if math.isinf(v):
         return '"inf"' if v > 0 else '"-inf"'
     return format(v, f".{digits}g")
+
+
+def _table(header: str, columns) -> str:
+    """CSV text: the header line, then one line per row of the float
+    columns.  A finite row is one format call with the bytes of _fmt; a
+    row that holds a non-finite value goes through _fmt cell by cell."""
+    cols = np.array(columns, dtype=float)
+    finite = np.isfinite(cols).all(axis=0).tolist()
+    row = ",".join(["{:.17g}"] * len(cols)).format
+    lines = [header]
+    lines += [row(*cells) if ok else ",".join(map(_fmt, cells))
+              for ok, cells in zip(finite, zip(*cols.tolist()))]
+    return "\n".join(lines) + "\n"
 
 
 def _json(obj, digits: int = 17) -> str:
@@ -140,11 +155,7 @@ def _solve_solution(p: Params, args):
 def cmd_solve(args) -> int:
     p = _params(args)
     sol = _solve_solution(p, args)
-    rows = [PROFILE_HEADER]
-    rows += [
-        f"{_fmt(r)},{_fmt(u)},{_fmt(du)}" for r, u, du in zip(*sol.profile())
-    ]
-    _emit("\n".join(rows) + "\n", args.profile)
+    _emit(_table(PROFILE_HEADER, sol.profile()), args.profile)
     _emit(_json(_solution_doc(sol)) + "\n", args.output)
     return EXIT_OK
 
@@ -171,12 +182,8 @@ def cmd_sweep(args) -> int:
         raise IntegrationFailureError(
             f"only {len(records)}/{args.points} sweep points converged"
         )
-    lines = [SWEEP_HEADER]
-    for r in records:
-        lines.append(",".join(
-            _fmt(getattr(r, f)) for f in SWEEP_FIELDS
-        ))
-    _emit("\n".join(lines) + "\n", args.records)
+    _emit(_table(SWEEP_HEADER, [[getattr(r, f) for r in records]
+                                 for f in SWEEP_FIELDS]), args.records)
 
     def fit_doc(f):
         return {
@@ -282,10 +289,8 @@ def cmd_branch_map(args) -> int:
             f"(N={p.N}, q={p.q}) not admissible for the branch map"
         )
     bm = branch_map(p)
-    lines = ["mu,eps,eps_tilde"]
-    for m, e, t in zip(bm["mu"], bm["eps"], bm["eps_tilde"]):
-        lines.append(f"{_fmt(m)},{_fmt(e)},{_fmt(t)}")
-    _emit("\n".join(lines) + "\n", args.records)
+    _emit(_table("mu,eps,eps_tilde", [bm["mu"], bm["eps"], bm["eps_tilde"]]),
+          args.records)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": p.N,

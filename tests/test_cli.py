@@ -23,9 +23,13 @@ from bnlab.cli import (
     EXIT_VERIFY_FAILED,
     PROFILE_HEADER,
     SWEEP_HEADER,
+    _fmt,
     _json,
+    _table,
     main,
 )
+from bnlab.constants import Params
+from bnlab.solver import solution_at
 
 
 def test_constants_json(tmp_path):
@@ -65,6 +69,11 @@ def test_solve_profile_csv(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == 1.0
     assert abs(float(last[1])) <= 1e-10
+    # every cell reads back to the bits of the solution's profile
+    cells = np.array([[float(x) for x in line.split(",")]
+                      for line in lines[1:]])
+    profile = np.array(solution_at(Params(4, 3), 1e-3).profile())
+    assert cells.T.tobytes() == profile.tobytes()
     doc = json.loads(out.read_text())
     assert doc["nehari_residual"] <= 1e-6
     assert doc["pohozaev_residual"] <= 1e-6
@@ -382,6 +391,40 @@ def test_spectrum_writes_no_warning(capsys, n, q):
                    "--ell-max", "2", "--output", os.devnull])
     assert rc == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     1.7976931348623157e308, 1.0, -3.0, 1e17]),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
+@st.composite
+def _columns(draw):
+    """1 to 4 equal-length columns, each a list of floats, a list of
+    np.float64 or an array."""
+    n_rows = draw(st.integers(0, 12))
+    kinds = st.sampled_from([list, np.array,
+                             lambda c: [np.float64(x) for x in c]])
+    return [draw(kinds)(draw(st.lists(_CELLS, min_size=n_rows,
+                                      max_size=n_rows)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns())
+@example([[math.nan, 1.0, -0.0, 5e-324],
+          np.array([math.inf, 2.0, 0.5, 1.7976931348623157e308]),
+          [np.float64(-math.inf), np.float64(-0.0), np.float64(1e300),
+           np.float64(-2.5)]])
+def test_table_matches_fmt(columns):
+    """Every row of _table is the _fmt cells of that row joined by commas,
+    non-finite cells included."""
+    ref = ["h"] + [",".join(_fmt(col[i]) for col in columns)
+                   for i in range(len(columns[0]))]
+    assert _table("h", columns).split("\n") == ref + [""]
 
 
 def test_json_escapes_strings():

@@ -5,11 +5,14 @@ Usage: python3 tools/cli_diff.py OLD_SRC NEW_SRC
 Each SRC is a directory that holds the `bnlab` package (a checkout's
 `src`).  Every command in COMMANDS runs once per tree, in a child
 interpreter with that tree first on sys.path, writing its JSON and CSV
-outputs to files.  For each command the script prints `identical`, or the
-largest relative change of every JSON key and CSV column that changed,
-the JSON keys present in only one run, and any change in exit code or
-stderr.  List elements are keyed by their "name", or by their "ell", so
-that each spectrum mode reports its own changes.  Standard library only.
+outputs to files.  For each command the script prints `identical` when
+every output file matches byte for byte.  Otherwise it prints the largest
+relative change of every JSON key and CSV column that changed, the JSON
+keys present in only one run, and any change in exit code or stderr; a
+file whose bytes differ while every parsed value is equal (`1` against
+`1.0`) prints `text differs, values equal`.  List elements are keyed by
+their "name", or by their "ell", so that each spectrum mode reports its
+own changes.  Standard library only.
 """
 
 from __future__ import annotations
@@ -189,9 +192,9 @@ def compare(old, new) -> list[str]:
             lines.append(f"{name}: present only in one run")
             continue
         diff = json_changes if name.endswith(".json") else csv_changes
-        for key, change in diff(ta, tb).items():
-            if change > 0.0:
-                lines.append(f"{name} {key}: {change:.3g}")
+        changed = [f"{name} {key}: {change:.3g}"
+                   for key, change in diff(ta, tb).items() if change > 0.0]
+        lines += changed or [f"{name}: text differs, values equal"]
     return lines
 
 
