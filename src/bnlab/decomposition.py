@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import dop853
 from .asymptotics import FitReport, _slope_fit
 from .constants import Params, omega_n
 from .errors import FitFailureError
@@ -90,7 +90,7 @@ def fit_decomposition(sol: RadialSolution) -> DecompositionResult:
         raise FitFailureError(
             f"no orthogonality root for lambda/R_tilde in [{lo}, {hi}]"
         )
-    lam_s = brentq(ortho_gap, lo, hi, xtol=1e-14, rtol=1e-14)
+    lam_s = dop853.brentq(ortho_gap, lo, hi, xtol=1e-14, rtol=1e-14)
 
     g, h, a11, a12, b1, b2 = pairings(lam_s)
     alpha = b1 / a11

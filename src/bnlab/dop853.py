@@ -1,84 +1,91 @@
-"""Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), run
-through scipy.integrate.ode: the method and error norm of solve_ivp's
-DOP853, with a compiled step loop, one scalar atol, and an rtol that may go
-below the 2.2e-14 floor to which solve_ivp clamps.
+"""Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), its
+tableau, and Brent's root finder (Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 4), from scipy's compiled code.  This is the
+one module that knows scipy's file layout: it loads each piece from its
+file, so none of scipy.integrate, scipy.optimize and scipy.special (about
+0.5 s of imports) is imported.  The binding's signature is scipy 1.17.1's.
 
-scipy's compiled binding (checked at scipy 1.17.1) keeps a reference to
-every right-hand side and solout that it is handed, so an integrator built
-per integration stays alive with everything its closures hold.  Each
-Dop853 is built once per role, around a module-level right-hand side
-fun(s, y, *args) that gets each run's parameters as args, and hands the
-binding one solout relay, which points at the caller's solout for one run
-and is cleared after it.  A relay for the right-hand side too would cost
+The compiled DOP853 keeps a reference to every right-hand side and solout
+that it is handed.  So callers pass module-level right-hand sides
+fun(s, y, *args), and every run hands it the one solout _relay, which
+calls that run's solout.  A relay for the right-hand side too would cost
 one more Python call per stage: 9% of a mode shoot.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib.machinery
+import importlib.util
 
-from scipy.integrate import ode
+import numpy as np
+import scipy
 
-from .errors import IntegrationFailureError
+from .errors import FitFailureError, IntegrationFailureError
 
-__all__ = ["Dop853"]
+__all__ = ["TABLEAU", "brentq", "run"]
 
 
-class Dop853:
-    """One long-lived DOP853 integrator of y' = fun(s, y, *args), reused for
-    every run of a role.
+def _load(subpackage: str, name: str):
+    """scipy's subpackage/name from its file, kept out of sys.modules."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [f"{scipy.__path__[0]}/{subpackage}"])
+    if spec is None:
+        raise ImportError(f"bnlab needs scipy's {subpackage}/{name}, which "
+                          f"scipy {scipy.__version__} does not have")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Not re-entrant: a run must not start another run of the same object.
-    """
 
-    def __init__(self, fun):
-        self._solout = None
-        self._ode = ode(fun).set_integrator("dop853", nsteps=2**31 - 1)
-        # one bound method, made once, is the solout of every run
-        self._relay = self._relay_solout
+_dopri853 = _load("integrate", "_dop").dopri853
+_brentq = _load("optimize", "_zeros")._brentq
+# DOP853's A, C and D; rows 13-15 of A and C are the interpolant's stages
+TABLEAU = _load("integrate/_ivp", "dop853_coefficients")
+_solout = None  # the solout of the current run
 
-    def _relay_solout(self, s, y, *args):
-        # the binding passes the right-hand side's args to solout too
-        return self._solout(s, y)
 
-    @property
-    def calls(self) -> int:
-        """Right-hand-side calls of the last run, IWORK(17)."""
-        return int(self._ode._integrator.iwork[16])
+def _relay(s, y, *args):
+    # the binding passes fun's args to solout too.  With IOUT = 0 it reads
+    # a solout return code that nothing set, and where that reads 2 it
+    # evaluates fun again at each step's start (3196 calls, not 2949, in a
+    # mode shoot); so every run calls the relay, which returns 0 or -1
+    return -1 if _solout is not None and _solout(s, y) == -1 else 0
 
-    def run(self, args, y0, s0, s1, rtol, atol, first_step=0.0, solout=None):
-        """Integrate y' = fun(s, y, *args) from y(s0) = y0 towards s1.
 
-        Returns (y, stopped): the state at s1, or stopped = True and the
-        state at the first accepted step end where solout(s, y) returned
-        -1.  solout, when given, is called at s0 and at every accepted step
-        end.  first_step = 0 takes Hairer's initial-step guess.  The
-        stiffness test is off.  Raises IntegrationFailureError when DOP853
-        fails.
-        """
-        integ = self._ode._integrator
-        integ.rtol, integ.atol, integ.first_step = rtol, atol, first_step
-        self._ode.set_f_params(*args)
-        # resets the integrator: new work and iwork arrays, and call_args
-        self._ode.set_initial_value(y0, s0)
-        # SOLOUT and IOUT, in place of the wrapper's own solout
-        integ.call_args[2:4] = [self._relay, int(solout is not None)]
-        # IWORK(4) < 0 switches Hairer's stiffness test off; the scipy
-        # wrapper has no keyword for it
-        integ.iwork[3] = -1
-        self._solout = solout
-        try:
-            with warnings.catch_warnings():
-                # the wrapper warns before it reports a failed run; the
-                # error below carries the return code instead
-                warnings.filterwarnings("ignore", "dop853: ", UserWarning)
-                y = self._ode.integrate(s1)
-        finally:
-            self._solout = None
-        code = self._ode.get_return_code()
-        if code < 0:
-            raise IntegrationFailureError(
-                f"integration failed on [{s0}, {s1}]: dop853 return code "
-                f"{code}"
-            )
-        return y, code == 2
+def run(fun, args, y0, s0, s1, rtol, atol, first_step=0.0, solout=None):
+    """Integrate y' = fun(s, y, *args) from y(s0) = y0 towards s1.  Returns
+    (y, stopped): y at s1 and False, or y at the first accepted step end
+    where solout(s, y), called there and at s0, returned -1, and True.
+    solout must not start another run.  first_step = 0 takes Hairer's
+    initial-step guess.  The stiffness test is off.  Raises
+    IntegrationFailureError when DOP853 fails."""
+    global _solout
+    y0 = np.array(y0, dtype=float)
+    work = np.zeros(11 * len(y0) + 21)
+    work[1:4] = 0.9, 0.3, 6.0  # the safety factor, step-size ratio bounds
+    work[6] = first_step
+    iwork = np.zeros(21, np.int32)
+    iwork[3] = -1  # IWORK(4) < 0 switches Hairer's stiffness test off
+    _solout = solout
+    try:
+        _, y, code = _dopri853(fun, s0, y0, s1, rtol, atol, _relay, 1,
+                               work, iwork, 2**31 - 1, -1, args)
+    finally:
+        _solout = None
+    if code < 0:
+        raise IntegrationFailureError(f"integration failed on [{s0}, {s1}]: "
+                                      f"dop853 return code {code}")
+    return y, code == 2
+
+
+def brentq(f, a, b, xtol, rtol):
+    """The root of f in [a, b], where f(a) and f(b) differ in sign, by
+    scipy.optimize.brentq's compiled solver, at most 100 iterations.
+    Raises FitFailureError where f is not finite: that solver does not."""
+    def finite(x):
+        fx = f(x)
+        if not np.isfinite(fx):
+            raise FitFailureError(f"root solve: f({x}) = {fx} is not finite")
+        return fx
+
+    return _brentq(finite, a, b, xtol, rtol, 100, (), False, True)

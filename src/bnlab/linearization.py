@@ -86,12 +86,11 @@ tenfold per decade of eps_tilde.  Moving the series start from 0.5 L to
 1.3e-11 relative from the old start, as much as series starts from 0.1 L
 to 0.5 L spread among themselves.
 
-Each shoot runs Hairer's compiled DOP853 on a long-lived integrator of
-bnlab.dop853, the runner of the base shoot too, with rtol = 1e-14 below the
-2.2e-14 floor to which solve_ivp clamps.  Its stiffness test is off: in
-the forbidden ell = 0 tail at nu < 0 the step is bound by stability, and
-the test stops integrations there that complete without it (N = 3, q = 5,
-eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
+Each shoot is one call of scipy's compiled DOP853 by bnlab.dop853.run, at
+rtol = 1e-14, below the 2.2e-14 floor to which solve_ivp clamps.  Its
+stiffness test is off: in the forbidden ell = 0 tail at nu < 0 the step is
+bound by stability, and the test stops integrations there that complete
+without it (N = 3, q = 5, eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
 
 Accuracy near zero is that of the shoot.  Measured on the ell = 1
 eigenvalue against its closed-form limit at N = 3, 4 and 5, the absolute
@@ -157,11 +156,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv
 
+from . import dop853
 from .constants import Params
-from .dop853 import Dop853
 from .errors import DomainError, FitFailureError, IntegrationFailureError
 from .solver import (_SERIES_TERMS, _START, RadialSolution, _check_no_zero,
                      _decayed, _profile_series, _unconverged)
@@ -329,9 +326,6 @@ def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
     )
 
 
-_DOP853 = Dop853(_mode_rhs)  # the mode shoots' integrator
-
-
 def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     """Pruefer angle theta(R_tilde) of the mode solution at nu and its
     nu-derivative, by one shoot.
@@ -352,8 +346,9 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     # relative error control is meaningful from the first step.
     off = op.R_tilde**2
     s0, (u, du, th, th_nu) = _mode_start(op, nu)
-    y, _ = _DOP853.run(_mode_args(op, nu, off), (u, du, th, th_nu + off),
-                       s0, op.R_tilde, _MODE_RTOL, 1e-160)
+    y, _ = dop853.run(_mode_rhs, _mode_args(op, nu, off),
+                      (u, du, th, th_nu + off), s0, op.R_tilde, _MODE_RTOL,
+                      1e-160)
     return float(y[2]), float(y[3]) - off
 
 
@@ -404,9 +399,6 @@ def _kernel_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, c):
             dw, -a * dw - k * w - z)
 
 
-_KERNEL_DOP853 = Dop853(_kernel_rhs)  # the ell = 1 kernel shoots' integrator
-
-
 def _carries_kernel(op: ModeOperator) -> bool:
     """Whether op is the physical ell = 1 operator, whose kernel at nu = 0
     is exactly u' (the translation mode), so that _shoot_kernel applies."""
@@ -435,8 +427,8 @@ def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
 
     # atol 1e-300 leaves pure relative control: y and w are O(s0^3) and
     # O(s0^5) at the start, and u' is O(R_tilde^{1-N}) at the end
-    y, _ = _KERNEL_DOP853.run(_kernel_args(op, nu, c), y0, s0, op.R_tilde,
-                              _MODE_RTOL, 1e-300, solout=sign_changes)
+    y, _ = dop853.run(_kernel_rhs, _kernel_args(op, nu, c), y0, s0,
+                      op.R_tilde, _MODE_RTOL, 1e-300, solout=sign_changes)
     return (count, -float(c * y[1] + nu * y[2]),
             -float(y[2] + nu * y[4]))
 
@@ -451,9 +443,10 @@ def _bessel_zero(m: float) -> float:
     10.21(vii)), and for m > 1/2 consecutive zeros of J_m lie more than pi
     apart, by Sturm comparison of sqrt(x) J_m(x) with sin(x).
     """
+    from scipy.special import jv  # only spectrum at ell >= 2 needs it
     a = m + 1.8557570814892386 * m ** (1.0 / 3.0)
-    return brentq(lambda x: jv(m, x), a, a + math.pi, xtol=1e-15,
-                  rtol=4.0 * np.finfo(float).eps)
+    return dop853.brentq(lambda x: jv(m, x), a, a + math.pi, xtol=1e-15,
+                         rtol=4.0 * np.finfo(float).eps)
 
 
 def _dirichlet_bound(op: ModeOperator):

@@ -43,7 +43,7 @@ that start; at N = 5, q = 3 it takes 93, 132, 171 and 208 against 140,
 quadratures within 4e-13 of each other.  ShootResult.eval reads v below
 s0 from the series.
 
-The shoot runs Hairer's compiled DOP853 (bnlab.dop853), which records each
+The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
 located on that step's interpolant by a safeguarded Newton search from the
 step's start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
@@ -67,11 +67,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853
 
+from . import dop853
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
-from .dop853 import Dop853
 from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
 
 __all__ = [
@@ -386,9 +385,6 @@ def _deviation_rows(s, y, N, k, half, p2, q, eps_tilde):
     return np.stack((dv, -(N - 1.0) / s * dv - df - eps_tilde * uq1), axis=1)
 
 
-_DOP853 = Dop853(_deviation_rhs)  # the base shoot's integrator
-
-
 def shoot(p: Params, eps_tilde: float) -> ShootResult:
     """Integrate the deviation from the bubble until the first zero of
     u = U + v or the end of the span _estimate_r_max.
@@ -412,8 +408,9 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         return -1 if u <= 0.0 else 0
 
     s0, y0 = _series_start(p, eps_tilde)
-    _, crossed = _DOP853.run(args, y0, s0, _estimate_r_max(p, eps_tilde),
-                             _SHOOT_RTOL, _QUAD_ATOL, solout=record)
+    _, crossed = dop853.run(_deviation_rhs, args, y0, s0,
+                            _estimate_r_max(p, eps_tilde), _SHOOT_RTOL,
+                            _QUAD_ATOL, solout=record)
     t_ends = np.array(ts)
     dense = _StackedDense(lambda s, y: _deviation_rows(s, y, *args), t_ends,
                           np.array(ys)[:, :2] / _V_SCALE)
@@ -430,10 +427,10 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         # with return code -3 at N = 3, q = 5, eps_tilde = 1e-14
         # (R_tilde = 8.7e14).
         redone = []
-        y_end, _ = _DOP853.run(args, ys[-2], t_ends[-2], first_zero,
-                               _SHOOT_RTOL, _QUAD_ATOL,
-                               first_step=first_zero - t_ends[-2],
-                               solout=lambda s, y: redone.append(s))
+        y_end, _ = dop853.run(_deviation_rhs, args, ys[-2], t_ends[-2],
+                              first_zero, _SHOOT_RTOL, _QUAD_ATOL,
+                              first_step=first_zero - t_ends[-2],
+                              solout=lambda s, y: redone.append(s))
         r_grid = np.concatenate((t_ends[:-2], redone))
         u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0] / _V_SCALE
         if abs(u_end) > _ZERO_TOL:
@@ -500,8 +497,8 @@ class _StackedDense:
     It is rebuilt from the step ends ts and the states y there (columns v,
     v') that the integration recorded.  rows(s, y), the (v, v') rows of the
     right-hand side, read only (v, v'), so the 12 stages, the FSAL stage and
-    the 3 extra stages of every step are formed at once from the tableau of
-    scipy.integrate.DOP853, and the coefficient rows F as solve_ivp's DOP853
+    the 3 extra stages of every step are formed at once from the tableau
+    bnlab.dop853.TABLEAU, and the coefficient rows F as solve_ivp's DOP853
     dense output forms them (Hairer, Norsett & Wanner, Solving ODEs I,
     II.6).  A read at a step end returns the recorded state to rounding.
     The last step keeps its full length when the first zero ends the shoot
@@ -515,17 +512,17 @@ class _StackedDense:
         f_ends = rows(ts, y)
         K = np.empty((16, len(self.h), 2))
         K[0], K[12] = f_ends[:-1], f_ends[1:]  # the first and FSAL stages
+        A, C = dop853.TABLEAU.A, dop853.TABLEAU.C
         # stages 1-11 of each step, then the 3 extra ones of its interpolant
-        for s, a, c in [*zip(range(1, 12), DOP853.A[1:], DOP853.C[1:]),
-                        *zip(range(13, 16), DOP853.A_EXTRA, DOP853.C_EXTRA)]:
-            dy = np.tensordot(a[:s], K[:s], 1) * h
-            K[s] = rows(self.t_old + c * self.h, self.y_old + dy)
+        for s in (*range(1, 12), 13, 14, 15):
+            dy = np.tensordot(A[s, :s], K[:s], 1) * h
+            K[s] = rows(self.t_old + C[s] * self.h, self.y_old + dy)
         delta_y = y[1:] - self.y_old
         F = np.empty((7,) + delta_y.shape)
         F[0] = delta_y
         F[1] = h * K[0] - delta_y
         F[2] = 2 * delta_y - h * (K[12] + K[0])
-        F[3:] = h * np.tensordot(DOP853.D, K, 1)
+        F[3:] = h * np.tensordot(dop853.TABLEAU.D, K, 1)
         # indexed [row, step, component], in the order of the read below
         # (last row first)
         self.F = F[::-1]

@@ -12,7 +12,9 @@ keys present in only one run, and any change in exit code or stderr; a
 file whose bytes differ while every parsed value is equal (`1` against
 `1.0`) prints `text differs, values equal`.  List elements are keyed by
 their "name", or by their "ell", so that each spectrum mode reports its
-own changes.  Standard library only.
+own changes.  After the verdicts it prints each command's wall time on
+each tree, old -> new in seconds, from the same single runs.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CONSTANT_CELLS = ((4, 3), (5, 3), (3, 5), (6, 2.5), (7, 2.2))
@@ -95,6 +98,13 @@ def run(src: Path, argv: list[str], files: dict[str, str]):
             path = Path(tmp) / name
             texts[name] = path.read_text() if path.exists() else None
     return proc.returncode, proc.stderr, texts
+
+
+def timed_run(src: Path, argv: list[str], files: dict[str, str]):
+    """run, and its wall time in seconds."""
+    start = time.perf_counter()
+    result = run(src, argv, files)
+    return result, time.perf_counter() - start
 
 
 def rel_change(old, new) -> float:
@@ -204,13 +214,19 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old_src, new_src = (Path(a).resolve() for a in args)
+    seconds = []
     for argv_, files in COMMANDS:
-        lines = compare(run(old_src, argv_, files),
-                        run(new_src, argv_, files))
-        print(" ".join(argv_) + ": " + ("identical" if not lines else ""))
+        (old, t_old), (new, t_new) = (timed_run(src, argv_, files)
+                                      for src in (old_src, new_src))
+        lines = compare(old, new)
+        seconds.append((" ".join(argv_), t_old, t_new))
+        print(seconds[-1][0] + ": " + ("identical" if not lines else ""))
         for line in lines:
             print("  " + line)
         sys.stdout.flush()
+    print("wall time (s), one run each, old -> new:")
+    for command, old, new in seconds:
+        print(f"  {command}: {old:.2f} -> {new:.2f}")
     return 0
 
 
