@@ -233,20 +233,15 @@ def boundary_green_limit(solutions) -> np.ndarray:
     r = np.linspace(*_GREEN_BAND, _GREEN_BAND_POINTS)
     g = BallGreen(N)
     coeff = alpha_n(N) ** p.two_star * omega_n(N) / N
-    x = np.zeros(N)
-    target = np.array([coeff * green(g, _radial_point(N, ri), x) for ri in r])
+    points = np.zeros((r.size, N))
+    points[:, 0] = r
+    target = coeff * green(g, points, np.zeros(N))
     scale = np.max(np.abs(target))
     devs = []
     for sol in solutions:
         u, _ = sol.eval_unit(r)
         devs.append(float(np.max(np.abs(sol.mu * u - target)) / scale))
     return np.array(devs)
-
-
-def _radial_point(N: int, r: float) -> np.ndarray:
-    x = np.zeros(N)
-    x[0] = r
-    return x
 
 
 def branch_map(p: Params) -> dict:

@@ -4,9 +4,14 @@ the surface-integral identities.
 
 The regular part is always evaluated from the image term directly, never as
 a difference of two singular terms, so the diagonal is cancellation-free.
-surface_identity_suite evaluates its three identities from one table of
-(name, integrand, radius, right-hand side, denominator) rows, each by one
-polar-angle rule at two orders.
+singular_part, regular_part, green and grad_green broadcast over leading
+axes of points: a pair of single points gives a float (a vector for
+grad_green), an (M, N) array of points gives M values.  Each quadrature is
+therefore one array pass over all its nodes: surface_identity_suite
+evaluates its three identities from one table of (name, integrand, radius,
+right-hand side, denominator) rows, each by one polar-angle rule at two
+orders, and greens_representation_residual evaluates the Green function once
+on its whole (direction, radius) grid.
 """
 
 from __future__ import annotations
@@ -61,39 +66,64 @@ class BallGreen:
 
     def _inside(self, x, strict=True):
         xv = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(xv))
-        if (strict and r >= 1.0) or r > 1.0 + 1e-12:
-            raise DomainError(f"point at |x|={r} not inside the unit ball")
+        r = np.sqrt(_dot(xv, xv))
+        outside = r >= 1.0 if strict else r > 1.0 + 1e-12
+        if np.any(outside):
+            raise DomainError(f"point at |x|={float(np.max(r))} not inside "
+                              "the unit ball")
         return xv
 
 
-def _image_distance(x: np.ndarray, y: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Inner product over the last axis, row by row."""
+    return np.sum(a * b, axis=-1)
+
+
+def _pow(v, e):
+    """v ** e by numpy's array loop, also for a single value: the scalar
+    power can differ from it in the last bit, and a point's value must not
+    depend on the batch it comes in."""
+    return np.power(np.atleast_1d(v), e).reshape(np.shape(v))
+
+
+def _offset(x: np.ndarray, y: np.ndarray, what: str):
+    """x - y and its length; raises when any pair sits on the diagonal."""
+    d = x - y
+    dist = np.sqrt(_dot(d, d))
+    if np.any(dist == 0.0):
+        raise SingularityError(f"{what} evaluated on the diagonal")
+    return d, dist
+
+
+def _newtonian(g: BallGreen, r):
+    """c r^{2-N}: a Python float for a single point, an array for a batch."""
+    v = g.c * _pow(r, 2.0 - g.N)
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _image_distance(x: np.ndarray, y: np.ndarray):
     """|y| |x - y*| where y* = y / |y|^2; symmetric and regular at y=0.
 
     |y|^2 |x - y*|^2 = |x|^2 |y|^2 - 2 x.y + 1.
     """
-    val = float(x @ x) * float(y @ y) - 2.0 * float(x @ y) + 1.0
-    return np.sqrt(max(val, 0.0))
+    val = _dot(x, x) * _dot(y, y) - 2.0 * _dot(x, y) + 1.0
+    return np.sqrt(np.maximum(val, 0.0))
 
 
-def singular_part(g: BallGreen, x, y) -> float:
+def singular_part(g: BallGreen, x, y):
     """S(x,y) = 1 / ((N-2) omega_N |x-y|^{N-2})."""
-    xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    d = float(np.linalg.norm(xv - yv))
-    if d == 0.0:
-        raise SingularityError("singular part evaluated on the diagonal")
-    return g.c * d ** (2.0 - g.N)
+    _, dist = _offset(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                      "singular part")
+    return _newtonian(g, dist)
 
 
-def regular_part(g: BallGreen, x, y) -> float:
+def regular_part(g: BallGreen, x, y):
     """H(x,y), from the image term; finite on the diagonal."""
-    xv = g._inside(x, strict=False)
-    yv = g._inside(y, strict=False)
-    b = _image_distance(xv, yv)
-    return g.c * b ** (2.0 - g.N)
+    b = _image_distance(g._inside(x, strict=False), g._inside(y, strict=False))
+    return _newtonian(g, b)
 
 
-def green(g: BallGreen, x, y) -> float:
+def green(g: BallGreen, x, y):
     """G(x,y) = S(x,y) - H(x,y); positive, symmetric, zero on the sphere."""
     return singular_part(g, x, y) - regular_part(g, x, y)
 
@@ -102,14 +132,11 @@ def grad_green(g: BallGreen, x, y) -> np.ndarray:
     """Gradient of G in its first argument, in closed form."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    d = xv - yv
-    dist = float(np.linalg.norm(d))
-    if dist == 0.0:
-        raise SingularityError("grad_green evaluated on the diagonal")
+    d, dist = _offset(xv, yv, "grad_green")
     b = _image_distance(xv, yv)
-    grad_b2_half = float(yv @ yv) * xv - yv  # d/dx of b^2 / 2
+    grad_b2_half = _dot(yv, yv)[..., None] * xv - yv  # d/dx of b^2 / 2
     return -(g.N - 2.0) * g.c * (
-        d / dist**g.N - grad_b2_half / b**g.N
+        d / _pow(dist, g.N)[..., None] - grad_b2_half / _pow(b, g.N)[..., None]
     )
 
 
@@ -132,17 +159,16 @@ def _polar_sphere_quad(fn, N: int, radius: float, y: np.ndarray,
     """Integrate a scalar field over a sphere, axially symmetric about the
     line through 0 and y (the first axis if y = 0).
 
-    fn receives the unit direction sigma; the symmetry reduces the surface
-    integral to int_0^pi fn(cos th) sin^{N-2}(th) dth times
-    omega_{N-1} radius^{N-1}.  The polar-angle form keeps the integrand
-    smooth at the poles for every N, so Gauss-Legendre is spectral.
+    fn receives the (order, N) array of unit directions sigma, one per node,
+    and returns its values there; the symmetry reduces the surface integral
+    to int_0^pi fn(cos th) sin^{N-2}(th) dth times omega_{N-1} radius^{N-1}.
+    The polar-angle form keeps the integrand smooth at the poles for every N,
+    so Gauss-Legendre is spectral.
     """
     axis, e_perp = plane_frame(N, y, y)
     th, w = gauss_legendre(0.0, np.pi, order)
-    total = 0.0
-    for ti, wi in zip(th, w):
-        sigma = np.cos(ti) * axis + np.sin(ti) * e_perp
-        total += wi * fn(sigma) * np.sin(ti) ** (N - 2.0)
+    sigma = np.cos(th)[:, None] * axis + np.sin(th)[:, None] * e_perp
+    total = float(np.sum(w * fn(sigma) * np.sin(th) ** (N - 2.0)))
     return omega_n(N - 1) * radius ** (N - 1) * total
 
 
@@ -157,7 +183,8 @@ def surface_identity_suite(g: BallGreen, y) -> dict:
     Each identity is a row (name, integrand, radius, rhs, denominator) of
     one table, evaluated at _SURFACE_ORDER and at half that order;
     non-convergence (residual not decreasing with order) is flagged per
-    identity.
+    identity.  Each integrand maps the quadrature's array of directions to
+    its array of values.
     """
     yv = g._inside(y)
     N = g.N
@@ -170,21 +197,21 @@ def surface_identity_suite(g: BallGreen, y) -> dict:
 
     # on the unit sphere the point x and its outer normal are both sigma
     def pohozaev(sigma):
-        dgdn = float(grad_green(g, sigma, yv) @ sigma)
-        return (1.0 - ny * float(sigma @ axis)) * dgdn * dgdn
+        dgdn = _dot(grad_green(g, sigma, yv), sigma)
+        return (1.0 - ny * (sigma @ axis)) * dgdn * dgdn
 
     def robin_grad(sigma):
-        dgdn = float(grad_green(g, sigma, yv) @ sigma)
-        return dgdn * dgdn * float(sigma @ axis)
+        dgdn = _dot(grad_green(g, sigma, yv), sigma)
+        return dgdn * dgdn * (sigma @ axis)
 
     def local(sigma):
         x = yv + d * sigma
         grad = grad_green(g, x, yv)
-        dgdn = float(grad @ sigma)
+        dgdn = _dot(grad, sigma)
         # -(dG/dn)(y-x).gradG collapses to -d (dG/dn)^2 on the sphere
         return (
             -d * dgdn * dgdn
-            + 0.5 * d * float(grad @ grad)
+            + 0.5 * d * _dot(grad, grad)
             - (N - 2.0) / 2.0 * green(g, x, yv) * dgdn
         )
 
@@ -209,22 +236,22 @@ def greens_representation_residual(g: BallGreen, x) -> float:
 
     The volume integral uses spherical coordinates centered at x, which makes
     the integrand smooth (the rho^{N-1} Jacobian kills the Green singularity).
-    Returns the relative residual.
+    Every direction sigma gets its own Gauss-Legendre rule in rho on
+    [0, rho_max(sigma)], so the Green function is evaluated once on the whole
+    (direction, rho) grid.  Returns the relative residual.
     """
     xv = g._inside(x)
     N = g.N
     nx = float(np.linalg.norm(xv))
 
-    def inner(sigma):
-        xs = float(xv @ sigma)
+    def radial(sigma):
+        xs = sigma @ xv
         rho_max = -xs + np.sqrt(1.0 - nx * nx + xs * xs)
-        rho, wr = gauss_legendre(0.0, rho_max, _REPRESENTATION_ORDER)
-        return sum(
-            wj * green(g, xv, xv + rj * sigma) * rj ** (N - 1)
-            for rj, wj in zip(rho, wr)
-        )
+        rho, wr = gauss_legendre(0.0, rho_max[:, None], _REPRESENTATION_ORDER)
+        y = xv + rho[..., None] * sigma[:, None, :]
+        return np.sum(wr * green(g, xv, y) * rho ** (N - 1), axis=-1)
 
-    integral = _polar_sphere_quad(inner, N, 1.0, xv,
+    integral = _polar_sphere_quad(radial, N, 1.0, xv,
                                   _REPRESENTATION_ORDER) * 2.0 * N
     target = 1.0 - nx * nx
     return abs(integral - target) / abs(target)
