@@ -17,8 +17,10 @@ import sys
 
 import numpy as np
 
+from . import asymptotics as asy
+from . import bubbles, decomposition, green, solver
 from . import constants as cst
-from .asymptotics import SWEEP_FIELDS
+from . import linearization as lin
 from .constants import Params
 from .errors import (
     BnlabError,
@@ -37,7 +39,7 @@ EXIT_NUMERICAL = 4
 SCHEMA_VERSION = "1"
 
 PROFILE_HEADER = "r,u,du"
-SWEEP_HEADER = ",".join(SWEEP_FIELDS)
+SWEEP_HEADER = ",".join(asy.SWEEP_FIELDS)
 
 
 def _fmt(x, digits: int = 17) -> str:
@@ -137,13 +139,11 @@ def _solution_doc(sol) -> dict:
 
 
 def _solve_solution(p: Params, args):
-    from .solver import solution_at, solve_for_eps
-
     if (args.eps is None) == (args.eps_tilde is None):
         raise DomainError("exactly one of --eps / --eps-tilde is required")
     if args.eps is not None:
-        return solve_for_eps(p, args.eps)
-    sol = solution_at(p, args.eps_tilde)
+        return solver.solve_for_eps(p, args.eps)
+    sol = solver.solution_at(p, args.eps_tilde)
     if sol is None:
         raise UnreachableEpsError(
             f"no first zero for eps_tilde={args.eps_tilde}; "
@@ -161,10 +161,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import asymptotics as asy
-    from . import linearization as lin
-    from .decomposition import fit_decomposition, perturbation_order_fit
-
     p = _params(args)
     if args.points < 6:
         raise DomainError("sweep needs at least 6 grid points")
@@ -183,7 +179,7 @@ def cmd_sweep(args) -> int:
             f"only {len(records)}/{args.points} sweep points converged"
         )
     _emit(_table(SWEEP_HEADER, [[getattr(r, f) for r in records]
-                                 for f in SWEEP_FIELDS]), args.records)
+                                 for f in asy.SWEEP_FIELDS]), args.records)
 
     def fit_doc(f):
         return {
@@ -206,8 +202,9 @@ def cmd_sweep(args) -> int:
     devs = asy.boundary_green_limit(sols)
     doc["boundary_green_deviations"] = list(devs)
     doc["boundary_green_decreasing"] = bool(np.all(np.diff(devs) < 0))
-    decs = [fit_decomposition(s) for s in sols]
-    doc["decomposition_fit"] = fit_doc(perturbation_order_fit(decs))
+    decs = [decomposition.fit_decomposition(s) for s in sols]
+    doc["decomposition_fit"] = fit_doc(
+        decomposition.perturbation_order_fit(decs))
     doc["alpha_final"] = decs[-1].alpha
     if not args.skip_spectrum:
         certs = []
@@ -225,11 +222,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .decomposition import fit_decomposition
-
     p = _params(args)
     sol = _solve_solution(p, args)
-    d = fit_decomposition(sol)
+    d = decomposition.fit_decomposition(sol)
     doc = _solution_doc(sol)
     doc.update({
         "alpha": d.alpha,
@@ -245,8 +240,6 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from . import linearization as lin
-
     p = _params(args)
     lin.check_certificate_options(args.ell_max, args.tol,
                                   args.potential_scale)
@@ -279,8 +272,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_branch_map(args) -> int:
-    from .asymptotics import branch_map
-
     p = Params(args.n, args.q)
     # the fold study deliberately admits the N=3, q in (2,4] cell that the
     # blow-up regime gate excludes
@@ -288,7 +279,7 @@ def cmd_branch_map(args) -> int:
         raise DomainError(
             f"(N={p.N}, q={p.q}) not admissible for the branch map"
         )
-    bm = branch_map(p)
+    bm = asy.branch_map(p)
     _emit(_table("mu,eps,eps_tilde", [bm["mu"], bm["eps"], bm["eps_tilde"]]),
           args.records)
     doc = {
@@ -308,23 +299,6 @@ def cmd_branch_map(args) -> int:
 
 def _verify_checks(green_scale: float):
     """Full identity suite; yields (name, residual, threshold) triples."""
-    import math
-
-    from .bubbles import (
-        Bubble,
-        harmonic_correction,
-        harmonic_correction_exact,
-        normalized_bubble_r2,
-    )
-    from .green import (
-        BallGreen,
-        greens_representation_residual,
-        regular_part,
-        robin,
-        surface_identity_suite,
-    )
-    from .solver import solution_at
-
     # gamma function: recurrence and two exact values
     x = 3.7
     yield (
@@ -357,24 +331,24 @@ def _verify_checks(green_scale: float):
         )
 
     for N in (3, 4, 5):
-        g = BallGreen(N, constant_scale=green_scale)
+        g = green.BallGreen(N, constant_scale=green_scale)
         y = np.zeros(N)
         y[0] = 0.4
-        suite = surface_identity_suite(g, y)
+        suite = green.surface_identity_suite(g, y)
         for name, entry in suite.items():
             yield (f"{name}_n{N}", entry["residual"], 1e-6)
         x = np.zeros(N)
         x[-1] = 0.3
         yield (
             f"representation_n{N}",
-            greens_representation_residual(g, x),
+            green.greens_representation_residual(g, x),
             1e-6,
         )
         # exact ball Robin value at the center: R^{2-N}/((N-2) omega_N)
         rb = 1.0 / ((N - 2.0) * cst.omega_n(N))
         yield (
             f"robin_center_n{N}",
-            abs(robin(g, np.zeros(N)) - rb) / rb,
+            abs(green.robin(g, np.zeros(N)) - rb) / rb,
             1e-12,
         )
 
@@ -382,9 +356,9 @@ def _verify_checks(green_scale: float):
     N = 5
     r = 0.9
     h = 1e-5
-    u0 = normalized_bubble_r2(N, r * r)
-    up = normalized_bubble_r2(N, (r + h) * (r + h))
-    um = normalized_bubble_r2(N, (r - h) * (r - h))
+    u0 = bubbles.normalized_bubble_r2(N, r * r)
+    up = bubbles.normalized_bubble_r2(N, (r + h) * (r + h))
+    um = bubbles.normalized_bubble_r2(N, (r - h) * (r - h))
     lap = (up - 2 * u0 + um) / h**2 + (N - 1) / r * (up - um) / (2 * h)
     p = Params(N, 3.0)
     yield (
@@ -394,25 +368,26 @@ def _verify_checks(green_scale: float):
     )
 
     # harmonic correction: quadrature vs exact image form, off-center
-    b = Bubble(3, 5.0, np.array([0.3, 0.0, 0.0]))
+    b = bubbles.Bubble(3, 5.0, np.array([0.3, 0.0, 0.0]))
     xq = np.array([0.0, 0.5, 0.0])
-    hc = harmonic_correction(b, xq)
-    hx = harmonic_correction_exact(b, xq)
+    hc = bubbles.harmonic_correction(b, xq)
+    hx = bubbles.harmonic_correction_exact(b, xq)
     yield ("harmonic_correction_oracle", abs(hc - hx) / abs(hx), 1e-8)
 
     # projection limit: lam^{(N-2)/2} psi -> (N-2) omega_N H(0, x)
     N = 4
-    g = BallGreen(N, constant_scale=green_scale)
+    g = green.BallGreen(N, constant_scale=green_scale)
     xh = np.array([0.5, 0.0, 0.0, 0.0])
-    target = (N - 2.0) * cst.omega_n(N) * regular_part(g, np.zeros(N), xh)
+    target = ((N - 2.0) * cst.omega_n(N)
+              * green.regular_part(g, np.zeros(N), xh))
     lam = 1000.0
-    bb = Bubble(N, lam)
-    val = lam ** ((N - 2.0) / 2.0) * harmonic_correction_exact(bb, xh)
-    yield ("projection_robin_limit", abs(val - target) / target, 1e-4)
+    bb = bubbles.Bubble(N, lam)
+    val = lam ** ((N - 2.0) / 2.0) * bubbles.harmonic_correction_exact(bb, xh)
+    yield ("projection_robin_limit", abs(val - target) / abs(target), 1e-4)
 
     # solver identity gates at a moderate parameter
     p = Params(4, 3.0)
-    sol = solution_at(p, 1e-3)
+    sol = solver.solution_at(p, 1e-3)
     yield ("solver_nehari", sol.nehari_residual, 1e-6)
     yield ("solver_pohozaev", sol.pohozaev_residual, 1e-6)
     yield (

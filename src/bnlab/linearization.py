@@ -29,8 +29,7 @@ the count, or from the Dirichlet bound below, and converges quadratically,
 also where theta is flat over most of the bracket.  Both right-hand sides
 are written with the products cos^2, sin^2 and sin cos, not the double
 angle: 1 - cos(2 theta) loses its digits where theta is near a multiple of
-pi, as in the forbidden ell = 0 tail, where it took 4.5 times the
-right-hand-side calls (N = 3, q = 5, eps_tilde = 1e-3, nu = -0.5).
+pi, as in the forbidden ell = 0 tail.
 
 For ell >= 2 and potential_scale > 0 the potential is positive, so
 L_ell < -Delta_ell, and by min-max the lowest eigenvalue of the mode lies
@@ -40,24 +39,20 @@ ch. VI; DLMF 10.21).  As eps_tilde -> 0 it tends to that bound from below:
 from 19% to 1e-14 relative for ell = 2 to 4 at the 15 certified points
 of the default sweeps at N = 3 to 7.  So when such a mode has no eigenvalue
 below zero, its search shoots once at nu_j = j_{m,1}^2 / R_tilde^2, an
-upper end of the bracket and a near-exact Newton start, instead of
-expanding from nu = 0.  The count there must be 1; a count of 0
-contradicts the bound and raises IntegrationFailureError.  Of those 45
-searches 43 take 2 to 5 shoots, counting the one at nu = 0, and two take
-6 and 8 (N = 7, q = 2.4, eps_tilde = 1e-2, ell = 3 and 2, gaps of 11% and
-19%), against 6 to 10 from nu = 0.  Modes with eigenvalues below zero, and
-potential_scale <= 0 (at 0 the bound is the root itself), keep the start at
+upper end of the bracket and a near-exact Newton start.  The count there
+must be 1; a count of 0 contradicts the bound and raises
+IntegrationFailureError.  Modes with eigenvalues below zero, and
+potential_scale <= 0 (at 0 the bound is the root itself), start at
 nu = 0.
 
-Every shoot starts at s0 = 0.5 L, L = _length_scale(eps_tilde), from the
-convergent power series in s^2 of its solutions (Frobenius; Coddington and
-Levinson, Theory of Ordinary Differential Equations, 1955, ch. 4), exact to
-rounding.  The coefficients of the profile u = sum a_k s^{2k} and of the
-potential W are those of bnlab.solver._profile_series, the series that the
-base shoot starts from too, at the same s0 = _START L; they do not depend
-on nu and are cached per (params, eps_tilde), and W is scaled by
-potential_scale where the start reads it.  Every mode solution comes from
-one recursion,
+Every shoot starts at s0 = _START L, L = _length_scale(eps_tilde), as the
+base shoot does, from the convergent power series in s^2 of its solutions
+(Frobenius; Coddington and Levinson, Theory of Ordinary Differential
+Equations, 1955, ch. 4), exact to rounding.  The coefficients of the
+profile u = sum a_k s^{2k} and of the potential W are those of
+bnlab.solver._profile_series, cached per (params, eps_tilde); W is scaled
+by potential_scale where the start reads it.  Every mode solution comes
+from one recursion,
 
     b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k):
 
@@ -68,29 +63,19 @@ term-decay test, after 12 to 20 terms at the default cells, and raises
 IntegrationFailureError if it has not converged in 60 terms, or if the
 mode solution has a zero in (0, s0].  Where |nu| + |W(0)| = omega^2 is
 large (a free-Laplacian shoot far above zero, a large potential_scale) s0
-shrinks to 2 / omega, which keeps the series' terms bounded.  The shoot no
-longer integrates s < s0, where the old start at 1e-3 L spent 10% to 44%
-of its steps (ell = 0 and 2 at nu = 0 at three cells).  At N = 5,
-eps_tilde = 1e-2, nu = 0 one shoot takes 2949, 2563 and 2612
-right-hand-side calls for ell = 0, 1 (the kernel shoot) and 2, against
-4283, 4577 and 4626 from the old start, and 5299, 4970 and 5150 against
-6320, 6493 and 6902 at N = 4, eps_tilde = 1e-7.  The old two-term start also
-erred for ell = 0: theta0 = atan2(1, 0) dropped the O(s0^2) term of the
-angle, which mixes in the singular solution s^{2-N}, and the tail at small
-eps_tilde amplifies it.  At N = 3, q = 5 it put lambda_0 at 2.4684492 for
-eps_tilde = 1e-5 and 3.342 for 1e-8, against 2.4674870 and 2.4674217
-from the series, whose gap to the N = 3 limit pi^2 / 4 = 2.4674011 shrinks
-tenfold per decade of eps_tilde.  Moving the series start from 0.5 L to
-0.1 L moves lambda_0 by 1.2e-8 relative at (N, q, eps_tilde) =
-(3, 5, 1e-6) and 7e-11 at (4, 3, 1e-5); ell >= 1 values moved by at most
-1.3e-11 relative from the old start, as much as series starts from 0.1 L
-to 0.5 L spread among themselves.
+shrinks to 2 / omega, which keeps the series' terms bounded.  An angle
+start that drops the O(s0^2) terms mixes in the singular solution s^{2-N},
+which the tail at small eps_tilde amplifies; from the series, the gap of
+lambda_0 to its N = 3, q = 5 limit pi^2 / 4 shrinks tenfold per decade of
+eps_tilde.  Moving the series start from 0.5 L to 0.1 L moves lambda_0 by
+1.2e-8 relative at (N, q, eps_tilde) = (3, 5, 1e-6) and 7e-11 at
+(4, 3, 1e-5), and ell >= 1 values by at most 1.3e-11.
 
 Each shoot is one call of scipy's compiled DOP853 by bnlab.dop853.run, at
-rtol = 1e-14, below the 2.2e-14 floor to which solve_ivp clamps.  Its
-stiffness test is off: in the forbidden ell = 0 tail at nu < 0 the step is
-bound by stability, and the test stops integrations there that complete
-without it (N = 3, q = 5, eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
+rtol = _MODE_RTOL.  Its stiffness test is off: in the forbidden ell = 0
+tail at nu < 0 the step is bound by stability, and the test stops
+integrations there that complete without it (N = 3, q = 5,
+eps_tilde = 1e-4, nu = -0.5 at rtol = 1e-13).
 
 Accuracy near zero is that of the shoot.  Measured on the ell = 1
 eigenvalue against its closed-form limit at N = 3, 4 and 5, the absolute
@@ -107,25 +92,22 @@ and lambda_1 ~ mu^{-2} falls to nu = 1e-26 at the deep end of the default
 sweeps, far below the Pruefer shoot's error.  There the Pruefer angle
 cancels u' against its own rounding: in the tail u' ~ s^{1-N} is the
 decaying solution, which a forward shoot loses, so both the value and the
-count go wrong (at N = 4, eps_tilde = 1e-8 its mu^2 lambda_1 reads 9.68
-times the limit, and its count at 2 lambda_1 reads 0).  The kernel shoot
-carries the deviation from u' instead: v = c u' + nu y with c = 1/(2 a_1),
-a_1 the s^2 coefficient of u, (L_1 - nu) y = c u', and w = dy/dnu with
-(L_1 - nu) w = y.  lambda_1 is the
-first root of v(R_tilde; nu) = c u'(R_tilde) + nu y(R_tilde; nu), whose
-nu-derivative is y + nu w, and the zero count of v is the number of its
-sign changes at the accepted step ends, 0 at nu = 0 by construction.  The
-same Newton search finds the root from nu = 0, where its first step is the
-perturbation estimate -c u'(R_tilde) / y(R_tilde; 0): 2 or 3 shoots per
-eigenvalue at the 15 certified points of the default sweeps at N = 3 to 7,
-against 4 to 22 on the angle.  Its error is relative to nu: it agrees with
-the Pruefer root to within 6e-16 in nu wherever that one is resolved, a
-shoot at rtol x 100 moves it by at most 7e-11 relative, and mu^2 lambda_1
-is within 1.2e-5 of its closed-form limit at eps_tilde = 1e-8 for
-N = 3, 4, 5.  So its search stops on a relative step alone and its value
-is reported as resolved.  Modes ell != 1 and operators with
-potential_scale != 1 have no exact kernel, and no such cancellation: they
-stay on the Pruefer shoot.
+count go wrong.  The kernel shoot carries the deviation from u' instead:
+v = c u' + nu y with c = 1/(2 a_1), a_1 the s^2 coefficient of u,
+(L_1 - nu) y = c u', and w = dy/dnu with (L_1 - nu) w = y.  lambda_1 is
+the first root of v(R_tilde; nu) = c u'(R_tilde) + nu y(R_tilde; nu),
+whose nu-derivative is y + nu w, and the zero count of v is the number of
+its sign changes at the accepted step ends, 0 at nu = 0 by construction.
+The same Newton search finds the root from nu = 0, where its first step is
+the perturbation estimate -c u'(R_tilde) / y(R_tilde; 0): 2 or 3 shoots per
+eigenvalue at the 15 certified points of the default sweeps at N = 3 to 7.
+Its error is relative to nu: it agrees with the Pruefer root to within
+6e-16 in nu wherever that one is resolved, a shoot at rtol x 100 moves it
+by at most 7e-11 relative, and mu^2 lambda_1 is within 1.2e-5 of its
+closed-form limit at eps_tilde = 1e-8 for N = 3, 4, 5.  So its search
+stops on a relative step alone and its value is reported as resolved.
+Modes ell != 1 and operators with potential_scale != 1 have no exact
+kernel, and no such cancellation: they stay on the Pruefer shoot.
 
 Below zero the tail where the potential is smaller than -nu is classically
 forbidden, and theta(R_tilde; nu) is a step of height pi over a nu-window
@@ -144,8 +126,7 @@ first ell >= ell_max with no eigenvalue below zero.  L_{ell+1} - L_ell =
 (2 ell + N - 1) / r^2 > 0, so by min-max (Courant and Hilbert I, ch. VI)
 every higher mode's eigenvalues lie above that mode's lowest one, its
 distance from zero.  At the physical potential it is ell = 1: a default
-sweep's certificates take 23 to 25 mode shoots per cell at N = 3 to 7,
-against 46 to 63 when they also searched ell = 2 to 4.
+sweep's certificates take 23 to 25 mode shoots per cell at N = 3 to 7.
 """
 
 from __future__ import annotations
@@ -175,8 +156,7 @@ __all__ = [
 # the growth of the mode series' terms, and s0 shrinks below _START where
 # nu or the potential scale is large
 _START_PHASE = 2.0
-# relative tolerance of the mode shoots, which run Hairer's DOP853: unlike
-# solve_ivp it takes an rtol below 2.2e-14.  Near zero it sets the absolute
+# relative tolerance of the mode shoots.  Near zero it sets the absolute
 # error of nu of the Pruefer shoot; the module docstring says why the
 # stiffness test is off.
 _MODE_RTOL = 1e-14
@@ -327,18 +307,11 @@ def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
 
 
 def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
-    """Pruefer angle theta(R_tilde) of the mode solution at nu and its
-    nu-derivative, by one shoot.
-
-    The base profile is integrated together with the Pruefer angle theta of
-    the mode solution v ~ s^ell, tan(theta) = v / (s v'), which stays
-    bounded where v grows or decays exponentially.  Where theta is a
-    multiple of pi its derivative is 1/s > 0, so every zero of v is crossed
-    exactly once and upward: floor(theta(R_tilde) / pi) is the number of
-    zeros on (0, R_tilde), which by Sturm oscillation is the number of
-    eigenvalues below nu.  theta_nu = d theta / d nu >= 0 is carried as a
-    fourth state, by the variational equation of the angle's equation.
-    """
+    """Pruefer angle theta(R_tilde) of the mode solution v ~ s^ell at nu
+    and its nu-derivative, by one shoot of the base profile with theta and
+    theta_nu.  Where theta is a multiple of pi its derivative is 1/s > 0,
+    so floor(theta(R_tilde) / pi) counts the zeros of v on (0, R_tilde),
+    the number of eigenvalues below nu."""
     # theta_nu stays >= 0 (Sturm comparison), but dop853 takes one scalar
     # atol, 1e-160 here, and theta_nu(s0) is as small as s0^2.
     # z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale of theta_nu (the
@@ -515,14 +488,13 @@ def eigenvalues_near_zero(op: ModeOperator):
     """
     R2 = op.R_tilde**2
     if _carries_kernel(op):
-        # no eigenvalue below zero: v = c u' has no zero at nu = 0; the
-        # search stops on a relative step alone, as the kernel shoot's
-        # error of nu is relative, not the Pruefer shoot's absolute one
+        # no eigenvalue below zero, as v = c u' > 0 at nu = 0; the kernel
+        # shoot's error of nu is relative, so the search stops on that alone
         kernel = functools.cache(lambda nu: _shoot_kernel(op, nu))
         nu_above = _eigenvalue_by_index(op, kernel, 0, 0.0, 0.0, 0.0)
         return None, nu_above * R2, kernel(0.0)[0]
-    # one integration per nu: the search above zero starts from nu = 0,
-    # or from the Dirichlet bound, an upper end and a near-exact Newton start
+    # one shoot per nu; the search above zero starts at nu = 0 or at the
+    # Dirichlet bound
     angle = functools.cache(lambda nu: _counted_angle(op, nu))
     m0 = angle(0.0)[0]
     nu = 0.0
@@ -574,9 +546,9 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     first ell >= ell_max with no eigenvalue below zero, which covers every
     higher mode (see the module docstring); FitFailureError if none does
     within _SEARCH_MAXITER modes past ell_max.  The report carries per-mode
-    distances, whether each is resolved (|lambda| / R_tilde^2 >=
-    _NU_RESOLVED) and the Dirichlet bound of each mode ell >= 2 when
-    potential_scale > 0."""
+    distances, whether each is resolved (always on the kernel shoot, else
+    |lambda| / R_tilde^2 >= _NU_RESOLVED) and the Dirichlet bound of each
+    mode ell >= 2 when potential_scale > 0."""
     check_certificate_options(ell_max, tol, potential_scale)
     modes = {}
     for ell in range(ell_max + _SEARCH_MAXITER + 1):
@@ -593,8 +565,7 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
             # kernel shoot's error is relative to lambda_1
             "resolved": (_carries_kernel(op)
                          or dist >= _NU_RESOLVED * op.R_tilde**2),
-            # j_{m,1}^2, above the mode's lowest eigenvalue; None where it
-            # does not apply
+            # j_{m,1}^2, above the mode's lowest eigenvalue, or None
             "dirichlet_bound": _dirichlet_bound(op),
         }
         if ell >= ell_max and m0 == 0:

@@ -21,12 +21,11 @@ carries B at its own relative accuracy.  The energy functionals and the
 boundary flux are accumulated as extra ODE components, so their accuracy is
 the integrator tolerance rather than any resampling grid.
 
-shoot(p, eps_tilde) has no other knobs: it integrates over the span
-_estimate_r_max, 30 times the blow-up estimate of R_tilde and at least 1e3,
-at the module tolerance _SHOOT_RTOL.  The integration stops at the first
-zero, so the span only caps it: spans of 1e3 and 1e4 gave the same bits as
-the default at N = 4 and 5, eps_tilde = 1e-3 to 1e-2.  scale_to_unit_ball
-reads (N, q) from the shoot it maps.
+shoot(p, eps_tilde) integrates over the span _estimate_r_max, 30 times the
+blow-up estimate of R_tilde and at least 1e3, at the tolerance _SHOOT_RTOL.
+The integration stops at the first zero, so the span only caps it: spans of
+1e3 and 1e4 gave the same bits as the default at N = 4 and 5 and
+eps_tilde = 1e-3 to 1e-2.
 
 The shoot starts at s0 = _START L, L = _length_scale(eps_tilde), from the
 convergent power series of the profile in s^2 (_profile_series), exact to
@@ -34,24 +33,19 @@ rounding in 13 to 25 terms; the mode shoots of bnlab.linearization start
 from the same cached series.  The deviation's coefficients come from a
 difference recurrence, so they keep the deviation's O(eps_tilde) size,
 and the four quadratures over [0, s0] are summed term by term from Cauchy
-products of the series.  The steps below s0 do not depend on eps_tilde;
-the former start at 1e-4 L spent 37 (N = 4) and 46 (N = 5) steps there.
-At N = 4, q = 3 a shoot takes 84, 135, 189 and 245 accepted steps at
-eps_tilde = 1e-2, 1e-4, 1e-6 and 1e-8, against 122, 173, 227 and 281 from
-that start; at N = 5, q = 3 it takes 93, 132, 171 and 208 against 140,
-179, 217 and 255.  Starts at 0.25 L and 0.5 L give the first zero and the
-quadratures within 4e-13 of each other.  ShootResult.eval reads v below
-s0 from the series.
+products of the series.  Starts at 0.25 L and 0.5 L give the first zero
+and the quadratures within 4e-13 of each other.  ShootResult.eval reads v
+below s0 from the series.
 
 The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
 located on that step's interpolant by a safeguarded Newton search from the
 step's start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
-N = 3 to 7 and eps_tilde = 1e-14 to 1e8, and at most 8, where a Brent
-solve took about 21.  The step is redone as an integration that ends on
-the zero.  ShootResult.dense is the DOP853 interpolant of (v, v'), rebuilt
-from the recorded step ends with the stages of all steps in one vectorised
-pass, and read at all requested radii in another.
+N = 3 to 7 and eps_tilde = 1e-14 to 1e8, and at most 8.  The step is
+redone as an integration that ends on the zero.  ShootResult.dense is the
+DOP853 interpolant of (v, v'), rebuilt from the recorded step ends with the
+stages of all steps in one vectorised pass, and read at all requested radii
+in another.
 
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
@@ -131,12 +125,10 @@ class ShootResult:
     dense: Callable = field(repr=False, default=None)
 
     def eval(self, s):
-        """(u_tilde, u_tilde') at scaled radii s: the bubble plus the
-        deviation, read from the profile series below the shoot's start
+        """(u_tilde, u_tilde') at an array of scaled radii s: the bubble plus
+        the deviation, read from the profile series below the shoot's start
         and from the interpolant beyond it."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
         v = np.empty_like(s)
         dv = np.empty_like(s)
         small = s < _START * _length_scale(self.eps_tilde)
@@ -149,8 +141,7 @@ class ShootResult:
             dv[~small] = vals[1]
         N = self.params.N
         U = normalized_bubble_r2(N, s * s)
-        u, du = U + v, dv - s / N * U ** (N / (N - 2.0))  # U' in closed form
-        return (float(u[0]), float(du[0])) if scalar else (u, du)
+        return U + v, dv - s / N * U ** (N / (N - 2.0))  # U' in closed form
 
 
 @dataclass

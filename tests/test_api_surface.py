@@ -63,6 +63,28 @@ def test_every_module_constant_is_read_in_src():
     assert unread == []
 
 
+def test_function_level_imports_defer_only_scipy_special():
+    """The package imports every module once, at the top of a module,
+    except scipy.special, which only the ell >= 2 Dirichlet bound reads."""
+    found = []  # (module, function, imported module)
+
+    def visit(node, module, function):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(sub, module, sub.name)
+                continue
+            if function is not None and isinstance(sub, ast.Import):
+                found.extend((module, function, a.name) for a in sub.names)
+            elif function is not None and isinstance(sub, ast.ImportFrom):
+                found.append((module, function,
+                              "." * sub.level + (sub.module or "")))
+            visit(sub, module, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == [("linearization", "_bessel_zero", "scipy.special")]
+
+
 def test_all_names_resolve():
     modules = [bnlab] + [
         importlib.import_module(f"bnlab.{path.stem}")

@@ -153,16 +153,16 @@ def test_fault_scale_breaks_identities():
 
 @pytest.mark.parametrize("scale", [1.01, -1.0])
 def test_fault_scale_fails_every_green_check(tmp_path, scale):
-    """A scaled Green constant fails each quadrature identity and the Robin
-    value at every N.  projection_robin_limit reads the constant too but is
-    left out: its residual is divided by the signed target, so a negative
-    scale passes it."""
+    """A scaled Green constant fails each quadrature identity, the Robin
+    value at every N and the projection limit, which also reads it; a
+    negative scale fails the limit too, as its residual is relative to
+    |target|."""
     out = tmp_path / "v.json"
     assert main(["verify", "--fault-green-scale", repr(scale),
                  "--output", str(out)]) == EXIT_VERIFY_FAILED
     failing = {c["name"] for c in json.loads(out.read_text())["checks"]
                if not c["pass"]}
-    assert failing - {"projection_robin_limit"} == {
+    assert failing == {"projection_robin_limit"} | {
         f"{name}_n{N}" for N in (3, 4, 5)
         for name in ("pohozaev_surface", "robin_gradient_surface",
                      "local_pohozaev", "representation", "robin_center")

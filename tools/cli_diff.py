@@ -65,6 +65,7 @@ COMMANDS = [
      {"--output": "out.json"}),
     (["verify"], {"--output": "out.json"}),
     (["verify", "--fault-green-scale", "1.01"], {"--output": "out.json"}),
+    (["verify", "--fault-green-scale", "-1"], {"--output": "out.json"}),
     (["branch-map", "--n", "3", "--q", "3"],
      {"--output": "out.json", "--records": "records.csv"}),
     *((["sweep", "--n", n, "--q", q, "--skip-spectrum"],
