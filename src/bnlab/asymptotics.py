@@ -97,25 +97,22 @@ def _record(sol: RadialSolution, sn2: float) -> SweepRecord:
 
 
 def _solutions(p: Params, grid, jobs: int = 1) -> list:
-    """The solutions at the eps_tilde values of grid, in grid order, without
-    the points where the shoot finds no first zero.  jobs > 1 solves them in
-    that many worker processes."""
+    """The solutions at the eps_tilde values of grid, in grid order.  jobs > 1
+    solves them in that many worker processes."""
     solve = functools.partial(solution_at, p)
     ets = [float(et) for et in grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            sols = list(pool.map(solve, ets))
-    else:
-        sols = list(map(solve, ets))
-    return [sol for sol in sols if sol is not None]
+            return list(pool.map(solve, ets))
+    return list(map(solve, ets))
 
 
 def sweep_with_solutions(p: Params, eps_tilde_grid=None, jobs: int = 1):
-    """Run the continuation and return (records, solutions), grid-ordered.
+    """Run the continuation and return (records, solutions), one per grid
+    point, grid-ordered.
 
-    Failures at individual grid points (no first zero within the span) are
-    skipped, not fatal.  jobs > 1 solves the grid points in that many worker
-    processes.
+    A grid point whose shoot fails raises, as solution_at does.  jobs > 1
+    solves the grid points in that many worker processes.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")

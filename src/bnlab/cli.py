@@ -22,13 +22,7 @@ from . import bubbles, decomposition, green, solver
 from . import constants as cst
 from . import linearization as lin
 from .constants import Params
-from .errors import (
-    BnlabError,
-    DomainError,
-    FitFailureError,
-    IntegrationFailureError,
-    UnreachableEpsError,
-)
+from .errors import BnlabError, DomainError, UnreachableEpsError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,13 +137,7 @@ def _solve_solution(p: Params, args):
         raise DomainError("exactly one of --eps / --eps-tilde is required")
     if args.eps is not None:
         return solver.solve_for_eps(p, args.eps)
-    sol = solver.solution_at(p, args.eps_tilde)
-    if sol is None:
-        raise UnreachableEpsError(
-            f"no first zero for eps_tilde={args.eps_tilde}; "
-            "no ball solution there"
-        )
-    return sol
+    return solver.solution_at(p, args.eps_tilde)
 
 
 def cmd_solve(args) -> int:
@@ -174,10 +162,6 @@ def cmd_sweep(args) -> int:
         raise DomainError("--spectrum-points must be non-negative")
     grid = asy.default_grid(args.points, lo, hi)
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
-    if len(records) < 0.8 * args.points:
-        raise IntegrationFailureError(
-            f"only {len(records)}/{args.points} sweep points converged"
-        )
     _emit(_table(SWEEP_HEADER, [[getattr(r, f) for r in records]
                                  for f in asy.SWEEP_FIELDS]), args.records)
 
@@ -503,7 +487,7 @@ def main(argv=None) -> int:
     except UnreachableEpsError as exc:
         print(f"error: unreachable target: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
-    except (IntegrationFailureError, FitFailureError, BnlabError) as exc:
+    except BnlabError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:  # noqa: BLE001  (one line, never a traceback)

@@ -542,13 +542,14 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
                               ell_max: int = 0, tol: float = 1e-3,
                               potential_scale: float = 1.0):
     """True iff every mode keeps its spectrum at a resolved distance >= tol
-    from zero.  Modes ell = 0, 1, ... are searched up to covered_by, the
-    first ell >= ell_max with no eigenvalue below zero, which covers every
-    higher mode (see the module docstring); FitFailureError if none does
-    within _SEARCH_MAXITER modes past ell_max.  The report carries per-mode
-    distances, whether each is resolved (always on the kernel shoot, else
-    |lambda| / R_tilde^2 >= _NU_RESOLVED) and the Dirichlet bound of each
-    mode ell >= 2 when potential_scale > 0."""
+    from zero.  Modes ell = 0, 1, ... are searched up to the first
+    ell >= ell_max with no eigenvalue below zero, which covers every higher
+    mode (see the module docstring); FitFailureError if none does within
+    _SEARCH_MAXITER modes past ell_max.  The report lists the searched
+    modes, the covering one last, with their distances, whether each is
+    resolved (always on the kernel shoot, else |lambda| / R_tilde^2 >=
+    _NU_RESOLVED) and the Dirichlet bound of each mode ell >= 2 when
+    potential_scale > 0."""
     check_certificate_options(ell_max, tol, potential_scale)
     modes = {}
     for ell in range(ell_max + _SEARCH_MAXITER + 1):
@@ -576,6 +577,6 @@ def nondegeneracy_certificate(p: Params, sol: RadialSolution,
     # the cover reads only the listed modes' values, so only they must hold
     resolved = all(m["resolved"] for m in modes.values())
     min_abs = min(m["min_abs"] for m in modes.values())
-    report = {"per_mode": modes, "covered_by": ell, "resolved": resolved,
+    report = {"per_mode": modes, "resolved": resolved,
               "min_abs_overall": min_abs}
     return resolved and min_abs >= tol, report

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import bnlab.solver
 from bnlab import (
     DomainError,
     FitFailureError,
+    IntegrationFailureError,
     Params,
     blowup_rate_fit,
     blowup_target,
@@ -80,6 +82,18 @@ def test_parallel_sweep_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.eps == b.eps
         assert a.S_eps == b.S_eps
+
+
+def test_sweep_raises_where_one_shoot_loses_its_zero(monkeypatch):
+    """A grid point whose shoot reaches its span end fails the sweep; it is
+    not dropped from the records."""
+    grid = default_grid()
+    lost = float(grid[7])
+    r_max = bnlab.solver._estimate_r_max
+    monkeypatch.setattr(bnlab.solver, "_estimate_r_max",
+                        lambda p, et: 100.0 if et == lost else r_max(p, et))
+    with pytest.raises(IntegrationFailureError, match="no first zero"):
+        sweep_with_solutions(Params(4, 3.0), grid)
 
 
 def test_profile_distance_and_upper_bound(sweep43):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import bnlab.cli
 import bnlab.linearization
+import bnlab.solver
 from bnlab.cli import (
     EXIT_BAD_CONFIG,
     EXIT_NUMERICAL,
@@ -93,14 +94,14 @@ def test_solve_requires_one_target():
     st.floats(-8.0, 2.0).map(lambda u: 10.0**u),
 ))
 def test_solve_exit_code_contract(tmp_path_factory, eps_tilde):
-    """Any --eps-tilde ends in success, bad configuration or unreachable,
-    and a success passes the solver's identity gates."""
+    """Any --eps-tilde ends in success or bad configuration, never in an
+    unreachable target, and a success passes the solver's identity gates."""
     out = tmp_path_factory.mktemp("contract") / "s.json"
     rc = main([
         "solve", "--n", "4", "--q", "3", f"--eps-tilde={eps_tilde!r}",
         "--profile", os.devnull, "--output", str(out),
     ])
-    assert rc in (EXIT_OK, EXIT_BAD_CONFIG, EXIT_UNREACHABLE)
+    assert rc in (EXIT_OK, EXIT_BAD_CONFIG)
     if rc == EXIT_OK:
         doc = json.loads(out.read_text())
         assert doc["nehari_residual"] <= 1e-6
@@ -160,6 +161,36 @@ def test_nonfinite_eps_rejected(capsys):
     ])
     assert rc == EXIT_BAD_CONFIG
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("n,q", [("3", "5"), ("4", "3"), ("7", "2.4")])
+def test_eps_tilde_whose_span_overflows_exits_2(capsys, n, q):
+    """s^{N-1} must stay finite up to the end of the shooting span; it is
+    checked before the shoot integrates anything."""
+    rc = main([
+        "solve", "--n", n, "--q", q, "--eps-tilde", "1e-300",
+        "--profile", os.devnull, "--output", os.devnull,
+    ])
+    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: invalid configuration: span ")
+    assert err[0].endswith(f"of eps_tilde=1e-300 at (N={n}, q={q}) "
+                           f"overflows s^{int(n) - 1}")
+
+
+def test_shoot_past_its_span_end_exits_4(monkeypatch, capsys):
+    """A shoot that loses its first zero is a numerical failure, not an
+    unreachable target."""
+    monkeypatch.setattr(bnlab.solver, "_estimate_r_max", lambda p, et: 100.0)
+    rc = main([
+        "solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-3",
+        "--profile", os.devnull, "--output", os.devnull,
+    ])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: numerical failure: no first zero")
 
 
 def test_sweep_jobs_below_one_rejected():

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 import bnlab.solver
 from bnlab import (
     DomainError,
+    IntegrationFailureError,
     Params,
     UnreachableEpsError,
     default_grid,
@@ -226,6 +227,35 @@ def test_first_zero_on_the_crossing_interpolant(monkeypatch):
         assert len(reads) <= 6
         zero, ref = found[-1]
         assert abs(zero - ref) <= 4.0 * np.spacing(ref), (N, q, et)
+
+
+# the regime across N = 3 to 7, and the branch-map cells outside it
+_ZERO_CELLS = [(3, 5.0), (4, 3.0), (5, 3.0), (6, 2.6), (7, 2.4), (3, 2.2),
+               (3, 3.0), (3, 4.0)]
+
+
+@pytest.mark.parametrize("N,q", _ZERO_CELLS)
+def test_every_shoot_ends_on_its_first_zero(N, q):
+    """From eps_tilde = 1e-14 to 1e8 each shoot ends on a finite first zero
+    inside its span, with finite quadratures and an outward slope there."""
+    p = Params(N, q)
+    for et in (1e-14, 1e-8, 1e-2, 1e2, 1e8):
+        s = shoot(p, et)
+        assert 0.0 < s.first_zero < _estimate_r_max(p, et), et
+        assert np.isfinite([s.grad2, s.mass_crit, s.mass_q]).all(), et
+        assert s.du_at_zero < 0.0, et
+
+
+def test_shoot_that_reaches_its_span_end_raises(monkeypatch):
+    """A shoot that reaches the end of its span without u <= 0 has lost its
+    first zero, a numerical failure named by eps_tilde, (N, q) and span."""
+    p = Params(4, 3.0)
+    assert shoot(p, 1e-3).first_zero > 100.0
+    monkeypatch.setattr(bnlab.solver, "_estimate_r_max", lambda p, et: 100.0)
+    with pytest.raises(IntegrationFailureError, match=(
+            r"^no first zero of eps_tilde=0\.001 at \(N=4, q=3\) within "
+            r"the span 100$")):
+        shoot(p, 1e-3)
 
 
 def test_estimate_r_max_grows_as_eps_shrinks():

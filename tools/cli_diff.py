@@ -41,6 +41,9 @@ COMMANDS = [
     # a deep secant solve
     (["solve", "--n", "5", "--q", "3", "--eps", "1e-6"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # a span whose cube overflows: rejected before the shoot
+    (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-300"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
     (["decompose", "--n", "5", "--q", "3", "--eps-tilde", "1e-3"],
      {"--output": "out.json"}),
     *((["spectrum", "--n", n, "--q", q, "--eps-tilde", et, "--ell-max", "2"],
