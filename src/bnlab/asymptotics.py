@@ -177,10 +177,10 @@ def deficit_rate_fit(records) -> FitReport:
     eps, deficit = eps[keep], deficit[keep]
     tail = len(eps) // 2
     target = (2.0 * p.N - 4.0) / ((p.N - 2.0) * p.q - 4.0)
-    return _slope_fit(np.log(eps[tail:]), np.log(deficit[tail:]), target)
+    return slope_fit(np.log(eps[tail:]), np.log(deficit[tail:]), target)
 
 
-def _slope_fit(x, y, target: float) -> FitReport:
+def slope_fit(x, y, target: float) -> FitReport:
     """Least-squares line y = slope x + intercept, with the slope against its
     target and exp(intercept) as the limit estimate."""
     slope, intercept = np.polyfit(x, y, 1)

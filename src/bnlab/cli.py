@@ -179,7 +179,6 @@ def cmd_sweep(args) -> int:
         "n": p.N,
         "q": p.q,
         "points_requested": args.points,
-        "points_converged": len(records),
         "blowup_fit": fit_doc(asy.blowup_rate_fit(records)),
         "deficit_fit": fit_doc(asy.deficit_rate_fit(records)),
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dop853
-from .asymptotics import FitReport, _slope_fit
+from .asymptotics import FitReport, slope_fit
 from .constants import Params, omega_n
 from .errors import FitFailureError
 from .quadrature import geometric_panel_rule
@@ -144,4 +144,4 @@ def perturbation_order_fit(results) -> FitReport:
     y = np.log([d.w_h1_norm for d in results])
     if p.N == 6:
         y = y - (2.0 / 3.0) * np.log(np.log(lam))
-    return _slope_fit(np.log(lam), y, -w_decay_exponent(p))
+    return slope_fit(np.log(lam), y, -w_decay_exponent(p))

@@ -45,31 +45,9 @@ IntegrationFailureError.  Modes with eigenvalues below zero, and
 potential_scale <= 0 (at 0 the bound is the root itself), start at
 nu = 0.
 
-Every shoot starts at s0 = _START L, L = _length_scale(eps_tilde), as the
-base shoot does, from the convergent power series in s^2 of its solutions
-(Frobenius; Coddington and Levinson, Theory of Ordinary Differential
-Equations, 1955, ch. 4), exact to rounding.  The coefficients of the
-profile u = sum a_k s^{2k} and of the potential W are those of
-bnlab.solver._profile_series, cached per (params, eps_tilde); W is scaled
-by potential_scale where the start reads it.  Every mode solution comes
-from one recursion,
-
-    b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k):
-
-v = s^ell B(s^2) with src = 0 gives theta(s0) = atan2(B, ell B + 2 x B'),
-x = s^2; dB/dnu, with src = b, gives the exact theta_nu(s0); the kernel
-shoot's y and w below take src = c u' and src = y.  Each series stops on a
-term-decay test, after 12 to 20 terms at the default cells, and raises
-IntegrationFailureError if it has not converged in 60 terms, or if the
-mode solution has a zero in (0, s0].  Where |nu| + |W(0)| = omega^2 is
-large (a free-Laplacian shoot far above zero, a large potential_scale) s0
-shrinks to 2 / omega, which keeps the series' terms bounded.  An angle
-start that drops the O(s0^2) terms mixes in the singular solution s^{2-N},
-which the tail at small eps_tilde amplifies; from the series, the gap of
-lambda_0 to its N = 3, q = 5 limit pi^2 / 4 shrinks tenfold per decade of
-eps_tilde.  Moving the series start from 0.5 L to 0.1 L moves lambda_0 by
-1.2e-8 relative at (N, q, eps_tilde) = (3, 5, 1e-6) and 7e-11 at
-(4, 3, 1e-5), and ell >= 1 values by at most 1.3e-11.
+Every shoot starts at s0 from the series of its solutions that
+bnlab.series gives, exact to rounding; W is scaled by potential_scale
+where the start reads it.
 
 Each shoot is one call of scipy's compiled DOP853 by bnlab.dop853.run, at
 rtol = _MODE_RTOL.  Its stiffness test is off: in the forbidden ell = 0
@@ -133,7 +111,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +118,9 @@ import numpy as np
 from . import dop853
 from .constants import Params
 from .errors import DomainError, FitFailureError, IntegrationFailureError
-from .solver import (_SERIES_TERMS, _START, RadialSolution, _check_no_zero,
-                     _decayed, _profile_series, _unconverged)
+from .series import (SERIES_TERMS, check_no_zero, frobenius_pair,
+                     profile_series)
+from .solver import RadialSolution
 
 __all__ = [
     "ModeOperator",
@@ -152,10 +130,6 @@ __all__ = [
     "nondegeneracy_certificate",
 ]
 
-# largest phase omega * s0 of the start, omega^2 = |nu| + |W(0)|: it bounds
-# the growth of the mode series' terms, and s0 shrinks below _START where
-# nu or the potential scale is large
-_START_PHASE = 2.0
 # relative tolerance of the mode shoots.  Near zero it sets the absolute
 # error of nu of the Pruefer shoot; the module docstring says why the
 # stiffness test is off.
@@ -193,12 +167,16 @@ class ModeOperator:
 
 def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
                         potential_scale: float = 1.0) -> ModeOperator:
-    """The mode-ell operator at sol; p must be the solution's own (N, q)."""
+    """The mode-ell operator at sol; p must be the solution's own (N, q),
+    with q >= 2: below it the potential term (q-1) eps u^{q-2} is unbounded
+    at the boundary zero of u."""
     if p != sol.params:
         raise DomainError(f"parameters {p} do not match the solution's "
                           f"{sol.params}")
     if ell < 0:
         raise DomainError(f"mode index must be nonnegative, got {ell}")
+    if p.q < 2.0:
+        raise DomainError(f"the mode operator needs q >= 2, got q={p.q:g}")
     return ModeOperator(
         params=p,
         ell=ell,
@@ -209,55 +187,18 @@ def build_mode_operator(p: Params, sol: RadialSolution, ell: int,
 
 
 def _start(op: ModeOperator, nu: float):
-    """Where a mode shoot at nu starts, and what the series give there:
-    s0, x0 = s0^2, the profile's c_k = a_k x0^k of u = sum a_k s^{2k}, the
-    potential's x0^{k+1} w_k of W = sum w_k s^{2k}, and (u, u') at s0, from
-    the profile series that the base shoot starts from.
-
-    s0 = _START * _length_scale, or _START_PHASE / omega where that is
-    smaller, omega^2 = |nu| + |W(0)|.
-    """
-    ser = _profile_series(op.params, op.eps_tilde)
+    """Where a mode shoot at nu starts, the series' start at
+    omega^2 = |nu| + |W(0)|, and what the series give there: s0,
+    x0 = s0^2, the profile's c_k = a_k x0^k of u = sum a_k s^{2k}, the
+    potential's x0^{k+1} w_k of W = sum w_k s^{2k}, and (u, u') at s0."""
+    ser = profile_series(op.params, op.eps_tilde)
     L, a, w = ser.L, ser.A, op.potential_scale * ser.W
-    s0 = _START * L
-    omega = math.sqrt(abs(nu) + abs(w[0]) / L**2)
-    if omega * s0 > _START_PHASE:
-        s0 = _START_PHASE / omega
-    r = (s0 / L) ** 2
-    rk = r ** np.arange(len(a))
+    s0 = ser.start(math.sqrt(abs(nu) + abs(w[0]) / L**2))
+    rk = ser.powers(s0)
     c = a * rk
     u0 = (float(c.sum()), float(2.0 * (np.arange(len(c)) @ c) / s0))
-    return s0, s0 * s0, c, w * (rk * r), u0
-
-
-def _frobenius_pair(x0w, x0: float, nu: float, ell: int, N: int,
-                    b0: float, src):
-    """Scaled coefficients b_k x0^k of two series solutions
-    s^ell sum b_k s^{2k} of the mode-ell equation with a source,
-
-        b_{k+1} (2k+2)(2 ell+2k+N) = -([(W+nu) b]_k + src_k),
-
-    B from b_0 = b0 with src[k] = x0^{k+1} src_k, and D = dB/dnu, from
-    d_0 = 0 with src_k = b_k, as src does not depend on nu.
-    x0w[j] = x0^{j+1} w_j.  Both end once their terms have decayed;
-    IntegrationFailureError if they have not after _SERIES_TERMS terms.
-    """
-    # Python floats: the terms are few, and numpy calls on them cost more
-    w, xn = x0w.tolist(), x0 * nu
-    b, d = [b0], [0.0]
-    big_b, big_d = abs(b0), 0.0
-    for k in range(_SERIES_TERMS):
-        # [W b]_k = sum_j w_j b_{k-j}
-        cb = sum(map(operator.mul, w, reversed(b))) + xn * b[k] + src[k]
-        cd = sum(map(operator.mul, w, reversed(d))) + xn * d[k] + x0 * b[k]
-        den = (2.0 * k + 2.0) * (2.0 * ell + 2.0 * k + N)
-        b.append(-cb / den)
-        d.append(-cd / den)
-        big_b, big_d = max(big_b, abs(b[-1])), max(big_d, abs(d[-1]))
-        if (_decayed(b[-2], b[-1], big_b)
-                and _decayed(d[-2], d[-1], big_d)):
-            return np.array(b), np.array(d)
-    raise _unconverged("mode")
+    # rk[1] = (s0 / L)^2
+    return s0, s0 * s0, c, w * (rk * rk[1]), u0
 
 
 def _mode_start(op: ModeOperator, nu: float):
@@ -267,9 +208,9 @@ def _mode_start(op: ModeOperator, nu: float):
     theta = atan2(B, ell B + 2 x B'); theta_nu follows from D = dB/dnu.
     """
     s0, x0, _, x0w, u0 = _start(op, nu)
-    b, d = _frobenius_pair(x0w, x0, nu, op.ell, op.params.N, 1.0,
-                           [0.0] * _SERIES_TERMS)
-    _check_no_zero(b, "mode solution")
+    b, d = frobenius_pair(x0w, x0, nu, op.ell, op.params.N, 1.0,
+                          [0.0] * SERIES_TERMS)
+    check_no_zero(b, "mode solution")
     k = op.ell + 2.0 * np.arange(b.size)
     P, Q, Pn, Qn = b.sum(), k @ b, d.sum(), k @ d
     return s0, (*u0, math.atan2(P, Q), (Q * Pn - P * Qn) / (P * P + Q * Q))
@@ -287,7 +228,8 @@ def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
     """Right-hand side of the mode shoot: the base profile (u, u'), the
     Pruefer angle theta and z = theta_nu + off.  cl = ell(ell+N-2),
     nm1 = N-1, nm2 = N-2, e2 = 2*-2, eq = q-2, and w2, wq are 2*-1 and
-    q-1 times the potential scale."""
+    q-1 times the potential scale.  It cannot raise: the powers read
+    max(u, 0), and build_mode_operator refuses q < 2, so eq >= 0."""
     # Python floats: arithmetic on numpy scalars costs more
     u, du, th, z = y.tolist()
     up = u if u > 0.0 else 0.0
@@ -340,11 +282,11 @@ def _kernel_start(op: ModeOperator, nu: float):
     s0, x0, cs, x0w, u0 = _start(op, nu)
     # c u' ~ s near 0
     c = 0.5 * x0 / cs[1]
-    src = np.zeros(_SERIES_TERMS + 1)
+    src = np.zeros(SERIES_TERMS + 1)
     src[:len(cs) - 1] = 2.0 * c * np.arange(1, len(cs)) * cs[1:]
-    y, w = _frobenius_pair(x0w, x0, nu, 1, op.params.N, 0.0, src.tolist())
+    y, w = frobenius_pair(x0w, x0, nu, 1, op.params.N, 0.0, src.tolist())
     # v / s = c u' / s + nu y / s, in powers of (s / s0)^2
-    _check_no_zero(src[:y.size] / x0 + nu * y, "kernel solution")
+    check_no_zero(src[:y.size] / x0 + nu * y, "kernel solution")
     k = 2.0 * np.arange(y.size) + 1.0
     return s0, c, (*u0, s0 * y.sum(), k @ y, s0 * w.sum(), k @ w)
 
@@ -359,7 +301,7 @@ def _kernel_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, c):
     """Right-hand side of the ell = 1 kernel shoot: the base profile
     (u, u'), y with (L_1 - nu) y = c u' and w = dy/dnu with
     (L_1 - nu) w = y, each with its derivative.  nm1 = N-1, e2 = 2*-2,
-    eq = q-2, w2 = 2*-1 and wq = q-1."""
+    eq = q-2, w2 = 2*-1, wq = q-1.  Like _mode_rhs, it cannot raise."""
     u, du, z, dz, w, dw = y.tolist()
     up = u if u > 0.0 else 0.0
     u2 = up ** e2

@@ -31,15 +31,9 @@ A shoot that reaches the span end without it has lost the zero, and
 raises IntegrationFailureError; an eps_tilde whose span^{N-1}, the
 quadratures' weight at the span end, overflows a float is a DomainError.
 
-The shoot starts at s0 = _START L, L = _length_scale(eps_tilde), from the
-convergent power series of the profile in s^2 (_profile_series), exact to
-rounding in 13 to 25 terms; the mode shoots of bnlab.linearization start
-from the same cached series.  The deviation's coefficients come from a
-difference recurrence, so they keep the deviation's O(eps_tilde) size,
-and the four quadratures over [0, s0] are summed term by term from Cauchy
-products of the series.  Starts at 0.25 L and 0.5 L give the first zero
-and the quadratures within 4e-13 of each other.  ShootResult.eval reads v
-below s0 from the series.
+The shoot starts at s0 from the profile's series (bnlab.series): the four
+quadratures over [0, s0] are summed from its Cauchy products, and
+ShootResult.eval reads v below s0 from it.
 
 The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
@@ -59,14 +53,13 @@ eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import dop853
+from . import dop853, series
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
 from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
@@ -80,18 +73,6 @@ __all__ = [
     "solve_for_eps",
 ]
 
-# start radius of the base and the mode shoots, in units of _length_scale:
-# the series of the profile converges there about 12-fold per term at
-# N = 3, as the bubble's nearest complex singularity lies at s^2 = -N(N-2)
-_START = 0.5
-# a series stops after two consecutive terms at s0 below this, relative to
-# its largest term, and raises after _SERIES_TERMS terms
-_SERIES_TOL = 2.0**-56
-_SERIES_TERMS = 60
-# where a series start checks that its solution has no zero: the powers
-# t^k of t = (s / s0)^2 = 1/16, 2/16, ..., 1
-_ZERO_CHECK = np.linspace(1.0 / 16.0, 1.0, 16)[:, None] ** np.arange(
-    _SERIES_TERMS + 1)
 # relative tolerance of the shoot, and the absolute tolerance of the
 # quadratures.  DOP853 takes one scalar atol, so (v, v') are carried times
 # the exact power of two _V_SCALE: their atol is _QUAD_ATOL / _V_SCALE =
@@ -135,10 +116,10 @@ class ShootResult:
         s = np.asarray(s, dtype=float)
         v = np.empty_like(s)
         dv = np.empty_like(s)
-        small = s < _START * _length_scale(self.eps_tilde)
+        ser = series.profile_series(self.params, self.eps_tilde)
+        small = s < ser.start()
         if np.any(small):
-            v[small], dv[small] = _profile_series(
-                self.params, self.eps_tilde).deviation(s[small])
+            v[small], dv[small] = ser.deviation(s[small])
         if np.any(~small):
             vals = self.dense(s[~small])
             v[~small] = vals[0]
@@ -182,140 +163,19 @@ class RadialSolution:
         return r, u, du
 
 
-def _length_scale(eps_tilde: float) -> float:
-    """Length on which the height-1 profile varies near the origin: 1, or
-    eps_tilde^{-1/2} once the eps_tilde u^{q-1} term dominates."""
-    return min(1.0, eps_tilde**-0.5)
-
-
-def _decayed(prev: float, last: float, big: float) -> bool:
-    """Whether the last two terms of a series at s0 are both below
-    _SERIES_TOL relative to its largest term, big."""
-    return big > 0.0 and max(abs(prev), abs(last)) <= _SERIES_TOL * big
-
-
-def _unconverged(what: str) -> IntegrationFailureError:
-    return IntegrationFailureError(
-        f"{what} series did not converge in {_SERIES_TERMS} terms")
-
-
-def _check_no_zero(coeffs, what: str) -> None:
-    """IntegrationFailureError unless sum coeffs[k] t^k > 0 at every t of
-    _ZERO_CHECK: a series solution, divided by s^ell, must have no zero
-    in (0, s0], checked at those t = (s / s0)^2."""
-    if not (_ZERO_CHECK[:, :len(coeffs)] @ coeffs > 0.0).all():
-        raise IntegrationFailureError(
-            f"the {what} has a zero inside the series start")
-
-
-def _power_term(A: list, power: list, a: float, k: int) -> float:
-    """[u^a]_k from u = sum A_j x^j and the [u^a]_j, j < k, in power, by
-    J. C. P. Miller's recurrence, from a u' u^a = u (u^a)' (Henrici,
-    Applied and Computational Complex Analysis I, 1974, 1.6)."""
-    return sum(((a + 1.0) * j - k) * A[j] * power[k - j]
-               for j in range(1, k + 1)) / k
-
-
-@dataclass(frozen=True)
-class _ProfileSeries:
-    """Taylor coefficients of the height-1 profile and of what its shoots
-    read, each in powers of x = t^2, t = s / L, L = _length_scale."""
-
-    params: Params
-    eps_tilde: float
-    L: float
-    b: np.ndarray  # the deviation v = u - U from the bubble
-    A: np.ndarray  # u = U + v
-    P: np.ndarray  # u^{2*-1}
-    Q: np.ndarray  # u^{q-1}
-
-    @functools.cached_property
-    def W(self) -> np.ndarray:
-        """L^2 [(2*-1) u^{2*-2} + (q-1) eps_tilde u^{q-2}], the potential of
-        the mode shoots at potential_scale 1, as many terms as A: powers of
-        u that decay at t = _START as P and Q do."""
-        p, A = self.params, self.A.tolist()
-        R, S = [1.0], [1.0]
-        for k in range(1, len(A)):
-            R.append(_power_term(A, R, p.two_star - 2.0, k))
-            S.append(_power_term(A, S, p.q - 2.0, k))
-        return self.L**2 * ((p.two_star - 1.0) * np.array(R)
-                            + (p.q - 1.0) * self.eps_tilde * np.array(S))
-
-    def deviation(self, s):
-        """(v, v') at radii s in [0, _START L]."""
-        x = (s / self.L) ** 2
-        b = self.b
-        return (np.polynomial.polynomial.polyval(x, b),
-                2.0 * s / self.L**2 * np.polynomial.polynomial.polyval(
-                    x, np.arange(1, len(b)) * b[1:]))
-
-
-@functools.lru_cache(maxsize=64)
-def _profile_series(p: Params, eps_tilde: float) -> _ProfileSeries:
-    """The convergent series of the profile (Frobenius; Coddington and
-    Levinson, Theory of Ordinary Differential Equations, 1955, ch. 4), in
-    t = s / L so that nothing overflows at large eps_tilde.
-
-    The bubble's U_k = binom(-(N-2)/2, k) z^k, z = L^2 / (N(N-2)), and
-    those of U^{2*-1}, F_k = binom(-(N+2)/2, k) z^k, are closed forms.  The
-    deviation b = A - U comes from a difference recurrence, so that it
-    carries its own O(eps_tilde) size and nothing cancels at small
-    eps_tilde: with P = [u^{2*-1}] = F + D,
-
-        D_k = sum_{j=1..k} (2* j - k)(b_j P_{k-j} + U_j D_{k-j}) / k,
-        b_{k+1} (2k+2)(2k+N) = -L^2 (D_k + eps_tilde [u^{q-1}]_k),
-
-    the difference of Miller's recurrence (_power_term) for u^{2*-1} and
-    for U^{2*-1}.  The coefficients end where b, A, P and Q have decayed at
-    t = _START, so they serve every start radius up to _START L.
-    IntegrationFailureError if they have not in _SERIES_TERMS terms, or if
-    u has a zero in (0, _START L].
-    """
-    N, p2, q = p.N, p.two_star, p.q
-    L = _length_scale(eps_tilde)
-    L2, x0 = L * L, _START**2
-    z = L2 / (N * (N - 2.0))
-    # Python floats: the terms are few, and numpy calls on them cost more
-    U, F = [1.0], [1.0]
-    b, D, A, P, Q = [0.0], [0.0], [1.0], [1.0], [1.0]
-    rows = (b, A, P, Q)
-    big = [0.0] * len(rows)
-    for k in range(_SERIES_TERMS):
-        U.append(U[k] * (-(N - 2.0) / 2.0 - k) / (k + 1.0) * z)
-        F.append(F[k] * (-(N + 2.0) / 2.0 - k) / (k + 1.0) * z)
-        if k:
-            D.append(sum((p2 * j - k) * (b[j] * P[k - j] + U[j] * D[k - j])
-                         for j in range(1, k + 1)) / k)
-            P.append(F[k] + D[k])
-            Q.append(_power_term(A, Q, q - 1.0, k))
-        b.append(-L2 * (D[k] + eps_tilde * Q[k]) / (
-            (2.0 * k + 2.0) * (2.0 * k + N)))
-        A.append(U[k + 1] + b[k + 1])
-        # the terms at t = _START: x0^k times the coefficients
-        xk = x0**k
-        big = [max(g, abs(r[k]) * xk) for g, r in zip(big, rows)]
-        if k and all(_decayed(r[k - 1] * xk / x0, r[k] * xk, g)
-                     for r, g in zip(rows, big)):
-            b, A, P, Q = (np.array(r[:k + 1]) for r in rows)
-            _check_no_zero(A * x0 ** np.arange(k + 1), "profile")
-            return _ProfileSeries(p, eps_tilde, L, b, A, P, Q)
-    raise _unconverged("profile")
-
-
 def _series_start(p: Params, eps_tilde: float):
-    """s0 = _START L and the shoot's state there: (v, v') times _V_SCALE,
-    then the four quadratures over [0, s0], from the profile series.
+    """s0 and the shoot's state there: (v, v') times _V_SCALE, then the
+    four quadratures over [0, s0], from the profile series.
 
-    With c_k = A_k x0^k, x0 = _START^2, u = sum c_k (s / s0)^{2k} and
+    With c_k = A_k x0^k, x0 = (s0 / L)^2, u = sum c_k (s / s0)^{2k} and
     s u' = sum 2k c_k (s / s0)^{2k}, so each quadrature sums a Cauchy
     product term by term: int_0^s0 (s/s0)^{2m} s^{n-1} ds = s0^n / (2m+n).
     The flux int_0^s0 s^{N-1} f(u) ds is -s0^{N-1} u'(s0), exactly.
     """
-    ser = _profile_series(p, eps_tilde)
+    ser = series.profile_series(p, eps_tilde)
     N = p.N
-    s0 = _START * ser.L
-    x0k = _START ** (2.0 * np.arange(len(ser.A)))
+    s0 = ser.start()
+    x0k = ser.powers(s0)
     c, b = ser.A * x0k, ser.b * x0k
     k2 = 2.0 * np.arange(len(c))
     sc = k2 * c

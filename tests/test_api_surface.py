@@ -93,3 +93,26 @@ def test_all_names_resolve():
     for mod in modules:
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert missing == [], mod.__name__
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """No module of src/bnlab imports an underscore-prefixed name from
+    another bnlab module, nor reads one from a bnlab module it imports."""
+    found = []  # (module, bnlab module, name)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names of the bnlab modules imported whole
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append((path.stem, node.module, alias.name))
+        found += [(path.stem, node.value.id, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros, spherical_jn
 
 import bnlab.linearization
+import bnlab.series
 from bnlab import (
     DomainError,
     IntegrationFailureError,
@@ -400,7 +401,7 @@ def _always_negative(op):
     # a Dirichlet bound below the ell = 2 eigenvalue: its count is 0
     ("_bessel_zero", lambda m: 0.9 * _bessel_zero(m)),
     # too few terms for the series start to converge
-    ("_SERIES_TERMS", 3),
+    ("SERIES_TERMS", 3),
     # no mode within _SEARCH_MAXITER of ell_max covers the higher ones
     ("eigenvalues_near_zero", _always_negative),
 ])
@@ -412,7 +413,13 @@ def test_failed_search_exits_4_with_one_line(monkeypatch, capsys, name,
     converge and a certificate that finds no covering mode raise instead
     of returning a number, and the CLI reports them in one line (the
     integrator's own warning is not printed)."""
-    monkeypatch.setattr(bnlab.linearization, name, fault)
+    module = bnlab.linearization
+    if name == "SERIES_TERMS":
+        # the term cap lives in bnlab.series; with the profile series
+        # cached, the mode series is the one that fails
+        solution_at(Params(5, 3.0), 1e-2)
+        module = bnlab.series
+    monkeypatch.setattr(module, name, fault)
     rc = main(["spectrum", "--n", "5", "--q", "3", "--eps-tilde", "1e-2",
                "--ell-max", "2"])
     assert rc == EXIT_NUMERICAL
@@ -575,18 +582,31 @@ def test_ell0_spectrum_converges_at_large_eps_tilde():
     assert a8 == pytest.approx(a6, rel=1e-5)
 
 
+def test_mode_operator_refuses_q_below_2():
+    """Below q = 2 the potential (q-1) eps u^{q-2} is unbounded at the
+    boundary zero of u, where a mode shoot's right-hand side would raise
+    inside the integrator, so the operator is refused before any shoot.
+    At q = 2 the certificate still returns."""
+    p = Params(4, 1.9)
+    with pytest.raises(DomainError, match="q >= 2"):
+        build_mode_operator(p, solution_at(p, 1e-2), 0)
+    p = Params(4, 2.0)
+    assert nondegeneracy_certificate(p, solution_at(p, 1e-2))[0]
+
+
 @pytest.fixture
 def scale_start(monkeypatch):
-    """Scales the start radius of the mode shoots; the shared profile series
-    are recomputed on both sides."""
-    lin = bnlab.linearization
+    """Scales the start radius of the mode shoots, and with it the radius at
+    which the shared profile series has decayed; the series are recomputed
+    on both sides."""
+    series = bnlab.series
 
     def scale(factor):
-        monkeypatch.setattr(lin, "_START", factor * lin._START)
-        lin._profile_series.cache_clear()
+        monkeypatch.setattr(series, "_START", factor * series._START)
+        series.profile_series.cache_clear()
 
     yield scale
-    lin._profile_series.cache_clear()
+    series.profile_series.cache_clear()
 
 
 @pytest.mark.parametrize("cell,tol", [((3, 5.0, 1e-6), 1e-7),
@@ -697,6 +717,6 @@ def test_start_shrinks_where_the_mode_solution_oscillates(monkeypatch):
     op = lin.ModeOperator(Params(4, 3.0), 0, 1e-2, 5.0, potential_scale=0.0)
     assert lin._start(op, 100.0)[0] == pytest.approx(0.2, rel=1e-15)
     assert _shoot_mode(op, 100.0)[0] // math.pi == sum(jn_zeros(1, 20) < 50)
-    monkeypatch.setattr(lin, "_START_PHASE", math.inf)
+    monkeypatch.setattr(bnlab.series, "_START_PHASE", math.inf)
     with pytest.raises(IntegrationFailureError, match="zero inside"):
         _shoot_mode(op, 100.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import bnlab.series
 import bnlab.solver
 from bnlab import (
     DomainError,
@@ -131,14 +132,14 @@ def start_at(monkeypatch):
     """Moves the series start of the base shoot to start * _length_scale;
     the profile series, whose length is fixed by the start, are recomputed
     on both sides."""
-    solver = bnlab.solver
+    series = bnlab.series
 
     def move(start):
-        monkeypatch.setattr(solver, "_START", start)
-        solver._profile_series.cache_clear()
+        monkeypatch.setattr(series, "_START", start)
+        series.profile_series.cache_clear()
 
     yield move
-    solver._profile_series.cache_clear()
+    series.profile_series.cache_clear()
 
 
 _START_CELLS = [(N, q, et) for N, q in ((3, 5.0), (4, 3.0), (5, 3.0))
@@ -170,7 +171,7 @@ def test_deviation_series_does_not_cancel():
     et = 1e-12
     for N, q in ((3, 5.0), (4, 3.0), (5, 3.0)):
         p = Params(N, q)
-        b = bnlab.solver._profile_series(p, et).b
+        b = bnlab.series.profile_series(p, et).b
         c4 = (et * (p.two_star + q - 2.0) + et**2 * (q - 1.0)) / (
             8.0 * N * (N + 2.0))
         assert b[1] == pytest.approx(-et / (2.0 * N), rel=1e-14)
@@ -184,10 +185,10 @@ def test_eval_is_continuous_at_the_series_start():
     for N, q, et in _START_CELLS:
         p = Params(N, q)
         s = shoot(p, et)
-        s0 = bnlab.solver._START * bnlab.solver._length_scale(et)
+        s0 = bnlab.series._START * bnlab.series._length_scale(et)
         radii = s0 * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
         err = np.abs(s.dense(radii) - np.array(
-            bnlab.solver._profile_series(p, et).deviation(radii)))
+            bnlab.series.profile_series(p, et).deviation(radii)))
         scale = np.abs(s.dense(s.r_grid)).max(axis=1)
         assert np.all(err.max(axis=1) <= 1e-13 * scale), (N, q, et)
         for side in s.eval(np.array([np.nextafter(s0, 0.0), s0])):
@@ -453,7 +454,7 @@ def test_stacked_interpolant_matches_reference(monkeypatch, N, q, et):
     s_start, ref = _deviation_reference(p, et, Rt)
     rng = np.random.default_rng(7)
     below = rng.uniform(s_start, s0, 200)
-    series = np.array(bnlab.solver._profile_series(p, et).deviation(below))
+    series = np.array(bnlab.series.profile_series(p, et).deviation(below))
     assert np.all(np.abs(series - ref(below))
                   <= _SERIES_AGREEMENT * np.abs(ref(below)))
     radii = rng.uniform(s0, Rt, 2000)

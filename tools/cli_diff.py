@@ -44,6 +44,12 @@ COMMANDS = [
     # a span whose cube overflows: rejected before the shoot
     (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-300"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # eps_tilde > 1: the series start in units of L = eps_tilde^{-1/2}
+    (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e6"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
+    (["spectrum", "--n", "4", "--q", "3", "--eps-tilde", "1e6",
+      "--ell-max", "2"],
+     {"--output": "out.json"}),
     (["decompose", "--n", "5", "--q", "3", "--eps-tilde", "1e-3"],
      {"--output": "out.json"}),
     *((["spectrum", "--n", n, "--q", q, "--eps-tilde", et, "--ell-max", "2"],
