@@ -247,6 +247,12 @@ def branch_map(p: Params) -> dict:
     For N = 3 and q in (2, 4] the map is non-monotone: eps attains an
     interior minimum eps0, above which two solution heights coexist.
     """
+    # the fold study deliberately admits the N=3, q in (2,4] cell that the
+    # blow-up regime gate excludes
+    if not (p.regime_ok or (p.N == 3 and 2.0 < p.q <= 4.0)):
+        raise DomainError(
+            f"(N={p.N}, q={p.q}) not admissible for the branch map"
+        )
     sols = _solutions(p, _BRANCH_GRID)
     mu = np.array([sol.mu for sol in sols])
     order = np.argsort(mu)

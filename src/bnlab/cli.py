@@ -158,8 +158,8 @@ def cmd_sweep(args) -> int:
             "need 0 < --eps-tilde-min < --eps-tilde-max < inf, "
             f"got {lo} and {hi}"
         )
-    if args.spectrum_points < 0:
-        raise DomainError("--spectrum-points must be non-negative")
+    if args.spectrum_points < 1:
+        raise DomainError("--spectrum-points must be at least 1")
     grid = asy.default_grid(args.points, lo, hi)
     records, sols = asy.sweep_with_solutions(p, grid, jobs=args.jobs)
     _emit(_table(SWEEP_HEADER, [[getattr(r, f) for r in records]
@@ -256,12 +256,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_branch_map(args) -> int:
     p = Params(args.n, args.q)
-    # the fold study deliberately admits the N=3, q in (2,4] cell that the
-    # blow-up regime gate excludes
-    if not (p.regime_ok or (p.N == 3 and 2.0 < p.q <= 4.0)):
-        raise DomainError(
-            f"(N={p.N}, q={p.q}) not admissible for the branch map"
-        )
     bm = asy.branch_map(p)
     _emit(_table("mu,eps,eps_tilde", [bm["mu"], bm["eps"], bm["eps_tilde"]]),
           args.records)

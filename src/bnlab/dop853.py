@@ -1,7 +1,9 @@
-"""Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10), its
-tableau, and Brent's root finder (Brent, Algorithms for Minimization
-without Derivatives, 1973, ch. 4), from scipy's compiled code.  This is the
-one module that knows scipy's file layout: it loads each piece from its
+"""Hairer's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) and
+its tableau, and the lab's two root finders: Brent's (Brent, Algorithms
+for Minimization without Derivatives, 1973, ch. 4), from scipy's compiled
+code, and a safeguarded Newton search on a carried derivative, which
+finds each shoot's first zero and every eigenvalue.  This is the one
+module that knows scipy's file layout: it loads each piece from its
 file, so none of scipy.integrate, scipy.optimize and scipy.special (about
 0.5 s of imports) is imported.  The binding's signature is scipy 1.17.1's.
 
@@ -16,13 +18,14 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 
 import numpy as np
 import scipy
 
 from .errors import FitFailureError, IntegrationFailureError
 
-__all__ = ["TABLEAU", "brentq", "run"]
+__all__ = ["TABLEAU", "brentq", "newton", "run"]
 
 
 def _load(subpackage: str, name: str):
@@ -89,3 +92,35 @@ def brentq(f, a, b, xtol, rtol):
         return fx
 
     return _brentq(finite, a, b, xtol, rtol, 100, (), False, True)
+
+
+def newton(g, x, lo, hi, dx, rtol, floor, maxiter, what):
+    """The root of g in [lo, hi], hi maybe inf, by Newton's method from x,
+    safeguarded as in Numerical Recipes' rtsafe.  g(x) returns (above, g,
+    g'): above when the root lies below x, and g rises through the root.
+    A Newton step is taken when it lands inside the bracket and either
+    keeps the direction of the last step dx (x -= dx) or is at most half
+    the step before it; otherwise the search bisects, or expands by 4|dx|
+    while hi is inf.  It returns x where g(x) = 0, or once a step is within
+    rtol of max(|x|, floor), and raises FitFailureError naming what after
+    maxiter evaluations."""
+    dx_old = math.inf
+    for _ in range(maxiter):
+        above, gx, dg = g(x)
+        if gx == 0.0:
+            # an exact root, whatever g' reads there
+            return x
+        if above:
+            hi = x
+        else:
+            lo = x
+        step = gx / dg if dg > 0.0 else math.inf
+        if not (lo <= x - step <= hi
+                and (step * dx > 0.0 or 2.0 * abs(step) <= abs(dx_old))):
+            step = -4.0 * abs(dx) if hi == math.inf else x - 0.5 * (lo + hi)
+        dx_old, dx = dx, step
+        x -= step
+        if abs(step) <= rtol * max(abs(x), floor):
+            return x
+    raise FitFailureError(f"{what} did not converge in {maxiter} steps; "
+                          f"last bracket [{lo}, {hi}]")

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BnlabError",
+    "DomainError",
+    "SingularityError",
+    "IntegrationFailureError",
+    "UnreachableEpsError",
+    "FitFailureError",
+]
+
 
 class BnlabError(Exception):
     """Base class for all package errors."""

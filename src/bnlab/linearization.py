@@ -22,9 +22,9 @@ angle's variational equation
     theta_nu' = [(N-2)(cos^2 - sin^2) + 2((W+nu) s^2 - ell(ell+N-2) - 1)
                  sin cos] / s * theta_nu + s sin^2,
 
-so the root is found by Newton's method on the angle, safeguarded by the
-count bracket (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993,
-ch. 5; rtsafe in Numerical Recipes).  It starts from the nu = 0 shoot of
+so the root is found by Newton's method on the angle, bnlab.dop853.newton,
+safeguarded by the count bracket (Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993, ch. 5).  It starts from the nu = 0 shoot of
 the count, or from the Dirichlet bound below, and converges quadratically,
 also where theta is flat over most of the bracket.  Both right-hand sides
 are written with the products cos^2, sin^2 and sin cos, not the double
@@ -248,12 +248,12 @@ def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
     )
 
 
-def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
-    """Pruefer angle theta(R_tilde) of the mode solution v ~ s^ell at nu
-    and its nu-derivative, by one shoot of the base profile with theta and
+def _shoot_mode(op: ModeOperator, nu: float) -> tuple[int, float, float]:
+    """The count floor(theta / pi) of eigenvalues below nu, the Pruefer
+    angle theta(R_tilde) of the mode solution v ~ s^ell at nu and its
+    nu-derivative, by one shoot of the base profile with theta and
     theta_nu.  Where theta is a multiple of pi its derivative is 1/s > 0,
-    so floor(theta(R_tilde) / pi) counts the zeros of v on (0, R_tilde),
-    the number of eigenvalues below nu."""
+    so the count is the number of zeros of v on (0, R_tilde)."""
     # theta_nu stays >= 0 (Sturm comparison), but dop853 takes one scalar
     # atol, 1e-160 here, and theta_nu(s0) is as small as s0^2.
     # z = theta_nu + R_tilde^2 >= R_tilde^2 is on the scale of theta_nu (the
@@ -264,14 +264,8 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[float, float]:
     y, _ = dop853.run(_mode_rhs, _mode_args(op, nu, off),
                       (u, du, th, th_nu + off), s0, op.R_tilde, _MODE_RTOL,
                       1e-160)
-    return float(y[2]), float(y[3]) - off
-
-
-def _counted_angle(op: ModeOperator, nu: float) -> tuple[int, float, float]:
-    """The mode shoot as the search reads it: the count floor(theta / pi)
-    of eigenvalues below nu, theta(R_tilde) and its nu-derivative."""
-    th, dth = _shoot_mode(op, nu)
-    return int(th // math.pi), th, dth
+    th = float(y[2])
+    return int(th // math.pi), th, float(y[3]) - off
 
 
 def _kernel_start(op: ModeOperator, nu: float):
@@ -377,48 +371,21 @@ def _dirichlet_bound(op: ModeOperator):
 def _eigenvalue_by_index(op: ModeOperator, shoot, j: int, lo: float,
                          target: float, nu_floor: float,
                          nu: float = 0.0) -> float:
-    """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator.
-
-    shoot(nu) is a memoised mode shoot that returns the count of
-    eigenvalues below nu, f(nu) and f'(nu), where f rises through target
-    at the eigenvalue; lo is a nu with at most j eigenvalues below it.  The
-    root of f(nu) = target is found by Newton's method on f and its carried
-    derivative, safeguarded as in Numerical Recipes' rtsafe.  The count
-    keeps a bracket [lo, hi].  A Newton step is taken when it lands inside
-    the bracket and either keeps the direction of the last step or is at
-    most half the step before it; otherwise the search bisects, or expands
-    x4 while there is no upper end.  The search starts at nu, a shoot the
-    caller has already made (nu = 0, or the Dirichlet bound), and stops
-    once a step is within _XTOL_REL of max(|nu|, nu_floor) (see there).
-    """
-    hi = math.inf
-    # dx is the last step (nu -= dx) and dx_old the one before; the first
-    # expansion goes to lambda = 4 in unit-ball units
-    dx, dx_old = -1.0 / op.R_tilde**2, math.inf
-    for _ in range(_SEARCH_MAXITER):
+    """j-th (0-based) Dirichlet eigenvalue of the scaled mode operator: the
+    root of f(nu) = target by bnlab.dop853.newton from nu, a shoot the
+    caller has already made (nu = 0, or the Dirichlet bound).  shoot(nu) is
+    a memoised mode shoot that returns the count of eigenvalues below nu,
+    which keeps the bracket, f(nu) and f'(nu), where f rises through target
+    at the eigenvalue; lo has at most j eigenvalues below it.  The first
+    expansion goes to lambda = 4, and the search stops once a step is
+    within _XTOL_REL of max(|nu|, nu_floor) (see there)."""
+    def g(nu):
         count, f, df = shoot(nu)
-        if f == target:
-            # the Newton step would be 0, which the bracket test refuses
-            return nu
-        if count <= j:
-            lo = nu
-        else:
-            hi = nu
-        step = (f - target) / df if df > 0.0 else math.inf
-        if not (lo < nu - step <= hi
-                and (step * dx > 0.0 or 2.0 * abs(step) <= abs(dx_old))):
-            if hi == math.inf:
-                step = -4.0 * abs(dx)
-            else:
-                step = nu - 0.5 * (lo + hi)
-        dx_old, dx = dx, step
-        nu -= step
-        if abs(step) <= _XTOL_REL * max(abs(nu), nu_floor):
-            return nu
-    raise FitFailureError(
-        f"eigenvalue {j} search did not converge in {_SEARCH_MAXITER} "
-        f"shoots; last bracket [{lo}, {hi}]"
-    )
+        return count > j, f - target, df
+
+    return dop853.newton(g, nu, lo, math.inf, -1.0 / op.R_tilde**2,
+                         _XTOL_REL, nu_floor, _SEARCH_MAXITER,
+                         f"eigenvalue {j} search")
 
 
 def eigenvalues_near_zero(op: ModeOperator):
@@ -437,7 +404,7 @@ def eigenvalues_near_zero(op: ModeOperator):
         return None, nu_above * R2, kernel(0.0)[0]
     # one shoot per nu; the search above zero starts at nu = 0 or at the
     # Dirichlet bound
-    angle = functools.cache(lambda nu: _counted_angle(op, nu))
+    angle = functools.cache(lambda nu: _shoot_mode(op, nu))
     m0 = angle(0.0)[0]
     nu = 0.0
     bound = _dirichlet_bound(op)

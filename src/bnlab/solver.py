@@ -37,8 +37,8 @@ ShootResult.eval reads v below s0 from it.
 
 The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
-located on that step's interpolant by a safeguarded Newton search from the
-step's start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
+located on that step's interpolant by bnlab.dop853.newton from the step's
+start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
 N = 3 to 7 and eps_tilde = 1e-14 to 1e8, and at most 8.  The step is
 redone as an integration that ends on the zero.  ShootResult.dense is the
 DOP853 interpolant of (v, v'), rebuilt from the recorded step ends with the
@@ -318,32 +318,18 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
 
 def _crossing(dense, N: int, lo: float, hi: float, y_lo) -> float:
     """The zero of u = U + v on the interpolant of the step [lo, hi] that
-    crosses it, u(lo) > 0 >= u(hi), by Newton's method on u from lo, where
-    (v, v') = y_lo is the recorded state, safeguarded as in Numerical
-    Recipes' rtsafe: a step that leaves the bracket, or is more than half
-    the step before last, bisects instead.  u' = U' + v', with U' in closed
-    form, so each iterate reads the interpolant once.  It stops on a step
-    within 4 eps of the iterate.  Near the zero u is convex, so the Newton
-    iterates from lo rise to it: 8 of 345 shoots (module docstring) took a
-    bisection."""
-    s, (v, dv) = lo, y_lo
-    dx = dx_old = math.inf
-    for _ in range(_CROSSING_MAXITER):
+    crosses it, u(lo) > 0 >= u(hi), by bnlab.dop853.newton on -u from lo,
+    where (v, v') = y_lo is the recorded state.  u' = U' + v', with U' in
+    closed form, so each later iterate reads the interpolant once.  Near
+    the zero u is convex, so the Newton iterates from lo rise to it."""
+    def g(s):
+        v, dv = y_lo if s == lo else dense(np.array([s]))[:, 0].tolist()
         U = normalized_bubble_r2(N, s * s)
-        u, du = U + v, dv - s / N * U ** (N / (N - 2.0))
-        if u > 0.0:
-            lo = s
-        else:
-            hi = s
-        step = u / du if du < 0.0 else math.inf
-        if not (lo <= s - step <= hi and 2.0 * abs(step) <= abs(dx_old)):
-            step = s - 0.5 * (lo + hi)
-        dx_old, dx = dx, step
-        s -= step
-        if abs(step) <= 4.0 * _EPS * s:
-            break
-        v, dv = dense(np.array([s]))[:, 0].tolist()
-    return s
+        u = U + v
+        return u <= 0.0, -u, s / N * U ** (N / (N - 2.0)) - dv
+
+    return dop853.newton(g, lo, lo, hi, math.inf, 4.0 * _EPS, 0.0,
+                         _CROSSING_MAXITER, "the first-zero search")
 
 
 class _StackedDense:

@@ -1,6 +1,7 @@
 """The surface of the package: every top-level function and class, private
 ones included, and every module-level constant in src/bnlab is used by the
-package itself, and every name that an __all__ lists exists."""
+package itself, every name that an __all__ lists exists, and the package's
+__all__ is that of the modules it re-exports, each name listed once."""
 
 import ast
 import importlib
@@ -93,6 +94,29 @@ def test_all_names_resolve():
     for mod in modules:
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert missing == [], mod.__name__
+
+
+def _reexported():
+    """The modules that bnlab/__init__.py star-imports, in its order."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [importlib.import_module(f"bnlab.{node.module}")
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            and [a.name for a in node.names] == ["*"]]
+
+
+def test_no_name_is_public_in_two_reexported_modules():
+    """A star import lets the later module's name win without a word."""
+    owners = {}
+    for mod in _reexported():
+        for name in mod.__all__:
+            owners.setdefault(name, []).append(mod.__name__)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+
+def test_package_all_is_the_concatenation_of_the_reexported():
+    modules = _reexported()
+    assert len(modules) == 6
+    assert bnlab.__all__ == [n for mod in modules for n in mod.__all__]
 
 
 def test_no_module_reads_a_private_name_of_another():

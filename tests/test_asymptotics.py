@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bnlab.asymptotics
 import bnlab.solver
 from bnlab import (
     DomainError,
@@ -114,6 +115,20 @@ def test_branch_map_fold_n3():
     # two heights per eps above the fold value
     assert np.max(bm["eps"][:i0]) > bm["eps0"] * 1.5
     assert np.max(bm["eps"][i0 + 1:]) > bm["eps0"] * 1.5
+
+
+@pytest.mark.parametrize("cell", [(3, 7.0), (4, 1.5)], ids=str)
+def test_branch_map_admits_the_regime_and_the_n3_fold_cell(monkeypatch,
+                                                           cell):
+    """The branch map admits the blow-up regime and N = 3 with 2 < q <= 4,
+    and refuses any other cell before it shoots: q = 7 above 2* = 6 at
+    N = 3, and q = 1.5 below the regime at N = 4."""
+    def no_shoot(*args):
+        pytest.fail("branch_map shot an inadmissible cell")
+
+    monkeypatch.setattr(bnlab.asymptotics, "_solutions", no_shoot)
+    with pytest.raises(DomainError, match="not admissible for the branch"):
+        branch_map(Params(*cell))
 
 
 def test_no_fold_in_blowup_regime(sweep43):

@@ -200,20 +200,20 @@ def test_sweep_jobs_below_one_rejected():
     ]) == EXIT_BAD_CONFIG
 
 
-def test_sweep_negative_spectrum_points_rejected(capsys, tmp_path):
+def test_sweep_negative_spectrum_points_rejected(capsys):
     rc = main([
         "sweep", "--n", "4", "--q", "3", "--spectrum-points", "-1",
         "--records", os.devnull, "--output", os.devnull,
     ])
     assert rc == EXIT_BAD_CONFIG
     assert len(capsys.readouterr().err.splitlines()) == 1
-    out = tmp_path / "s.json"
+    # no certificates is spelled --skip-spectrum alone
     assert main([
         "sweep", "--n", "4", "--q", "3", "--points", "6",
         "--spectrum-points", "0",
-        "--records", os.devnull, "--output", str(out),
-    ]) == EXIT_OK
-    assert json.loads(out.read_text())["nondegeneracy"] == []
+        "--records", os.devnull, "--output", os.devnull,
+    ]) == EXIT_BAD_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_spectrum_needs_ell_max_nonnegative():
@@ -328,6 +328,14 @@ def test_branch_map_command(tmp_path):
     assert doc["has_fold"]
     assert doc["eps0"] > 0
     assert rec.read_text().splitlines()[0] == "mu,eps,eps_tilde"
+
+
+def test_branch_map_outside_its_cells_exits_2_with_one_line(capsys):
+    assert main([
+        "branch-map", "--n", "4", "--q", "1.5",
+        "--records", os.devnull, "--output", os.devnull,
+    ]) == EXIT_BAD_CONFIG
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_spectrum_command(tmp_path):

@@ -3,8 +3,9 @@ leave no per-run closure alive in the DOP853 binding, which keeps a
 reference to every right-hand side and solout that it is handed; a run
 without a solout costs no extra right-hand-side call; the CLI runs without
 importing scipy.integrate, scipy.optimize or scipy.special; Brent's solver
-refuses a non-finite function value; and a compiled module that scipy
-lacks fails loudly."""
+refuses a non-finite function value; the safeguarded Newton search takes
+Newton steps, expands, bisects and stops by its rule; and a compiled
+module that scipy lacks fails loudly."""
 
 import gc
 import math
@@ -14,6 +15,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
@@ -93,6 +95,57 @@ def test_brentq_refuses_a_nonfinite_interior_value():
 
     with pytest.raises(FitFailureError, match="not finite"):
         brentq(f, 0.0, 1.0, xtol=1e-14, rtol=1e-14)
+
+
+def _logged(g):
+    """g, and the list of the x it is evaluated at."""
+    xs = []
+
+    def logged(x):
+        xs.append(x)
+        return g(x)
+
+    return logged, xs
+
+
+def test_newton_rises_to_a_concave_root_by_newton_steps_alone():
+    """g = log x is increasing and concave, so from the lower bracket end
+    every Newton iterate stays below the root and rises to it, as the
+    first-zero search does on -u: each x is the Newton step from the one
+    before, and the search ends within 4 ulp of 1 in 8 evaluations."""
+    g, xs = _logged(lambda x: (x > 1.0, math.log(x), 1.0 / x))
+    eps = np.finfo(float).eps
+    root = dop853.newton(g, 0.1, 0.1, 10.0, math.inf, 4.0 * eps, 0.0, 100,
+                         "log")
+    assert abs(root - 1.0) <= 4.0 * eps
+    assert len(xs) == 8
+    assert all(b == a - math.log(a) / (1.0 / a) for a, b in zip(xs, xs[1:]))
+
+
+def test_newton_expands_without_an_upper_end_and_then_bisects():
+    """Where g' = 0 the Newton step is refused: the search steps by 4|dx|
+    while hi is inf, and bisects once a point above the root ends the
+    bracket; it returns the exact zero at x = 5."""
+    g, xs = _logged(lambda x: (x > 5.0, x - 5.0, 0.0))
+    assert dop853.newton(g, 0.0, 0.0, math.inf, -1.0, 1e-12, 0.0, 100,
+                         "flat") == 5.0
+    assert xs == [0.0, 4.0, 20.0, 12.0, 8.0, 6.0, 5.0]
+
+
+def test_newton_returns_an_exact_zero_without_another_evaluation():
+    """g(x) = 0.0 ends the search at x, also where g' = 0 there and the
+    Newton step is undefined."""
+    g, xs = _logged(lambda x: (x > 1.0, x - 1.0, float(x < 1.0)))
+    assert dop853.newton(g, 0.0, 0.0, math.inf, -1.0, 1e-12, 0.0, 100,
+                         "line") == 1.0
+    assert xs == [0.0, 1.0]
+
+
+def test_newton_out_of_iterations_names_the_search():
+    with pytest.raises(FitFailureError, match="the test search did not "
+                       "converge in 5 steps"):
+        dop853.newton(lambda x: (False, -1.0, 0.0), 0.0, 0.0, math.inf,
+                      -1.0, 1e-12, 0.0, 5, "the test search")
 
 
 def test_missing_module_names_itself_and_the_scipy_version():

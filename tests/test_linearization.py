@@ -55,12 +55,12 @@ def test_sturm_count_nondecreasing_in_nu(sol43_shallow, ell, nus):
     p, sol = sol43_shallow
     op = build_mode_operator(p, sol, ell)
     lo, hi = sorted(nus)
-    assert (_shoot_mode(op, lo)[0] // math.pi
-            <= _shoot_mode(op, hi)[0] // math.pi)
+    assert (_shoot_mode(op, lo)[1] // math.pi
+            <= _shoot_mode(op, hi)[1] // math.pi)
 
 
 def _count(op, nu):
-    return int(_shoot_mode(op, nu)[0] // math.pi)
+    return int(_shoot_mode(op, nu)[1] // math.pi)
 
 
 @settings(max_examples=8, deadline=None)
@@ -94,9 +94,9 @@ def test_carried_nu_derivative_matches_central_difference(
     op = build_mode_operator(p, sol, ell)
     nu = (-10.0 if below else 10.0) / op.R_tilde**2
     h = 1e-5 * abs(nu)
-    diff = (_shoot_mode(op, nu + h)[0]
-            - _shoot_mode(op, nu - h)[0]) / (2.0 * h)
-    assert _shoot_mode(op, nu)[1] == pytest.approx(diff, rel=1e-6)
+    diff = (_shoot_mode(op, nu + h)[1]
+            - _shoot_mode(op, nu - h)[1]) / (2.0 * h)
+    assert _shoot_mode(op, nu)[2] == pytest.approx(diff, rel=1e-6)
 
 
 def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
@@ -110,7 +110,7 @@ def test_below_zero_eigenvalue_matches_tight_one_sided_root(sol53_mid):
     below, above, m0 = eigenvalues_near_zero(op)
     assert m0 == 1 and -abs(above) <= below < 0.0
     below /= op.R_tilde**2
-    ref = brentq(lambda nu: _shoot_mode(op, nu)[0] - math.pi,
+    ref = brentq(lambda nu: _shoot_mode(op, nu)[1] - math.pi,
                  below * (1.0 + 1e-6), below * (1.0 - 1e-6),
                  xtol=1e-18, rtol=1e-13)
     assert below == pytest.approx(ref, rel=1e-8)
@@ -144,7 +144,7 @@ def test_one_sided_shoot_crosses_long_forbidden_tail(monkeypatch, rtol):
         monkeypatch.setattr(bnlab.linearization, "_MODE_RTOL", rtol)
     p = Params(3, 5.0)
     op = build_mode_operator(p, solution_at(p, 1e-4), 0)
-    assert _shoot_mode(op, -0.5)[0] == pytest.approx(3.14160898027218,
+    assert _shoot_mode(op, -0.5)[1] == pytest.approx(3.14160898027218,
                                                      abs=1e-9)
 
 
@@ -196,7 +196,7 @@ def test_kernel_and_pruefer_lambda1_agree_where_resolved():
         nu_kernel = eigenvalues_near_zero(op)[1] / op.R_tilde**2
         nu = nu_kernel
         for _ in range(2):
-            th, dth = _shoot_mode(op, nu)
+            _, th, dth = _shoot_mode(op, nu)
             nu -= (th - math.pi) / dth
         assert nu >= bnlab.linearization._NU_RESOLVED
         assert abs(nu_kernel - nu) <= 1e-15, (N, q, et)
@@ -214,7 +214,7 @@ def test_free_laplacian_spectrum_matches_bessel_zeros(sol43_shallow, ell):
     assert eigenvalues_near_zero(op)[1] == pytest.approx(lam[0], rel=1e-6)
     for k in range(1, 29, 3):
         mid = 0.5 * (lam[k - 1] + lam[k]) / op.R_tilde**2
-        assert _shoot_mode(op, mid)[0] // math.pi == k
+        assert _shoot_mode(op, mid)[1] // math.pi == k
 
 
 def test_bessel_zero_matches_tabulated_zeros():
@@ -268,7 +268,7 @@ def test_search_from_the_dirichlet_bound(cell):
             assert lam < j2, (cell, et, ell)
             if lam / R2 < lin._NU_RESOLVED:
                 continue
-            angle = functools.partial(lin._counted_angle, op)
+            angle = functools.partial(lin._shoot_mode, op)
             ref = lin._eigenvalue_by_index(op, angle, 0, 0.0, math.pi,
                                            lin._NU_RESOLVED) * R2
             assert lam == pytest.approx(ref, rel=1e-11), (cell, et, ell)
@@ -320,10 +320,9 @@ def test_mode_search_in_few_shoots(sol53_mid, shots, ell):
 
 
 def test_search_returns_an_exact_root(sol53_mid):
-    """A shoot whose residual is exactly zero ends the search there: the
-    Newton step from it is 0, which the bracket test would refuse and
-    expand from.  A kernel shoot hit v(R_tilde) = 0.0 so at N = 4,
-    eps_tilde = 1.24e-6, and took 6 shoots in place of 3."""
+    """A shoot whose residual is exactly zero ends the search there, with
+    no further shoot.  A kernel shoot hit v(R_tilde) = 0.0 so at N = 4,
+    eps_tilde = 1.24e-6."""
     op = build_mode_operator(*sol53_mid, 1)
     nus = []
 
@@ -383,7 +382,7 @@ def test_certificate_shoots_no_deep_nu(monkeypatch):
 def _extra_node_below(op, nu):
     # one node at nu = 0, but two at every nu < 0: not monotone
     angle = (2.5 if nu < 0.0 else 1.5) * math.pi + max(nu, 0.0)
-    return angle, float(nu > 0.0)
+    return int(angle // math.pi), angle, float(nu > 0.0)
 
 
 def _always_negative(op):
@@ -716,7 +715,7 @@ def test_start_shrinks_where_the_mode_solution_oscillates(monkeypatch):
     lin = bnlab.linearization
     op = lin.ModeOperator(Params(4, 3.0), 0, 1e-2, 5.0, potential_scale=0.0)
     assert lin._start(op, 100.0)[0] == pytest.approx(0.2, rel=1e-15)
-    assert _shoot_mode(op, 100.0)[0] // math.pi == sum(jn_zeros(1, 20) < 50)
+    assert _shoot_mode(op, 100.0)[1] // math.pi == sum(jn_zeros(1, 20) < 50)
     monkeypatch.setattr(bnlab.series, "_START_PHASE", math.inf)
     with pytest.raises(IntegrationFailureError, match="zero inside"):
         _shoot_mode(op, 100.0)

@@ -15,6 +15,7 @@ import bnlab.series
 import bnlab.solver
 from bnlab import (
     DomainError,
+    FitFailureError,
     IntegrationFailureError,
     Params,
     UnreachableEpsError,
@@ -205,7 +206,10 @@ def test_base_shoot_step_budget():
 def test_first_zero_on_the_crossing_interpolant(monkeypatch):
     """The Newton search on the crossing step's interpolant ends on the
     zero of u there, within 4 ulp of a Brent solve on the same interpolant
-    (2 measured), in at most 6 reads of it (2 to 4 measured)."""
+    (2 measured), in at most 6 reads of it (2 to 4 measured).  At
+    R_tilde = 8.7e6 (N = 4, eps_tilde = 10^-12.5) the last Newton step is
+    below half an ulp of the zero; a bracket test that refused it would
+    bisect for 17 more reads."""
     reads, found = [], []
     real = bnlab.solver._crossing
 
@@ -222,12 +226,20 @@ def test_first_zero_on_the_crossing_interpolant(monkeypatch):
         return zero
 
     monkeypatch.setattr(bnlab.solver, "_crossing", checked)
-    for N, q, et in _START_CELLS:
+    for N, q, et in [*_START_CELLS, (4, 3.0, 10.0**-12.5)]:
         reads.clear()
         assert shoot(Params(N, q), et).first_zero == found[-1][0]
         assert len(reads) <= 6
         zero, ref = found[-1]
         assert abs(zero - ref) <= 4.0 * np.spacing(ref), (N, q, et)
+
+
+def test_first_zero_search_out_of_iterates_raises(monkeypatch):
+    """A first-zero search that has not converged in _CROSSING_MAXITER
+    iterates raises FitFailureError; it hands on no unpolished zero."""
+    monkeypatch.setattr(bnlab.solver, "_CROSSING_MAXITER", 1)
+    with pytest.raises(FitFailureError, match="first-zero search did not"):
+        shoot(Params(4, 3.0), 1e-2)
 
 
 # the regime across N = 3 to 7, and the branch-map cells outside it

@@ -84,6 +84,10 @@ COMMANDS = [
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1"],
      {"--output": "out.json", "--records": "records.csv"}),
+    # no certificates is spelled --skip-spectrum; 0 points is refused
+    (["sweep", "--n", "4", "--q", "3", "--points", "6",
+      "--spectrum-points", "0"],
+     {"--output": "out.json", "--records": "records.csv"}),
     # the default sweeps: three certificates each, ell = 1 covering ell >= 2
     *((["sweep", "--n", n, "--q", "3"],
        {"--output": "out.json", "--records": "records.csv"})
