@@ -54,15 +54,16 @@ def _fmt(x, digits: int = 17) -> str:
 
 def _table(header: str, columns) -> str:
     """CSV text: the header line, then one line per row of the float
-    columns.  A finite row is one format call with the bytes of _fmt; a
-    row that holds a non-finite value goes through _fmt cell by cell."""
-    cols = np.array(columns, dtype=float)
-    finite = np.isfinite(cols).all(axis=0).tolist()
-    row = ",".join(["{:.17g}"] * len(cols)).format
-    lines = [header]
-    lines += [row(*cells) if ok else ",".join(map(_fmt, cells))
-              for ok, cells in zip(finite, zip(*cols.tolist()))]
-    return "\n".join(lines) + "\n"
+    columns, written by one % call: "%.17g" writes the bytes of _fmt for a
+    finite float, and a row that holds a non-finite value enters the
+    template as its _fmt cells, which hold no %."""
+    rows = np.array(columns, dtype=float).T
+    finite = np.isfinite(rows).all(axis=1)
+    lines = [",".join(["%.17g"] * rows.shape[1]) + "\n"] * len(rows)
+    for i in np.flatnonzero(~finite).tolist():
+        lines[i] = ",".join(map(_fmt, rows[i].tolist())) + "\n"
+    return header + "\n" + "".join(lines) % tuple(
+        rows[finite].ravel().tolist())
 
 
 def _json(obj, digits: int = 17) -> str:

@@ -37,13 +37,13 @@ ShootResult.eval reads v below s0 from it.
 
 The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
-located on that step's interpolant by bnlab.dop853.newton from the step's
-start: 2 to 4 reads of the interpolant at 336 of 345 shoots over
-N = 3 to 7 and eps_tilde = 1e-14 to 1e8, and at most 8.  The step is
-redone as an integration that ends on the zero.  ShootResult.dense is the
-DOP853 interpolant of (v, v'), rebuilt from the recorded step ends with the
-stages of all steps in one vectorised pass, and read at all requested radii
-in another.
+found by bnlab.dop853.newton on -u from the crossing step's start, each
+iterate redoing that step as one DOP853 integration from its start to
+the iterate, so the search ends on the integration that ends on the zero:
+2 to 7 runs per crossing at N = 3 to 7 and eps_tilde = 1e-14 to 1e8.
+ShootResult.dense is the DOP853 interpolant of (v, v'), built on its first
+read from the recorded step ends with the stages of all steps in one
+vectorised pass, and read at all requested radii in another.
 
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
@@ -53,9 +53,9 @@ eps_tilde R_tilde^{N-2} -> alpha_{N,q} R(0), clipped to eps_tilde in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -81,6 +81,7 @@ __all__ = [
 _SHOOT_RTOL = 2e-12
 _QUAD_ATOL = 1e-14
 _V_SCALE = 2.0**950
+_V_UNSCALE = 2.0**-950
 _EPS = np.finfo(float).eps
 _ZERO_TOL = 1e-10  # largest |u| accepted at the located first zero
 # most iterates of the first-zero search: bisection alone halves a step to
@@ -104,10 +105,17 @@ class ShootResult:
     mass_crit: float
     mass_q: float
     du_at_zero: float
-    # the DOP853 interpolant of the deviation (v, v') from the bubble,
-    # rebuilt from the recorded step ends and read in one pass; eval adds
-    # the bubble back
-    dense: Callable = field(repr=False, default=None)
+    # the recorded step ends and (v, v') there, which dense is built from
+    _steps: tuple = field(repr=False)
+
+    @functools.cached_property
+    def dense(self):
+        """The DOP853 interpolant of the deviation (v, v') from the bubble,
+        built from the recorded step ends on first read; eval adds the
+        bubble back."""
+        args = _rhs_args(self.params, self.eps_tilde)
+        return _StackedDense(lambda s, y: _deviation_rows(s, y, *args),
+                             *self._steps)
 
     def eval(self, s):
         """(u_tilde, u_tilde') at an array of scaled radii s: the bubble plus
@@ -194,12 +202,20 @@ def _series_start(p: Params, eps_tilde: float):
     )
 
 
-def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
+def _rhs_args(p: Params, eps_tilde: float) -> tuple:
+    """The constants of _deviation_rhs and _deviation_rows: N, N(N-2),
+    (N-2)/2, 2*-1, q-1, N-1, -(N-1) and eps_tilde."""
+    N = p.N
+    return (N, N * (N - 2.0), (N - 2.0) / 2.0, p.two_star - 1.0, p.q - 1.0,
+            N - 1, -(N - 1.0), eps_tilde)
+
+
+def _deviation_rhs(s, y, N, k, half, p1, q1, n1, neg_n1, eps_tilde):
     """Right-hand side of the shoot: (v, v') times _V_SCALE, then the four
-    quadratures.  k = N(N-2), half = (N-2)/2 and p2 = 2*."""
+    quadratures; the constants are _rhs_args'."""
     # Python floats: arithmetic on numpy scalars costs more
     V, dV, *_ = y.tolist()
-    v, dv = V / _V_SCALE, dV / _V_SCALE
+    v, dv = V * _V_UNSCALE, dV * _V_UNSCALE
     t = k / (k + s * s)
     U = t**half
     fU = U * t * t  # U^{2*-1}
@@ -207,17 +223,17 @@ def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
     if x > -1.0:
         u = U + v
         # u^{2*-1} - U^{2*-1}, free of cancellation for small v/U
-        df = fU * math.expm1((p2 - 1.0) * math.log1p(x))
-        uq1 = u ** (q - 1.0)
+        df = fU * math.expm1(p1 * math.log1p(x))
+        uq1 = u**q1
     else:  # a stage past the zero: f(u) = f(max(u, 0))
         u = uq1 = 0.0
         df = -fU
     f = fU + df  # u^{2*-1}
     du = dv - s / N * U * t  # U' = -(s/N) U t
-    sn = s ** (N - 1)
+    sn = s**n1
     return (
         dV,
-        (-(N - 1.0) / s * dv - df - eps_tilde * uq1) * _V_SCALE,
+        (neg_n1 / s * dv - df - eps_tilde * uq1) * _V_SCALE,
         du * du * sn,
         f * u * sn,
         uq1 * u * sn,
@@ -225,7 +241,7 @@ def _deviation_rhs(s, y, N, k, half, p2, q, eps_tilde):
     )
 
 
-def _deviation_rows(s, y, N, k, half, p2, q, eps_tilde):
+def _deviation_rows(s, y, N, k, half, p1, q1, n1, neg_n1, eps_tilde):
     """The (v, v') rows of _deviation_rhs, unscaled, at arrays of radii s
     and states y[:, :2]: the interpolant's stages need no other rows."""
     v, dv = y[:, 0], y[:, 1]
@@ -235,9 +251,9 @@ def _deviation_rows(s, y, N, k, half, p2, q, eps_tilde):
     x = v / U
     inside = x > -1.0
     df = np.where(inside, fU * np.expm1(
-        (p2 - 1.0) * np.log1p(np.where(inside, x, 0.0))), -fU)
-    uq1 = np.where(inside, U + v, 0.0) ** (q - 1.0)
-    return np.stack((dv, -(N - 1.0) / s * dv - df - eps_tilde * uq1), axis=1)
+        p1 * np.log1p(np.where(inside, x, 0.0))), -fU)
+    uq1 = np.where(inside, U + v, 0.0) ** q1
+    return np.stack((dv, neg_n1 / s * dv - df - eps_tilde * uq1), axis=1)
 
 
 def shoot(p: Params, eps_tilde: float) -> ShootResult:
@@ -263,14 +279,14 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
     except OverflowError:
         raise DomainError(f"span {span:.6g} of {cell} overflows s^{N - 1}"
                           ) from None
-    args = (N, N * (N - 2.0), (N - 2.0) / 2.0, p.two_star, p.q, eps_tilde)
+    args = _rhs_args(p, eps_tilde)
     ts, ys = [], []
 
     def record(s, y):
         """Keep each step end; stop at the first with u <= 0."""
         ts.append(s)
         ys.append(y.tolist())
-        u = normalized_bubble_r2(N, s * s) + ys[-1][0] / _V_SCALE
+        u = normalized_bubble_r2(N, s * s) + ys[-1][0] * _V_UNSCALE
         return -1 if u <= 0.0 else 0
 
     s0, y0 = _series_start(p, eps_tilde)
@@ -279,23 +295,8 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
     if not crossed:
         raise IntegrationFailureError(
             f"no first zero of {cell} within the span {span:.6g}")
-    t_ends = np.array(ts)
-    dense = _StackedDense(lambda s, y: _deviation_rows(s, y, *args), t_ends,
-                          np.array(ys)[:, :2] / _V_SCALE)
-    first_zero = _crossing(dense, N, ts[-2], ts[-1],
-                           (ys[-2][0] / _V_SCALE, ys[-2][1] / _V_SCALE))
-    # the zero comes from the interpolant of the step that crosses it, which
-    # is less accurate than a step end point and straddles the kink of
-    # max(u, 0)^{q-1}: it put 1e-10 errors into the flux at eps_tilde ~ 1.
-    # Redo that step so it ends on the zero, first trying it in one step:
-    # Hairer's initial-step guess fails there with return code -3 at N = 3,
-    # q = 5, eps_tilde = 1e-14 (R_tilde = 8.7e14).
-    redone = []
-    y_end, _ = dop853.run(_deviation_rhs, args, ys[-2], t_ends[-2],
-                          first_zero, _SHOOT_RTOL, _QUAD_ATOL,
-                          first_step=first_zero - t_ends[-2],
-                          solout=lambda s, y: redone.append(s))
-    u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0] / _V_SCALE
+    first_zero, y_end, redone = _crossing(args, ts[-2], ts[-1], ys[-2])
+    u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0] * _V_UNSCALE
     if abs(u_end) > _ZERO_TOL:
         raise IntegrationFailureError(
             f"event root not polished below tol: |u|={abs(u_end)}"
@@ -304,37 +305,57 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         params=p,
         eps_tilde=eps_tilde,
         first_zero=first_zero,
-        r_grid=np.concatenate((t_ends[:-2], redone)),
-        grad2=float(y_end[2]),
-        mass_crit=float(y_end[3]),
-        mass_q=float(y_end[4]),
+        r_grid=np.array(ts[:-2] + redone),
+        grad2=y_end[2],
+        mass_crit=y_end[3],
+        mass_q=y_end[4],
         # the flux identity r^{N-1} u' = -int_0^r s^{N-1} f(u) ds recovers
         # the boundary slope from a positive integrand, at the integrator's
         # relative accuracy
-        du_at_zero=-float(y_end[5]) / first_zero ** (N - 1),
-        dense=dense,
+        du_at_zero=-y_end[5] / first_zero ** (N - 1),
+        _steps=(np.array(ts), np.array(ys)[:, :2] * _V_UNSCALE),
     )
 
 
-def _crossing(dense, N: int, lo: float, hi: float, y_lo) -> float:
-    """The zero of u = U + v on the interpolant of the step [lo, hi] that
-    crosses it, u(lo) > 0 >= u(hi), by bnlab.dop853.newton on -u from lo,
-    where (v, v') = y_lo is the recorded state.  u' = U' + v', with U' in
-    closed form, so each later iterate reads the interpolant once.  Near
-    the zero u is convex, so the Newton iterates from lo rise to it."""
-    def g(s):
-        v, dv = y_lo if s == lo else dense(np.array([s]))[:, 0].tolist()
-        U = normalized_bubble_r2(N, s * s)
-        u = U + v
-        return u <= 0.0, -u, s / N * U ** (N / (N - 2.0)) - dv
+def _crossing(args, lo: float, hi: float, y_lo):
+    """The zero of u = U + v in the step [lo, hi] that crosses it,
+    u(lo) > 0 >= u(hi), by bnlab.dop853.newton on -u from lo, where y_lo
+    is the recorded state.  Each later iterate s redoes the step as one
+    DOP853 integration from lo to s, tried in one step: Hairer's
+    initial-step guess fails there with return code -3 at N = 3, q = 5,
+    eps_tilde = 1e-14 (R_tilde = 8.7e14).  u' = U' + v', with U' in closed
+    form.  Near the zero u is convex, so the Newton iterates from lo rise
+    to it.  Returns the zero, the state there and the step ends of the
+    integration that ends on it."""
+    N = args[0]
+    last = [lo, y_lo, None]  # the latest iterate, its state and step ends
 
-    return dop853.newton(g, lo, lo, hi, math.inf, 4.0 * _EPS, 0.0,
+    def run_to(s):
+        ends = []
+        y, _ = dop853.run(_deviation_rhs, args, y_lo, lo, s, _SHOOT_RTOL,
+                          _QUAD_ATOL, first_step=s - lo,
+                          solout=lambda t, y: ends.append(t))
+        last[:] = s, y.tolist(), ends
+
+    def g(s):
+        if s != last[0]:
+            run_to(s)
+        V, dV = last[1][:2]
+        U = normalized_bubble_r2(N, s * s)
+        u = U + V * _V_UNSCALE
+        return u <= 0.0, -u, s / N * U ** (N / (N - 2.0)) - dV * _V_UNSCALE
+
+    zero = dop853.newton(g, lo, lo, hi, math.inf, 4.0 * _EPS, 0.0,
                          _CROSSING_MAXITER, "the first-zero search")
+    if zero != last[0]:
+        run_to(zero)
+    return zero, last[1], last[2]
 
 
 class _StackedDense:
     """The DOP853 interpolant of (v, v') over every step, stacked into arrays
-    once and read at any 1-D array of radii in one vectorised pass.
+    on the first read of ShootResult.dense and read at any 1-D array of
+    radii in one vectorised pass.
 
     It is rebuilt from the step ends ts and the states y there (columns v,
     v') that the integration recorded.  rows(s, y), the (v, v') rows of the

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+import bnlab.dop853
 import bnlab.series
 import bnlab.solver
 from bnlab import (
@@ -19,6 +20,7 @@ from bnlab import (
     IntegrationFailureError,
     Params,
     UnreachableEpsError,
+    branch_map,
     default_grid,
     shoot,
     sobolev_sn2_exact,
@@ -203,35 +205,84 @@ def test_base_shoot_step_budget():
     assert len(shoot(Params(4, 3.0), 1e-2).r_grid) - 1 <= 90
 
 
-def test_first_zero_on_the_crossing_interpolant(monkeypatch):
-    """The Newton search on the crossing step's interpolant ends on the
-    zero of u there, within 4 ulp of a Brent solve on the same interpolant
-    (2 measured), in at most 6 reads of it (2 to 4 measured).  At
-    R_tilde = 8.7e6 (N = 4, eps_tilde = 10^-12.5) the last Newton step is
-    below half an ulp of the zero; a bracket test that refused it would
-    bisect for 17 more reads."""
-    reads, found = [], []
-    real = bnlab.solver._crossing
+def test_first_zero_search_ends_on_the_zero(monkeypatch):
+    """The Newton search ends on the zero of u at the end of one DOP853
+    integration over the crossing step, from the step's recorded start,
+    within 4 ulp of a Brent solve of u = 0 on that same integration, and
+    in at most 8 runs of it (2 to 7 measured over 360 shoots, N = 3 to 7,
+    eps_tilde = 1e-14 to 1e8).  The last run is the one that ends on the
+    zero.  At R_tilde = 8.7e6 (N = 4, eps_tilde = 10^-12.5) the last Newton
+    step is below half an ulp of the zero, so the search returns the
+    iterate it ran last."""
+    runs, found = [], []
+    real_run, real_crossing = bnlab.dop853.run, bnlab.solver._crossing
 
-    def checked(dense, N, lo, hi, y_lo):
-        def counting(s):
-            reads.append(len(s))
-            return dense(s)
+    def counting(fun, args, y0, s0, s1, *rest, **kwargs):
+        runs.append(s1)
+        return real_run(fun, args, y0, s0, s1, *rest, **kwargs)
 
-        zero = real(counting, N, lo, hi, y_lo)
-        found.append((zero, brentq(
-            lambda s: normalized_bubble_r2(N, s * s) + dense([s])[0, 0],
-            lo, hi, xtol=4.0 * np.finfo(float).eps,
-            rtol=4.0 * np.finfo(float).eps)))
-        return zero
+    def checked(args, lo, hi, y_lo):
+        runs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(bnlab.dop853, "run", counting)
+            zero, y, ends = real_crossing(args, lo, hi, y_lo)
+        N = args[0]
+
+        def u(s):
+            v = y_lo[0] if s == lo else real_run(
+                bnlab.solver._deviation_rhs, args, y_lo, lo, s,
+                bnlab.solver._SHOOT_RTOL, bnlab.solver._QUAD_ATOL,
+                first_step=s - lo)[0][0]
+            return normalized_bubble_r2(N, s * s) + v / bnlab.solver._V_SCALE
+
+        found.append((zero, brentq(u, lo, hi, xtol=4.0 * np.finfo(float).eps,
+                                   rtol=4.0 * np.finfo(float).eps),
+                      list(runs)))
+        return zero, y, ends
 
     monkeypatch.setattr(bnlab.solver, "_crossing", checked)
     for N, q, et in [*_START_CELLS, (4, 3.0, 10.0**-12.5)]:
-        reads.clear()
-        assert shoot(Params(N, q), et).first_zero == found[-1][0]
-        assert len(reads) <= 6
-        zero, ref = found[-1]
+        s = shoot(Params(N, q), et)
+        zero, ref, ran = found[-1]
+        assert s.first_zero == zero == ran[-1] == s.r_grid[-1]
+        assert len(ran) <= 8, (N, q, et)
         assert abs(zero - ref) <= 4.0 * np.spacing(ref), (N, q, et)
+
+
+def test_first_zero_matches_a_tighter_shoot(monkeypatch):
+    """The first zero and the boundary slope agree with a shoot at rtol
+    1e-14 to 1e-11 and 1e-10 relative: 4.0e-13 and 5.5e-12 measured at
+    (4, 3.5, 1e6), 3.4e-14 and 1.5e-12 at (5, 3, 10^-1.5).  At these cells
+    a zero read off the crossing step's interpolant is off by 5.7e-10 and
+    1.7e-9, and by 7.2e-11 and 2.9e-10."""
+    cells = [(4, 3.5, 1e6), (5, 3.0, 10.0**-1.5)]
+    got = {c: shoot(Params(*c[:2]), c[2]) for c in cells}
+    monkeypatch.setattr(bnlab.solver, "_SHOOT_RTOL", 1e-14)
+    for (N, q, et), s in got.items():
+        ref = shoot(Params(N, q), et)
+        assert s.first_zero == pytest.approx(ref.first_zero, rel=1e-11)
+        assert s.du_at_zero == pytest.approx(ref.du_at_zero, rel=1e-10)
+
+
+def test_interpolant_built_only_when_read(monkeypatch):
+    """No shoot builds its interpolant: branch_map, which reads none,
+    builds none, and solve_for_eps builds one, for the solution it
+    returns, once its profile is read."""
+    built = []
+
+    class Counting(bnlab.solver._StackedDense):
+        def __init__(self, rows, ts, y):
+            built.append(len(ts))
+            super().__init__(rows, ts, y)
+
+    monkeypatch.setattr(bnlab.solver, "_StackedDense", Counting)
+    branch_map(Params(3, 3.0))
+    assert built == []
+    sol = solve_for_eps(Params(4, 3.0), 1e-3)
+    assert built == []
+    sol.profile()
+    sol.profile()
+    assert built == [len(sol.shoot_result._steps[0])]
 
 
 def test_first_zero_search_out_of_iterates_raises(monkeypatch):
@@ -456,6 +507,7 @@ def test_stacked_interpolant_matches_reference(monkeypatch, N, q, et):
     monkeypatch.setattr(bnlab.solver, "_StackedDense", Capture)
     p = Params(N, q)
     s = shoot(p, et)
+    s.dense  # built on its first read
     ts, y = ends[0]
     # a step end is y_old + (y_new - y_old): two roundings of that size
     y_prev = np.vstack((y[:1], y[:-1]))

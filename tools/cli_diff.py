@@ -47,6 +47,10 @@ COMMANDS = [
     # eps_tilde > 1: the series start in units of L = eps_tilde^{-1/2}
     (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e6"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # where the crossing step's interpolant is furthest from the zero of
+    # the redone step: 5.7e-10 in R_tilde
+    (["solve", "--n", "4", "--q", "3.5", "--eps-tilde", "1e6"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
     (["spectrum", "--n", "4", "--q", "3", "--eps-tilde", "1e6",
       "--ell-max", "2"],
      {"--output": "out.json"}),
