@@ -16,7 +16,6 @@ from .quadrature import improper_radial
 
 __all__ = [
     "Params",
-    "gamma_fn",
     "omega_n",
     "c_nq",
     "c_nq_quadrature",
@@ -28,18 +27,12 @@ __all__ = [
     "sobolev_sn2_from_mass",
 ]
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
 
 def omega_n(N: int) -> float:
     """Surface area of the unit sphere S^{N-1} in R^N: 2 pi^{N/2} / Gamma(N/2)."""
     if N < 1:
         raise DomainError(f"omega_n requires N >= 1, got {N}")
-    return 2.0 * math.pi ** (N / 2.0) / gamma_fn(N / 2.0)
+    return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,7 @@ def _beta_exponent(p: Params) -> float:
 def _radial_beta(N: int, a: float) -> float:
     """int_0^inf r^{N-1} (1+r^2)^{-a} dr
     = Gamma(N/2) Gamma(a - N/2) / (2 Gamma(a)) for a > N/2."""
-    return gamma_fn(N / 2.0) * gamma_fn(a - N / 2.0) / (2.0 * gamma_fn(a))
+    return math.gamma(N / 2.0) * math.gamma(a - N / 2.0) / 2.0 / math.gamma(a)
 
 
 def c_nq(p: Params) -> float:

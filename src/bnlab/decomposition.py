@@ -71,7 +71,7 @@ def fit_decomposition(sol: RadialSolution) -> DecompositionResult:
     translation conditions hold identically for centered radial data.
     """
     N = sol.params.N
-    s, w = geometric_panel_rule(0.0, sol.R_tilde, np.sqrt(N * (N - 2.0)))
+    s, w = geometric_panel_rule(sol.R_tilde, np.sqrt(N * (N - 2.0)))
     w = w * s ** (N - 1)
     du = sol.shoot_result.eval(s)[1]
 

@@ -216,19 +216,19 @@ def _mode_start(op: ModeOperator, nu: float):
     return s0, (*u0, math.atan2(P, Q), (Q * Pn - P * Qn) / (P * P + Q * Q))
 
 
-def _mode_args(op: ModeOperator, nu: float, off: float) -> tuple:
+def _mode_args(op: ModeOperator, nu: float, *tail) -> tuple:
+    """The constants of _mode_rhs and _kernel_rhs, then tail."""
     p = op.params
-    return (op.eps_tilde, op.centrifugal, p.N - 1.0, p.N - 2.0,
-            p.two_star - 2.0, p.q - 2.0,
+    return (op.eps_tilde, p.N - 1.0, p.two_star - 2.0, p.q - 2.0,
             op.potential_scale * (p.two_star - 1.0),
-            op.potential_scale * (p.q - 1.0), nu, off)
+            op.potential_scale * (p.q - 1.0), nu, *tail)
 
 
-def _mode_rhs(s, y, et, cl, nm1, nm2, e2, eq, w2, wq, nu, off):
+def _mode_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, cl, nm2, off):
     """Right-hand side of the mode shoot: the base profile (u, u'), the
-    Pruefer angle theta and z = theta_nu + off.  cl = ell(ell+N-2),
-    nm1 = N-1, nm2 = N-2, e2 = 2*-2, eq = q-2, and w2, wq are 2*-1 and
-    q-1 times the potential scale.  It cannot raise: the powers read
+    Pruefer angle theta and z = theta_nu + off.  nm1 = N-1, e2 = 2*-2,
+    eq = q-2, w2 and wq are 2*-1 and q-1 times the potential scale,
+    cl = ell(ell+N-2) and nm2 = N-2.  It cannot raise: the powers read
     max(u, 0), and build_mode_operator refuses q < 2, so eq >= 0."""
     # Python floats: arithmetic on numpy scalars costs more
     u, du, th, z = y.tolist()
@@ -261,9 +261,9 @@ def _shoot_mode(op: ModeOperator, nu: float) -> tuple[int, float, float]:
     # relative error control is meaningful from the first step.
     off = op.R_tilde**2
     s0, (u, du, th, th_nu) = _mode_start(op, nu)
-    y, _ = dop853.run(_mode_rhs, _mode_args(op, nu, off),
-                      (u, du, th, th_nu + off), s0, op.R_tilde, _MODE_RTOL,
-                      1e-160)
+    args = _mode_args(op, nu, op.centrifugal, op.params.N - 2.0, off)
+    y, _ = dop853.run(_mode_rhs, args, (u, du, th, th_nu + off), s0,
+                      op.R_tilde, _MODE_RTOL, 1e-160)
     th = float(y[2])
     return int(th // math.pi), th, float(y[3]) - off
 
@@ -285,17 +285,11 @@ def _kernel_start(op: ModeOperator, nu: float):
     return s0, c, (*u0, s0 * y.sum(), k @ y, s0 * w.sum(), k @ w)
 
 
-def _kernel_args(op: ModeOperator, nu: float, c: float) -> tuple:
-    p = op.params
-    return (op.eps_tilde, p.N - 1.0, p.two_star - 2.0, p.q - 2.0,
-            p.two_star - 1.0, p.q - 1.0, nu, c)
-
-
 def _kernel_rhs(s, y, et, nm1, e2, eq, w2, wq, nu, c):
     """Right-hand side of the ell = 1 kernel shoot: the base profile
     (u, u'), y with (L_1 - nu) y = c u' and w = dy/dnu with
-    (L_1 - nu) w = y, each with its derivative.  nm1 = N-1, e2 = 2*-2,
-    eq = q-2, w2 = 2*-1, wq = q-1.  Like _mode_rhs, it cannot raise."""
+    (L_1 - nu) w = y, each with its derivative.  The constants are
+    _mode_rhs' at potential scale 1, then c.  It cannot raise either."""
     u, du, z, dz, w, dw = y.tolist()
     up = u if u > 0.0 else 0.0
     u2 = up ** e2
@@ -336,7 +330,7 @@ def _shoot_kernel(op: ModeOperator, nu: float) -> tuple[int, float, float]:
 
     # atol 1e-300 leaves pure relative control: y and w are O(s0^3) and
     # O(s0^5) at the start, and u' is O(R_tilde^{1-N}) at the end
-    y, _ = dop853.run(_kernel_rhs, _kernel_args(op, nu, c), y0, s0,
+    y, _ = dop853.run(_kernel_rhs, _mode_args(op, nu, c), y0, s0,
                       op.R_tilde, _MODE_RTOL, 1e-300, solout=sign_changes)
     return (count, -float(c * y[1] + nu * y[2]),
             -float(y[2] + nu * y[4]))

@@ -55,18 +55,16 @@ def improper_radial(f) -> float:
     return total
 
 
-def geometric_panel_rule(a: float, b: float, first: float):
+def geometric_panel_rule(b: float, first: float):
     """Composite Gauss-Legendre nodes and weights on panels growing
-    geometrically from `a`; `w @ f(x)` approximates the integral over [a, b].
+    geometrically from 0; `w @ f(x)` approximates the integral over [0, b].
 
-    The first panel has width `first`; each subsequent panel doubles, so a
-    domain of width W costs O(log2(W/first)) panels while still resolving
-    structure of scale `first` near the left endpoint.
+    The first panel has width `first`; each subsequent panel doubles, so
+    b > 0 costs O(log2(b/first)) panels while still resolving structure of
+    scale `first` near 0.
     """
-    if b <= a:
-        return np.empty(0), np.empty(0)
-    edges = [a]
-    step = min(first, b - a)
+    edges = [0.0]
+    step = min(first, b)
     while edges[-1] + step < b:
         edges.append(edges[-1] + step)
         step *= 2.0

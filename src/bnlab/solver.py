@@ -62,7 +62,8 @@ import numpy as np
 from . import dop853, series
 from .bubbles import normalized_bubble_r2
 from .constants import Params, blowup_target, omega_n
-from .errors import DomainError, IntegrationFailureError, UnreachableEpsError
+from .errors import (DomainError, FitFailureError, IntegrationFailureError,
+                     UnreachableEpsError)
 
 __all__ = [
     "ShootResult",
@@ -153,7 +154,7 @@ class RadialSolution:
     nehari_residual: float
     pohozaev_residual: float
     du_at_boundary: float
-    shoot_result: ShootResult = field(repr=False, default=None)
+    shoot_result: ShootResult = field(repr=False)
 
     def eval_unit(self, r):
         """(u, u') at unit-ball radii r from the dense shooting output."""
@@ -473,7 +474,8 @@ def solve_for_eps(p: Params, eps_target: float) -> RadialSolution:
     from the blow-up-law seed, clipped to _LOG_ET_SPAN.  The latest iterates
     with g < 0 and g > 0 bracket the root, and a step that would leave the
     bracket goes to its midpoint (Dekker's safeguard; Brent 1973, ch. 4).
-    A target beyond eps at a span end is unreachable."""
+    A target beyond eps at a span end is unreachable; a search that takes
+    _MAX_SHOOTS shoots without reaching one inside has not converged."""
     p.require_regime()
     if not 0.0 < eps_target < np.inf:
         raise DomainError(
@@ -507,6 +509,5 @@ def solve_for_eps(p: Params, eps_target: float) -> RadialSolution:
         x -= g / slope
         if below is not None and above is not None and not below < x < above:
             x = 0.5 * (below + above)
-    raise UnreachableEpsError(f"eps={eps_target:.6g} not within "
-                              f"tol={_EPS_RTOL:g} after {_MAX_SHOOTS} "
-                              f"shoots {cell}")
+    raise FitFailureError(f"eps={eps_target:.6g} not within tol={_EPS_RTOL:g} "
+                          f"after {_MAX_SHOOTS} shoots {cell}")

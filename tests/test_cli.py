@@ -236,6 +236,34 @@ def test_unreachable_eps():
     assert rc == EXIT_UNREACHABLE
 
 
+def test_eps_search_stopped_by_its_shoot_cap_exits_4(monkeypatch, capsys):
+    """A --eps search that stops after its shoot cap short of a target
+    inside the span has not converged: a numerical failure, not an
+    unreachable target."""
+    monkeypatch.setattr(bnlab.solver, "_MAX_SHOOTS", 2)
+    rc = main([
+        "solve", "--n", "3", "--q", "4.2", "--eps", "10",
+        "--profile", os.devnull, "--output", os.devnull,
+    ])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "error: numerical failure: eps=10 not within tol=1e-08 after 2 "
+        "shoots for (N=3, q=4.2)"]
+
+
+def test_solve_without_files_writes_both_outputs_to_stdout(tmp_path,
+                                                           capsys):
+    """With neither --profile nor --output, solve writes to stdout the
+    profile CSV and then the JSON line, the bytes the two files get."""
+    argv = ["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-2"]
+    prof, out = tmp_path / "p.csv", tmp_path / "o.json"
+    rc = main(argv + ["--profile", str(prof), "--output", str(out)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == prof.read_text() + out.read_text()
+
+
 def test_sweep_outputs(tmp_path):
     rec = tmp_path / "r.csv"
     out = tmp_path / "s.json"

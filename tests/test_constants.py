@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from bnlab import (
@@ -12,30 +11,11 @@ from bnlab import (
     blowup_target,
     c_nq,
     c_nq_quadrature,
-    gamma_fn,
     omega_n,
     sobolev_sn2,
     sobolev_sn2_exact,
     sobolev_sn2_from_mass,
 )
-
-
-def test_gamma_exact_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    for n in range(1, 13):
-        assert gamma_fn(n) == math.factorial(n - 1)
-
-
-def test_gamma_recurrence():
-    for x in np.linspace(0.1, 20.0, 37):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-1.5)
 
 
 def test_omega_exact():

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from bnlab import (
+    DecompositionResult,
     DomainError,
     FitFailureError,
     Params,
@@ -111,3 +112,17 @@ def test_order_fit_slope(decs43):
     # the table order is an upper bound on ||w||, so the fitted slope may be
     # steeper (more negative) but not shallower
     assert fit.slope_estimate <= fit.slope_target + 0.3
+
+
+def test_order_fit_removes_the_log_factor_at_n6():
+    """At N = 6 the fit divides ||w|| by (ln lambda)^{2/3} before it fits:
+    ||w|| = lambda^{-4} (ln lambda)^{2/3} reads the table slope -4, where
+    the log factor alone would flatten it to about -3.9."""
+    p = Params(6, 2.6)
+    decs = [DecompositionResult(alpha=1.0, lam=lam, lam_scaled=1.0,
+                                w_h1_norm=lam**-4.0 * np.log(lam) ** (2 / 3),
+                                ortho_residuals=(0.0, 0.0), params=p)
+            for lam in np.logspace(2.0, 6.0, 9)]
+    fit = perturbation_order_fit(decs)
+    assert fit.slope_target == -4.0
+    assert fit.slope_estimate == pytest.approx(-4.0, rel=0.0, abs=1e-12)

@@ -62,8 +62,9 @@ def test_no_solout_costs_no_right_hand_side_call():
     counts = []
     for solout in (None, lambda s, y: 0):
         calls.clear()
-        dop853.run(counted, lin._mode_args(op, 0.0, 0.0), y0, s0, op.R_tilde,
-                   lin._MODE_RTOL, 1e-160, solout=solout)
+        consts = lin._mode_args(op, 0.0, op.centrifugal, p.N - 2.0, 0.0)
+        dop853.run(counted, consts, y0, s0, op.R_tilde, lin._MODE_RTOL, 1e-160,
+                   solout=solout)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

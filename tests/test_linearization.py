@@ -689,7 +689,7 @@ def test_series_start_matches_integration(sol53_mid, sol43_deep,
         s0, c, ref = lin._kernel_start(op, nu)
         scale_start(1e-3)
         s1, _, y1 = lin._kernel_start(op, nu)
-        y, _ = dop853.run(lin._kernel_rhs, lin._kernel_args(op, nu, c), y1,
+        y, _ = dop853.run(lin._kernel_rhs, lin._mode_args(op, nu, c), y1,
                           s1, s0, lin._MODE_RTOL, 1e-300)
     else:
         # the shoot carries theta_nu + off; here off is theta_nu(s0), on
@@ -698,9 +698,9 @@ def test_series_start_matches_integration(sol53_mid, sol43_deep,
         off = ref[3]
         scale_start(1e-3)
         s1, y1 = lin._mode_start(op, nu)
-        y, _ = dop853.run(lin._mode_rhs, lin._mode_args(op, nu, off),
-                          (*y1[:3], y1[3] + off), s1, s0, lin._MODE_RTOL,
-                          1e-160)
+        args = lin._mode_args(op, nu, op.centrifugal, p.N - 2.0, off)
+        y, _ = dop853.run(lin._mode_rhs, args, (*y1[:3], y1[3] + off), s1,
+                          s0, lin._MODE_RTOL, 1e-160)
         y[3] -= off
     assert s1 == pytest.approx(1e-3 * s0, rel=1e-15)
     assert list(y) == pytest.approx(list(ref), rel=1e-12, abs=0.0)

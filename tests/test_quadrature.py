@@ -39,13 +39,13 @@ def test_improper_radial_algebraic_tail():
 def test_geometric_panel_endpoint_layer():
     # int_0^1 sqrt(r) dr = 2/3, integrand non-smooth at the left endpoint;
     # a thin first panel confines the singular error
-    x, w = geometric_panel_rule(0.0, 1.0, first=1e-6)
+    x, w = geometric_panel_rule(1.0, first=1e-6)
     val = w @ np.sqrt(x)
     assert val == pytest.approx(2.0 / 3.0, rel=1e-8)
 
 
 def test_geometric_panel_smooth():
-    x, w = geometric_panel_rule(0.0, math.pi / 2.0, first=0.5)
+    x, w = geometric_panel_rule(math.pi / 2.0, first=0.5)
     val = w @ np.cos(x)
     assert val == pytest.approx(1.0, rel=1e-13)
 

@@ -370,6 +370,44 @@ _REGIME_CELLS = [(4, 3.0), (5, 3.0), (3, 5.0), (3, 4.3), (4, 2.2),
                  (6, 2.6), (7, 2.2), (5, 2.1), (4, 3.9)]
 
 
+def test_solve_for_eps_steps_to_the_bracket_midpoint(monkeypatch):
+    """At (3, 4.2), eps = 10, one secant step would leave the bracket that
+    the earlier iterates form, so that iterate is the bracket's midpoint
+    in log eps_tilde; the search still lands on eps within _EPS_RTOL, in
+    8 shoots."""
+    target = 10.0
+    iterates = []  # (log eps_tilde, eps) of every shoot, in order
+    real = bnlab.solver.solution_at
+
+    def spy(p, eps_tilde):
+        sol = real(p, eps_tilde)
+        iterates.append((math.log(eps_tilde), sol.eps))
+        return sol
+
+    monkeypatch.setattr(bnlab.solver, "solution_at", spy)
+    sol = solve_for_eps(Params(3, 4.2), target)
+    assert abs(sol.eps - target) <= bnlab.solver._EPS_RTOL * target
+    assert len(iterates) == 8
+    midpoints = []
+    below = above = None
+    for x, eps in iterates:
+        if below is not None and above is not None:
+            midpoints.append(abs(x - 0.5 * (below + above)) <= 1e-12)
+        below, above = (x, above) if eps < target else (below, x)
+    assert midpoints.count(True) == 1
+
+
+def test_solve_for_eps_stopped_by_its_shoot_cap_raises(monkeypatch):
+    """A target inside the span that the search has not reached when it
+    stops after _MAX_SHOOTS shoots is a search that did not converge,
+    FitFailureError, not an unreachable target: uncapped, the same target
+    is reached in 8 shoots."""
+    monkeypatch.setattr(bnlab.solver, "_MAX_SHOOTS", 2)
+    with pytest.raises(FitFailureError, match="not within tol=1e-08 after 2 "
+                                              "shoots"):
+        solve_for_eps(Params(3, 4.2), 10.0)
+
+
 @functools.cache
 def _eps_at_span_ends(cell):
     p = Params(*cell)

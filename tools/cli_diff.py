@@ -41,6 +41,9 @@ COMMANDS = [
     # a deep secant solve
     (["solve", "--n", "5", "--q", "3", "--eps", "1e-6"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # the secant's third iterate would leave the bracket: a midpoint step
+    (["solve", "--n", "3", "--q", "4.2", "--eps", "10"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
     # a span whose cube overflows: rejected before the shoot
     (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-300"],
      {"--output": "out.json", "--profile": "profile.csv"}),
@@ -83,8 +86,9 @@ COMMANDS = [
      {"--output": "out.json", "--records": "records.csv"}),
     *((["sweep", "--n", n, "--q", q, "--skip-spectrum"],
        {"--output": "out.json", "--records": "records.csv"})
-      # at N = 3, q = 5 R_tilde reaches 8.7e8
-      for n, q in (("4", "3"), ("5", "3"), ("3", "5"))),
+      # at N = 3, q = 5 R_tilde reaches 8.7e8; at N = 6 the order fit
+      # removes its (ln lambda)^{2/3} factor
+      for n, q in (("4", "3"), ("5", "3"), ("3", "5"), ("6", "2.6"))),
     (["sweep", "--n", "4", "--q", "3", "--points", "8",
       "--spectrum-points", "1"],
      {"--output": "out.json", "--records": "records.csv"}),
