@@ -21,6 +21,19 @@ carries B at its own relative accuracy.  The energy functionals and the
 boundary flux are accumulated as extra ODE components, so their accuracy is
 the integrator tolerance rather than any resampling grid.
 
+The shoot integrates in tau = ln s, with state (v, w = s v') and
+
+    dv/dtau = w,  dw/dtau = -(N-2) w - s^2 (u^{2*-1} - U^{2*-1}
+                                            + eps_tilde u^{q-1}),
+
+and the quadratures' integrands times s.  On the tail v and w are sums of
+powers of s, exponentials in tau, so a shoot's steps grow by 8.5 (N = 4,
+q = 3) to 11 (N = 3, q = 5) per decade of eps_tilde, where in s they grew
+by 28 to 42: at (N, q, eps_tilde) = (4, 3, 1e-2), (4, 3, 1e-8),
+(5, 3, 1e-8) and (3, 5, 1e-14) a shoot takes 74, 130, 110 and 197 steps,
+against 84, 245, 208 and 636 in s, and 907 at (3, 5, 1e-80), where the
+shoot in s took 915 232.
+
 shoot(p, eps_tilde) integrates over the span _estimate_r_max, 30 times the
 blow-up estimate of R_tilde and at least 1e3, at the tolerance _SHOOT_RTOL.
 The integration stops at the first zero, so the span only caps it: spans of
@@ -37,13 +50,14 @@ ShootResult.eval reads v below s0 from it.
 
 The shoot calls scipy's compiled DOP853 by bnlab.dop853.run, records each
 accepted step end and stops at the first one with u <= 0.  The zero is
-found by bnlab.dop853.newton on -u from the crossing step's start, each
-iterate redoing that step as one DOP853 integration from its start to
-the iterate, so the search ends on the integration that ends on the zero:
-2 to 7 runs per crossing at N = 3 to 7 and eps_tilde = 1e-14 to 1e8.
-ShootResult.dense is the DOP853 interpolant of (v, v'), built on its first
-read from the recorded step ends with the stages of all steps in one
-vectorised pass, and read at all requested radii in another.
+found by bnlab.dop853.newton on -u over tau from the crossing step's
+start, each iterate redoing that step as one DOP853 integration from its
+start to the iterate, so the search ends on the integration that ends on
+the zero: 2 to 6 runs per crossing over 360 shoots at N = 3 to 7 and
+eps_tilde = 1e-14 to 1e8.  ShootResult.dense reads the DOP853 interpolant
+of (v, w) in tau at radii s and returns (v, v'); the interpolant is built
+on its first read from the recorded step ends with the stages of all steps
+in one vectorised pass, and read at all requested radii in another.
 
 solve_for_eps inverts eps(eps_tilde) by one search: a secant in
 (log eps_tilde, log eps) seeded from the blow-up law
@@ -75,12 +89,14 @@ __all__ = [
 ]
 
 # relative tolerance of the shoot, and the absolute tolerance of the
-# quadratures.  DOP853 takes one scalar atol, so (v, v') are carried times
-# the exact power of two _V_SCALE: their atol is _QUAD_ATOL / _V_SCALE =
-# 1.2e-300, in effect none, so they are held to _SHOOT_RTOL relative to
-# their own size, which is O(eps_tilde) like the tail constant
+# quadratures.  DOP853 takes one scalar atol, so (v, s v') are carried
+# times the exact power of two _V_SCALE: their atol is _QUAD_ATOL /
+# _V_SCALE = 1.2e-301, in effect none, so they are held to _SHOOT_RTOL
+# relative to their own size, which is O(eps_tilde) like the tail
+# constant.  The quadratures are O(1e-4) at (N, q, eps_tilde) =
+# (5, 3, 100), where an atol of 1e-14 moves du_at_zero by 1.7e-11
 _SHOOT_RTOL = 2e-12
-_QUAD_ATOL = 1e-14
+_QUAD_ATOL = 1e-15
 _V_SCALE = 2.0**950
 _V_UNSCALE = 2.0**-950
 _EPS = np.finfo(float).eps
@@ -106,17 +122,18 @@ class ShootResult:
     mass_crit: float
     mass_q: float
     du_at_zero: float
-    # the recorded step ends and (v, v') there, which dense is built from
+    # the recorded step ends in tau = ln s and (v, s v') there, which
+    # dense is built from
     _steps: tuple = field(repr=False)
 
     @functools.cached_property
     def dense(self):
-        """The DOP853 interpolant of the deviation (v, v') from the bubble,
-        built from the recorded step ends on first read; eval adds the
-        bubble back."""
+        """(v, v') at an array of radii s, the deviation from the bubble:
+        the DOP853 interpolant of (v, w = s v') in tau = ln s, built from
+        the recorded step ends on first read; eval adds the bubble back."""
         args = _rhs_args(self.params, self.eps_tilde)
-        return _StackedDense(lambda s, y: _deviation_rows(s, y, *args),
-                             *self._steps)
+        return functools.partial(_at_radii, _StackedDense(
+            lambda tau, y: _deviation_rows(tau, y, *args), *self._steps))
 
     def eval(self, s):
         """(u_tilde, u_tilde') at an array of scaled radii s: the bubble plus
@@ -173,7 +190,7 @@ class RadialSolution:
 
 
 def _series_start(p: Params, eps_tilde: float):
-    """s0 and the shoot's state there: (v, v') times _V_SCALE, then the
+    """s0 and the shoot's state there: (v, s v') times _V_SCALE, then the
     four quadratures over [0, s0], from the profile series.
 
     With c_k = A_k x0^k, x0 = (s0 / L)^2, u = sum c_k (s / s0)^{2k} and
@@ -195,7 +212,7 @@ def _series_start(p: Params, eps_tilde: float):
 
     return s0, (
         float(b.sum()) * _V_SCALE,
-        float(k2 @ b) / s0 * _V_SCALE,
+        float(k2 @ b) * _V_SCALE,
         integral(np.convolve(sc, sc), N - 2),
         integral(np.convolve(c, ser.P * x0k), N),
         integral(np.convolve(c, ser.Q * x0k), N),
@@ -205,66 +222,79 @@ def _series_start(p: Params, eps_tilde: float):
 
 def _rhs_args(p: Params, eps_tilde: float) -> tuple:
     """The constants of _deviation_rhs and _deviation_rows: N, N(N-2),
-    (N-2)/2, 2*-1, q-1, N-1, -(N-1) and eps_tilde."""
+    (N-2)/2, 2*-1, q-1, N-1, -(N-2) and eps_tilde."""
     N = p.N
     return (N, N * (N - 2.0), (N - 2.0) / 2.0, p.two_star - 1.0, p.q - 1.0,
-            N - 1, -(N - 1.0), eps_tilde)
+            N - 1, -(N - 2.0), eps_tilde)
 
 
-def _deviation_rhs(s, y, N, k, half, p1, q1, n1, neg_n1, eps_tilde):
-    """Right-hand side of the shoot: (v, v') times _V_SCALE, then the four
-    quadratures; the constants are _rhs_args'."""
-    # Python floats: arithmetic on numpy scalars costs more
-    V, dV, *_ = y.tolist()
-    v, dv = V * _V_UNSCALE, dV * _V_UNSCALE
-    t = k / (k + s * s)
+def _deviation_rhs(tau, y, N, k, half, p1, q1, n1, neg_n2, eps_tilde):
+    """Right-hand side of the shoot in tau = ln s: (v, w = s v') times
+    _V_SCALE, then the four quadratures, whose integrands in s gain a
+    factor s; the constants are _rhs_args'.  It cannot raise over the span
+    that shoot admits: math.exp(tau) and s^{N-1} stay finite there, and so
+    does s^2 (N >= 3); s^N is never formed, as each weight s^{N-1} s
+    multiplies by s last.  Each product meets the factors whose powers of
+    s cancel first (s^2 t <= N(N-2), u s^{N-1} = O(s)), so no term that
+    matters underflows on the tail: a subnormal s^2 (u^{2*-1} - U^{2*-1})
+    took the shoot at (N, q, eps_tilde) = (5, 3, 1e-140) 558 027 steps."""
+    # Python floats: arithmetic on numpy scalars costs more, and so does
+    # a starred unpack
+    V, W, _, _, _, _ = y.tolist()
+    s = math.exp(tau)
+    s2 = s * s
+    v = V * _V_UNSCALE
+    t = k / (k + s2)
     U = t**half
-    fU = U * t * t  # U^{2*-1}
     x = v / U
     if x > -1.0:
         u = U + v
-        # u^{2*-1} - U^{2*-1}, free of cancellation for small v/U
-        df = fU * math.expm1(p1 * math.log1p(x))
+        # u^{2*-1} / U^{2*-1} - 1, free of cancellation for small v/U
+        em = math.expm1(p1 * math.log1p(x))
         uq1 = u**q1
     else:  # a stage past the zero: f(u) = f(max(u, 0))
         u = uq1 = 0.0
-        df = -fU
-    f = fU + df  # u^{2*-1}
-    du = dv - s / N * U * t  # U' = -(s/N) U t
+        em = -1.0
+    f = U * t * t * (1.0 + em)  # u^{2*-1}
+    du = W * _V_UNSCALE / s - s / N * U * t  # U' = -(s/N) U t
     sn = s**n1
     return (
-        dV,
-        (neg_n1 / s * dv - df - eps_tilde * uq1) * _V_SCALE,
-        du * du * sn,
-        f * u * sn,
-        uq1 * u * sn,
-        (f + eps_tilde * uq1) * sn,
+        W,
+        # s^2 (u^{2*-1} - U^{2*-1}) _V_SCALE stays normal on the tail,
+        # where U^{2*-1} itself is subnormal
+        neg_n2 * W - (s2 * t * _V_SCALE * t * U * em
+                      + s2 * eps_tilde * uq1 * _V_SCALE),
+        du * du * sn * s,
+        f * (u * sn) * s,
+        uq1 * (u * sn) * s,
+        (f * sn + eps_tilde * (uq1 * sn)) * s,
     )
 
 
-def _deviation_rows(s, y, N, k, half, p1, q1, n1, neg_n1, eps_tilde):
-    """The (v, v') rows of _deviation_rhs, unscaled, at arrays of radii s
-    and states y[:, :2]: the interpolant's stages need no other rows."""
-    v, dv = y[:, 0], y[:, 1]
-    t = k / (k + s * s)
+def _deviation_rows(tau, y, N, k, half, p1, q1, n1, neg_n2, eps_tilde):
+    """The (v, w) rows of _deviation_rhs, unscaled, at arrays of tau and
+    states y[:, :2]: the interpolant's stages need no other rows."""
+    v, w = y[:, 0], y[:, 1]
+    s2 = np.exp(2 * tau)
+    t = k / (k + s2)
     U = t**half
-    fU = U * t * t
     x = v / U
     inside = x > -1.0
-    df = np.where(inside, fU * np.expm1(
-        p1 * np.log1p(np.where(inside, x, 0.0))), -fU)
+    em = np.where(inside, np.expm1(p1 * np.log1p(np.where(inside, x, 0.0))),
+                  -1.0)
     uq1 = np.where(inside, U + v, 0.0) ** q1
-    return np.stack((dv, neg_n1 / s * dv - df - eps_tilde * uq1), axis=1)
+    return np.stack((w, neg_n2 * w - (s2 * t * t * U * em
+                                      + s2 * eps_tilde * uq1)), axis=1)
 
 
 def shoot(p: Params, eps_tilde: float) -> ShootResult:
-    """Integrate the deviation from the bubble up to the first zero of
-    u = U + v.  DomainError unless eps_tilde is positive and finite and
-    s^{N-1} stays finite over the span _estimate_r_max;
+    """Integrate the deviation from the bubble in tau = ln s up to the
+    first zero of u = U + v.  DomainError unless eps_tilde is positive and
+    finite and s^{N-1} stays finite over the span _estimate_r_max;
     IntegrationFailureError if the shoot reaches the span end without u <= 0.
 
-    v and v' are held to _SHOOT_RTOL alone; the accumulated quadratures also
-    get the absolute tolerance _QUAD_ATOL.
+    v and s v' are held to _SHOOT_RTOL alone; the accumulated quadratures
+    also get the absolute tolerance _QUAD_ATOL.
     """
     if not 0.0 < eps_tilde < np.inf:
         raise DomainError(
@@ -283,20 +313,23 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
     args = _rhs_args(p, eps_tilde)
     ts, ys = [], []
 
-    def record(s, y):
+    def record(tau, y):
         """Keep each step end; stop at the first with u <= 0."""
-        ts.append(s)
+        ts.append(tau)
         ys.append(y.tolist())
-        u = normalized_bubble_r2(N, s * s) + ys[-1][0] * _V_UNSCALE
+        u = normalized_bubble_r2(N, math.exp(2 * tau)) + ys[-1][0] * _V_UNSCALE
         return -1 if u <= 0.0 else 0
 
     s0, y0 = _series_start(p, eps_tilde)
-    _, crossed = dop853.run(_deviation_rhs, args, y0, s0, span, _SHOOT_RTOL,
-                            _QUAD_ATOL, solout=record)
+    _, crossed = dop853.run(_deviation_rhs, args, y0, math.log(s0),
+                            math.log(span), _SHOOT_RTOL, _QUAD_ATOL,
+                            solout=record)
     if not crossed:
         raise IntegrationFailureError(
             f"no first zero of {cell} within the span {span:.6g}")
-    first_zero, y_end, redone = _crossing(args, ts[-2], ts[-1], ys[-2])
+    zero, y_end, redone = _crossing(args, ts[-2], ts[-1], ys[-2])
+    r_grid = np.exp(ts[:-2] + redone)
+    first_zero = float(r_grid[-1])
     u_end = normalized_bubble_r2(N, first_zero**2) + y_end[0] * _V_UNSCALE
     if abs(u_end) > _ZERO_TOL:
         raise IntegrationFailureError(
@@ -306,7 +339,7 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
         params=p,
         eps_tilde=eps_tilde,
         first_zero=first_zero,
-        r_grid=np.array(ts[:-2] + redone),
+        r_grid=r_grid,
         grad2=y_end[2],
         mass_crit=y_end[3],
         mass_q=y_end[4],
@@ -319,48 +352,56 @@ def shoot(p: Params, eps_tilde: float) -> ShootResult:
 
 
 def _crossing(args, lo: float, hi: float, y_lo):
-    """The zero of u = U + v in the step [lo, hi] that crosses it,
-    u(lo) > 0 >= u(hi), by bnlab.dop853.newton on -u from lo, where y_lo
-    is the recorded state.  Each later iterate s redoes the step as one
-    DOP853 integration from lo to s, tried in one step: Hairer's
-    initial-step guess fails there with return code -3 at N = 3, q = 5,
-    eps_tilde = 1e-14 (R_tilde = 8.7e14).  u' = U' + v', with U' in closed
-    form.  Near the zero u is convex, so the Newton iterates from lo rise
-    to it.  Returns the zero, the state there and the step ends of the
-    integration that ends on it."""
+    """The zero of u = U + v in the step [lo, hi] of tau = ln s that
+    crosses it, u(lo) > 0 >= u(hi), by bnlab.dop853.newton on -u from lo,
+    where y_lo is the recorded state.  Each later iterate tau redoes the
+    step as one DOP853 integration from lo to tau, tried in one step, as
+    the shoot accepted all of [lo, hi] in one.  The derivative is -s u' = -(w + s U'), with U' in closed form.  Near the
+    zero u is convex, so the Newton iterates from lo rise to it.  The
+    search stops within 4 eps of max(|tau|, 1): 4 eps relative in s where
+    tau is near 0.  Returns the zero in tau, the state there and the step
+    ends of the integration that ends on it."""
     N = args[0]
     last = [lo, y_lo, None]  # the latest iterate, its state and step ends
 
-    def run_to(s):
+    def run_to(tau):
         ends = []
-        y, _ = dop853.run(_deviation_rhs, args, y_lo, lo, s, _SHOOT_RTOL,
-                          _QUAD_ATOL, first_step=s - lo,
+        y, _ = dop853.run(_deviation_rhs, args, y_lo, lo, tau, _SHOOT_RTOL,
+                          _QUAD_ATOL, first_step=tau - lo,
                           solout=lambda t, y: ends.append(t))
-        last[:] = s, y.tolist(), ends
+        last[:] = tau, y.tolist(), ends
 
-    def g(s):
-        if s != last[0]:
-            run_to(s)
-        V, dV = last[1][:2]
-        U = normalized_bubble_r2(N, s * s)
+    def g(tau):
+        if tau != last[0]:
+            run_to(tau)
+        V, W = last[1][:2]
+        s2 = math.exp(2 * tau)
+        U = normalized_bubble_r2(N, s2)
         u = U + V * _V_UNSCALE
-        return u <= 0.0, -u, s / N * U ** (N / (N - 2.0)) - dV * _V_UNSCALE
+        return u <= 0.0, -u, s2 / N * U ** (N / (N - 2.0)) - W * _V_UNSCALE
 
-    zero = dop853.newton(g, lo, lo, hi, math.inf, 4.0 * _EPS, 0.0,
+    zero = dop853.newton(g, lo, lo, hi, math.inf, 4.0 * _EPS, 1.0,
                          _CROSSING_MAXITER, "the first-zero search")
     if zero != last[0]:
         run_to(zero)
     return zero, last[1], last[2]
 
 
+def _at_radii(stacked, s):
+    """(v, v') at an array of radii s from the interpolant of (v, s v') in
+    tau = ln s."""
+    v, w = stacked(np.log(s))
+    return np.array((v, w / s))
+
+
 class _StackedDense:
-    """The DOP853 interpolant of (v, v') over every step, stacked into arrays
-    on the first read of ShootResult.dense and read at any 1-D array of
-    radii in one vectorised pass.
+    """The DOP853 interpolant of (v, w = s v') over every step in tau = ln s,
+    stacked into arrays on the first read of ShootResult.dense and read at
+    any 1-D array of tau in one vectorised pass.
 
     It is rebuilt from the step ends ts and the states y there (columns v,
-    v') that the integration recorded.  rows(s, y), the (v, v') rows of the
-    right-hand side, read only (v, v'), so the 12 stages, the FSAL stage and
+    w) that the integration recorded.  rows(tau, y), the (v, w) rows of the
+    right-hand side, read only (v, w), so the 12 stages, the FSAL stage and
     the 3 extra stages of every step are formed at once from the tableau
     bnlab.dop853.TABLEAU, and the coefficient rows F as solve_ivp's DOP853
     dense output forms them (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -391,13 +432,12 @@ class _StackedDense:
         # (last row first)
         self.F = F[::-1]
 
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        seg = np.clip(np.searchsorted(self.ts, s, side="left") - 1,
+    def __call__(self, tau):
+        seg = np.clip(np.searchsorted(self.ts, tau, side="left") - 1,
                       0, len(self.h) - 1)
-        x = ((s - self.t_old[seg]) / self.h[seg])[:, None]
+        x = ((tau - self.t_old[seg]) / self.h[seg])[:, None]
         factors = (x, 1 - x)
-        y = np.zeros((len(s), 2))
+        y = np.zeros((len(tau), 2))
         for i, f in enumerate(self.F):
             y += f[seg]
             y *= factors[i % 2]

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -177,6 +178,24 @@ def test_eps_tilde_whose_span_overflows_exits_2(capsys, n, q):
     assert err[0].startswith("error: invalid configuration: span ")
     assert err[0].endswith(f"of eps_tilde=1e-300 at (N={n}, q={q}) "
                            f"overflows s^{int(n) - 1}")
+
+
+def test_eps_tilde_with_span_near_the_overflow_solves(tmp_path):
+    """At (4, 3, 1e-200) R_tilde = 4.9e100, where s^N overflows but the
+    span's s^{N-1} does not: solve exits 0 within 1 s, its identities to
+    1e-12 (1071 steps measured)."""
+    out = tmp_path / "s.json"
+    start = time.perf_counter()
+    rc = main([
+        "solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-200",
+        "--profile", os.devnull, "--output", str(out),
+    ])
+    assert time.perf_counter() - start <= 1.0
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["r_tilde"] == pytest.approx(4.9e100, rel=1e-2)
+    assert doc["nehari_residual"] <= 1e-12
+    assert doc["pohozaev_residual"] <= 1e-12
 
 
 def test_shoot_past_its_span_end_exits_4(monkeypatch, capsys):

@@ -22,6 +22,7 @@ from bnlab import (
     UnreachableEpsError,
     branch_map,
     default_grid,
+    scale_to_unit_ball,
     shoot,
     sobolev_sn2_exact,
     solution_at,
@@ -199,21 +200,54 @@ def test_eval_is_continuous_at_the_series_start():
 
 
 def test_base_shoot_step_budget():
-    """From the series start at s0 = 0.5 one shoot at N = 4, q = 3,
-    eps_tilde = 1e-2 takes at most 90 steps (84 measured; 122 from the
-    two-term start at 1e-4)."""
-    assert len(shoot(Params(4, 3.0), 1e-2).r_grid) - 1 <= 90
+    """From the series start at s0 = 0.5 L the shoot in tau = ln s takes at
+    most 80 steps at (N, q, eps_tilde) = (4, 3, 1e-2), 140 at (4, 3, 1e-8)
+    and 210 at (3, 5, 1e-14): 74, 130 and 197 measured, where the shoot in
+    s took 84, 245 and 636."""
+    for (N, q, et), budget in (((4, 3.0, 1e-2), 80), ((4, 3.0, 1e-8), 140),
+                               ((3, 5.0, 1e-14), 210)):
+        assert len(shoot(Params(N, q), et).r_grid) - 1 <= budget, (N, q, et)
+
+
+@pytest.mark.parametrize("N,q,et,budget", [(3, 5.0, 1e-80, 1000),
+                                           (4, 3.0, 1e-120, 1400),
+                                           (5, 3.0, 1e-140, 750),
+                                           (3, 3.0, 1e-140, 250)])
+def test_deep_shoot_within_its_step_budget(N, q, et, budget):
+    """Far below the default grids a shoot stays within a step budget
+    (907, 1338, 672 and 182 steps measured), and its Nehari and Pohozaev
+    residuals within 1e-12.  In s, (3, 5, 1e-80) took 915 232 steps and
+    (4, 3, 1e-120) failed with DOP853 code -3; a subnormal
+    s^2 (u^{2*-1} - U^{2*-1}) took (5, 3, 1e-140) 558 027 steps, and an
+    underflowing u^q s^N left a Pohozaev residual of 0.26 at
+    (3, 3, 1e-140)."""
+    s = shoot(Params(N, q), et)
+    assert len(s.r_grid) - 1 <= budget
+    sol = scale_to_unit_ball(s)
+    assert sol.nehari_residual <= 1e-12
+    assert sol.pohozaev_residual <= 1e-12
+
+
+def test_shoot_steps_grow_linearly_in_log_eps_tilde():
+    """At (3, 5) the steps per decade of eps_tilde from 1e-14 to 1e-40 and
+    from 1e-40 to 1e-80 agree within 10% (197, 476 and 907 steps
+    measured: 10.7 and 10.8 per decade)."""
+    steps = [len(shoot(Params(3, 5.0), 10.0**e).r_grid) - 1
+             for e in (-14, -40, -80)]
+    per_decade = ((steps[1] - steps[0]) / 26.0, (steps[2] - steps[1]) / 40.0)
+    assert abs(per_decade[1] / per_decade[0] - 1.0) <= 0.1, steps
 
 
 def test_first_zero_search_ends_on_the_zero(monkeypatch):
-    """The Newton search ends on the zero of u at the end of one DOP853
-    integration over the crossing step, from the step's recorded start,
-    within 4 ulp of a Brent solve of u = 0 on that same integration, and
-    in at most 8 runs of it (2 to 7 measured over 360 shoots, N = 3 to 7,
-    eps_tilde = 1e-14 to 1e8).  The last run is the one that ends on the
-    zero.  At R_tilde = 8.7e6 (N = 4, eps_tilde = 10^-12.5) the last Newton
-    step is below half an ulp of the zero, so the search returns the
-    iterate it ran last."""
+    """The Newton search ends on the zero in tau = ln s of u at the end of
+    one DOP853 integration over the crossing step, from the step's
+    recorded start, within 4 ulp of max(|tau|, 1) of a Brent solve of
+    u(tau) = 0 on that same integration (near tau = 0, 4 eps relative in
+    s), and in at most 8 runs of it (2 to 6 measured over 360 shoots,
+    N = 3 to 7, eps_tilde = 1e-14 to 1e8).  The last run is the one that
+    ends on the zero, and the first zero is its radius.  At R_tilde =
+    8.7e6 (N = 4, eps_tilde = 10^-12.5) the last Newton step is below half
+    an ulp of the zero, so the search returns the iterate it ran last."""
     runs, found = [], []
     real_run, real_crossing = bnlab.dop853.run, bnlab.solver._crossing
 
@@ -228,11 +262,12 @@ def test_first_zero_search_ends_on_the_zero(monkeypatch):
             zero, y, ends = real_crossing(args, lo, hi, y_lo)
         N = args[0]
 
-        def u(s):
-            v = y_lo[0] if s == lo else real_run(
-                bnlab.solver._deviation_rhs, args, y_lo, lo, s,
+        def u(tau):
+            v = y_lo[0] if tau == lo else real_run(
+                bnlab.solver._deviation_rhs, args, y_lo, lo, tau,
                 bnlab.solver._SHOOT_RTOL, bnlab.solver._QUAD_ATOL,
-                first_step=s - lo)[0][0]
+                first_step=tau - lo)[0][0]
+            s = math.exp(tau)
             return normalized_bubble_r2(N, s * s) + v / bnlab.solver._V_SCALE
 
         found.append((zero, brentq(u, lo, hi, xtol=4.0 * np.finfo(float).eps,
@@ -244,9 +279,11 @@ def test_first_zero_search_ends_on_the_zero(monkeypatch):
     for N, q, et in [*_START_CELLS, (4, 3.0, 10.0**-12.5)]:
         s = shoot(Params(N, q), et)
         zero, ref, ran = found[-1]
-        assert s.first_zero == zero == ran[-1] == s.r_grid[-1]
+        assert zero == ran[-1]
+        assert s.first_zero == s.r_grid[-1] == np.exp(zero)
         assert len(ran) <= 8, (N, q, et)
-        assert abs(zero - ref) <= 4.0 * np.spacing(ref), (N, q, et)
+        assert abs(zero - ref) <= 4.0 * np.spacing(max(abs(ref), 1.0)), (
+            N, q, et)
 
 
 def test_first_zero_matches_a_tighter_shoot(monkeypatch):
@@ -529,30 +566,31 @@ def _deviation_reference(p, eps_tilde, s1):
                                     (4, 3.0, 1e-3), (4, 3.0, 1e-8),
                                     (6, 2.6, 1e-5), (3, 5.0, 1e-14)])
 def test_stacked_interpolant_matches_reference(monkeypatch, N, q, et):
-    """ShootResult.dense, rebuilt from the step ends that the shoot
-    records, returns the recorded (v, v') at every step end to rounding.
+    """ShootResult.dense, rebuilt from the step ends in tau = ln s that the
+    shoot records, returns the recorded (v, s v') at every step end to
+    rounding.
     Against an independent tighter integration from its own start, the
     profile series agrees at 200 random radii below s0 to
     _SERIES_AGREEMENT, and the interpolant at 2000 random radii from s0 to
     the first zero to _REFERENCE_AGREEMENT of max |v| and of max |v'|."""
-    ends = []
+    built = []
 
     class Capture(bnlab.solver._StackedDense):
         def __init__(self, rows, ts, y):
-            ends.append((ts, y))
+            built.append((self, ts, y))
             super().__init__(rows, ts, y)
 
     monkeypatch.setattr(bnlab.solver, "_StackedDense", Capture)
     p = Params(N, q)
     s = shoot(p, et)
     s.dense  # built on its first read
-    ts, y = ends[0]
+    stacked, ts, y = built[0]
     # a step end is y_old + (y_new - y_old): two roundings of that size
     y_prev = np.vstack((y[:1], y[:-1]))
     rounding = 2.0 * np.finfo(float).eps * (np.abs(y) + np.abs(y_prev))
-    assert np.all(np.abs(s.dense(ts).T - y) <= rounding)
+    assert np.all(np.abs(stacked(ts).T - y) <= rounding)
 
-    Rt, s0 = s.first_zero, ts[0]
+    Rt, s0 = s.first_zero, s.r_grid[0]
     s_start, ref = _deviation_reference(p, et, Rt)
     rng = np.random.default_rng(7)
     below = rng.uniform(s_start, s0, 200)

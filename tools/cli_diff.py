@@ -44,6 +44,9 @@ COMMANDS = [
     # the secant's third iterate would leave the bracket: a midpoint step
     (["solve", "--n", "3", "--q", "4.2", "--eps", "10"],
      {"--output": "out.json", "--profile": "profile.csv"}),
+    # far below the default grids: 907 steps in tau = ln s, 915 232 in s
+    (["solve", "--n", "3", "--q", "5", "--eps-tilde", "1e-80"],
+     {"--output": "out.json", "--profile": "profile.csv"}),
     # a span whose cube overflows: rejected before the shoot
     (["solve", "--n", "4", "--q", "3", "--eps-tilde", "1e-300"],
      {"--output": "out.json", "--profile": "profile.csv"}),
